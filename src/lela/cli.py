@@ -23,7 +23,7 @@ from .bench import (
 from .distpca import run_distpca
 from .driver import evaluate, lela
 from .errors import DegenerateInputError, ParameterError
-from .linalg import DenseMatrix, low_rank_diff_spectral_norm
+from .linalg import low_rank_diff_spectral_norm
 from .matprod import ProductTask, lowrank_covariance, lowrank_product, stagewise_product_baseline
 from .mmio import read_matrix, save_factorization
 
@@ -159,18 +159,30 @@ def _cmd_covariance(args) -> int:
     return EXIT_OK
 
 
+def _number(text: str, convert, source: str):
+    """One number read from outside text; a malformed one is a parameter error."""
+    try:
+        return convert(text)
+    except ValueError:
+        raise ParameterError(f"{source} expects {convert.__name__} values, got {text!r}")
+
+
 def _parse_config_file(path) -> dict:
     """Flat key=value scenario file for the distributed run."""
     values: dict[str, str] = {}
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ParameterError(f"malformed scenario line {line!r}")
-            key, value = line.split("=", 1)
-            values[key.strip()] = value.strip()
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            lines = fh.readlines()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ParameterError(f"cannot read scenario file {path!r}: {exc}")
+    for line in lines:
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ParameterError(f"malformed scenario line {line!r}")
+        key, value = line.split("=", 1)
+        values[key.strip()] = value.strip()
     return values
 
 
@@ -179,11 +191,8 @@ def _cmd_distpca(args) -> int:
         conf = _parse_config_file(args.config)
         for key in ("n", "d", "s", "r", "m", "T", "init_rounds", "seed"):
             if key in conf:
-                setattr(
-                    args,
-                    {"s": "servers", "r": "rank", "T": "iters"}.get(key, key),
-                    int(conf[key]),
-                )
+                value = _number(conf[key], int, f"scenario key {key!r}")
+                setattr(args, {"s": "servers", "r": "rank", "T": "iters"}.get(key, key), value)
         if "partition" in conf:
             args.partition = conf["partition"]
     M = _load_or_generate(args)
@@ -217,9 +226,9 @@ def _cmd_distpca(args) -> int:
 
 def _cmd_bench(args) -> int:
     algorithms = [a.strip() for a in args.algorithms.split(",") if a.strip()]
-    noise_levels = [float(x) for x in args.noise_list.split(",")]
+    noise_levels = [_number(x, float, "--noise-list") for x in args.noise_list.split(",")]
     if args.m_list:
-        m_grid = [int(x) for x in args.m_list.split(",")]
+        m_grid = [_number(x, int, "--m-list") for x in args.m_list.split(",")]
     else:
         m_grid = [k * args.n * args.rank for k in (4, 8, 16, 32)]
     cfg = ExperimentConfig(

@@ -15,8 +15,9 @@ The sampling law used on this path is
                          + |M_ij| / |M|_{1,1} ), 1 )
 
 which differs from the single-machine element law (n instead of n + d in the
-norm term, and no 1/2 on the L1 term).  The centralized reference implements
-the same law and the same update order so the two paths agree entrywise.
+norm term, and no 1/2 on the L1 term).  Row i draws from the stream
+(seed, TAG_DIST_SAMPLE, i) whichever server holds it, so the sample set does
+not depend on the partition.
 """
 from __future__ import annotations
 
@@ -24,24 +25,23 @@ import csv
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from . import rng
 from .errors import DegenerateInputError, ParameterError
 from .linalg import (
     DenseMatrix,
     Factorization,
+    normal_equations,
     orthonormal_columns,
     pseudo_solve_spd_batch,
 )
-from .sampling import SampleSet
+from .sampling import SampleSet, draw_bernoulli_rows
 
 KIND_COL_NORMS = "col-norms"
 KIND_STATS_BROADCAST = "stats-broadcast"
 KIND_COL_LISTS = "col-lists"
 KIND_INIT_Y_BLOCK = "init-Y-block"
 KIND_INIT_Y_PARTIAL = "init-Y-partial"
-KIND_U_ROWS_LOCAL = "U-rows-local"  # audit label only; these rows are never sent
 KIND_Z_AND_B = "z-and-B"
 KIND_V_ROWS_BLOCK = "V-rows-block"
 
@@ -49,6 +49,11 @@ DIR_UP = "server->CP"
 DIR_DOWN = "CP->server"
 
 PARTITION_POLICIES = ("contiguous", "round-robin", "seeded-random")
+
+# Every solve of the protocol is exact (no eigenvalue floor): the distributed
+# run must match its centralized reference to 1e-10, and a floor would let
+# fold-order rounding near the threshold keep a direction on one side only.
+LS_EIG_FLOOR = 0.0
 
 
 @dataclass(frozen=True)
@@ -91,17 +96,13 @@ class CommLedger:
     def grand_total(self) -> int:
         return sum(m.payload_reals for m in self.messages)
 
-    def recompute_totals(self) -> tuple[dict[str, int], dict[int, int]]:
+    def verify(self) -> bool:
+        """Check the running totals against a recomputation from the log."""
         by_kind: dict[str, int] = {}
         by_round: dict[int, int] = {}
         for m in self.messages:
             by_kind[m.kind] = by_kind.get(m.kind, 0) + m.payload_reals
             by_round[m.round] = by_round.get(m.round, 0) + m.payload_reals
-        return by_kind, by_round
-
-    def verify(self) -> bool:
-        """Check the running totals against a recomputation from the log."""
-        by_kind, by_round = self.recompute_totals()
         return by_kind == self.totals_by_kind and by_round == self.totals_by_round
 
     def to_csv(self, path) -> None:
@@ -154,36 +155,6 @@ def partition_rows(
     ]
 
 
-def _inclusion_probabilities_row(row_vals, row_sq_i, col_sq, fro_sq, l11, m, n):
-    q = m * ((row_sq_i + col_sq) / (2.0 * n * fro_sq) + np.abs(row_vals) / l11)
-    return np.minimum(q, 1.0)
-
-
-def _draw_shard_samples(shard, col_sq, fro_sq, l11, m, n, d, seed):
-    rows_acc, cols_acc, vals_acc, wts_acc = [], [], [], []
-    local_row_sq = np.einsum("ij,ij->i", shard.local_rows, shard.local_rows)
-    for pos, i in enumerate(shard.row_set):
-        row = shard.local_rows[pos]
-        p = _inclusion_probabilities_row(row, local_row_sq[pos], col_sq, fro_sq, l11, m, n)
-        u = rng.stream(seed, rng.TAG_DIST_SAMPLE, int(i)).random(d)
-        js = np.flatnonzero(u < p)
-        if js.size:
-            rows_acc.append(np.full(js.size, i, dtype=np.int64))
-            cols_acc.append(js)
-            vals_acc.append(row[js])
-            wts_acc.append(1.0 / p[js])
-    if rows_acc:
-        return SampleSet(
-            n,
-            d,
-            np.concatenate(rows_acc),
-            np.concatenate(cols_acc),
-            np.concatenate(vals_acc),
-            np.concatenate(wts_acc),
-        )
-    return SampleSet(n, d, [], [], [], [])
-
-
 def dist_sample(shards: list[ServerShard], m: int, ledger: CommLedger, seed: int = 0) -> None:
     """Stats exchange plus local sampling; fills each shard in place.
 
@@ -214,7 +185,16 @@ def dist_sample(shards: list[ServerShard], m: int, ledger: CommLedger, seed: int
     for sh in shards:
         ledger.record(round_no, DIR_DOWN, KIND_STATS_BROADCAST, d + 2)
     for sh in shards:
-        sh.local_samples = _draw_shard_samples(sh, col_sq, fro_sq, l11, m, n, d, seed)
+        rows = sh.local_rows
+        row_sq = np.einsum("ij,ij->i", rows, rows)
+
+        def prob_row(k):
+            q = m * ((row_sq[k] + col_sq) / (2.0 * n * fro_sq) + np.abs(rows[k]) / l11)
+            return np.minimum(q, 1.0)
+
+        sh.local_samples = draw_bernoulli_rows(
+            n, d, sh.row_set, prob_row, lambda k, js: rows[k, js], seed, rng.TAG_DIST_SAMPLE
+        )
         sh.touched_cols = sh.local_samples.observed_cols()
         if sh.touched_cols.size:
             ledger.record(round_no, DIR_UP, KIND_COL_LISTS, int(sh.touched_cols.size))
@@ -267,39 +247,17 @@ def dist_init(
 
 def _rows_ls_update(samples: SampleSet, row_ids: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Weighted LS update of the given rows against fixed V (local, no comm)."""
-    r = V.shape[1]
     local_pos = np.searchsorted(row_ids, samples.rows)
-    G = V[samples.cols]
-    w = samples.weights
-    wy = w * samples.vals
-    k = row_ids.size
-    B = np.empty((k, r, r))
-    z = np.empty((k, r))
-    for a in range(r):
-        z[:, a] = np.bincount(local_pos, weights=wy * G[:, a], minlength=k)
-        for b in range(a, r):
-            acc = np.bincount(local_pos, weights=w * G[:, a] * G[:, b], minlength=k)
-            B[:, a, b] = acc
-            B[:, b, a] = acc
-    return pseudo_solve_spd_batch(B, z)
+    B, z = normal_equations(
+        local_pos, V[samples.cols], samples.weights, samples.vals, row_ids.size
+    )
+    return pseudo_solve_spd_batch(B, z, eig_floor=LS_EIG_FLOOR)
 
 
 def _column_messages(samples: SampleSet, row_ids: np.ndarray, U_local: np.ndarray, d: int):
-    """Per-column (z_j, B_j) partial sums from one server's samples."""
-    r = U_local.shape[1]
+    """Per-column (B_j, z_j) partial sums from one server's samples."""
     local_pos = np.searchsorted(row_ids, samples.rows)
-    G = U_local[local_pos]
-    w = samples.weights
-    wy = w * samples.vals
-    z = np.empty((d, r))
-    B = np.empty((d, r, r))
-    for a in range(r):
-        z[:, a] = np.bincount(samples.cols, weights=wy * G[:, a], minlength=d)
-        for b in range(a, r):
-            acc = np.bincount(samples.cols, weights=w * G[:, a] * G[:, b], minlength=d)
-            B[:, a, b] = acc
-            B[:, b, a] = acc
-    return z, B
+    return normal_equations(samples.cols, U_local[local_pos], samples.weights, samples.vals, d)
 
 
 def dist_waltmin_round(
@@ -321,14 +279,14 @@ def dist_waltmin_round(
     for sh in shards:  # fixed ascending server id
         u_local = _rows_ls_update(sh.local_samples, sh.row_set, V_current)
         u_blocks.append(u_local)
-        z_k, b_k = _column_messages(sh.local_samples, sh.row_set, u_local, d)
+        b_k, z_k = _column_messages(sh.local_samples, sh.row_set, u_local, d)
         z_total = z_total + z_k
         b_total = b_total + b_k
         if sh.touched_cols.size:
             ledger.record(
                 round_no, DIR_UP, KIND_Z_AND_B, int(sh.touched_cols.size) * (r + r * r)
             )
-    V_new = pseudo_solve_spd_batch(b_total, z_total)
+    V_new = pseudo_solve_spd_batch(b_total, z_total, eig_floor=LS_EIG_FLOOR)
     for sh in shards:
         if sh.touched_cols.size:
             ledger.record(round_no, DIR_DOWN, KIND_V_ROWS_BLOCK, int(sh.touched_cols.size) * r)
@@ -365,70 +323,3 @@ def run_distpca(
     for sh, block in zip(shards, u_blocks):
         U[sh.row_set] = block
     return Factorization(U, V), ledger
-
-
-def total_samples(shards: list[ServerShard]) -> int:
-    return sum(sh.local_samples.size for sh in shards if sh.local_samples is not None)
-
-
-def centralized_sample(M: DenseMatrix, m: int, seed: int = 0) -> SampleSet:
-    """Single-process draw from the distributed sampling law (same streams)."""
-    a = M.data
-    n, d = a.shape
-    col_sq = np.einsum("ij,ij->j", a, a)
-    row_sq = np.einsum("ij,ij->i", a, a)
-    fro_sq = float(col_sq.sum())
-    l11 = float(np.abs(a).sum())
-    if l11 <= 0.0 or fro_sq <= 0.0:
-        raise DegenerateInputError("all-zero matrix has no sampling distribution")
-    rows_acc, cols_acc, vals_acc, wts_acc = [], [], [], []
-    for i in range(n):
-        row = a[i, :]
-        p = _inclusion_probabilities_row(row, row_sq[i], col_sq, fro_sq, l11, m, n)
-        u = rng.stream(seed, rng.TAG_DIST_SAMPLE, i).random(d)
-        js = np.flatnonzero(u < p)
-        if js.size:
-            rows_acc.append(np.full(js.size, i, dtype=np.int64))
-            cols_acc.append(js)
-            vals_acc.append(row[js])
-            wts_acc.append(1.0 / p[js])
-    if rows_acc:
-        return SampleSet(
-            n,
-            d,
-            np.concatenate(rows_acc),
-            np.concatenate(cols_acc),
-            np.concatenate(vals_acc),
-            np.concatenate(wts_acc),
-        )
-    return SampleSet(n, d, [], [], [], [])
-
-
-def centralized_reference(
-    M: DenseMatrix,
-    r: int,
-    m: int,
-    iterations: int,
-    init_rounds: int = 10,
-    seed: int = 0,
-) -> Factorization:
-    """Single-process run of the exact protocol the simulator distributes.
-
-    Same sampling law and streams, same seeded init, same update order (rows
-    first, then columns), so the distributed output must match entrywise up to
-    floating-point fold order.
-    """
-    samples = centralized_sample(M, m, seed=seed)
-    n, d = M.shape
-    csr = samples.weighted_csr()
-    Y = orthonormal_columns(rng.stream(seed, rng.TAG_DIST_INIT).standard_normal((d, r)))
-    for _ in range(init_rounds):
-        Y = orthonormal_columns(csr.T @ (csr @ Y))
-    V = Y
-    U = np.zeros((n, r))
-    all_rows = np.arange(n, dtype=np.int64)
-    for _ in range(iterations):
-        U = _rows_ls_update(samples, all_rows, V)
-        z, B = _column_messages(samples, all_rows, U, d)
-        V = pseudo_solve_spd_batch(B, z)
-    return Factorization(U, V)

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import rng
 from .errors import ParameterError
-from .linalg import DenseMatrix, Factorization, compute_stats, spectral_error
+from .linalg import DenseMatrix, Factorization, spectral_error
 from .sampling import build_plan, draw_bernoulli, draw_multinomial
 from .waltmin import WaltMinConfig, waltmin
 
@@ -94,19 +94,6 @@ def evaluate(
     return ErrorBundle(sp, fro, osp, ofro)
 
 
-def suggest_sample_count(
-    n: int, r: int, epsilon: float, c: float = 1.0, kappa: float = 1.0
-) -> int:
-    """Budget heuristic ceil(c * kappa^2 * n * r^3 * ln(n) / epsilon^2).
-
-    The theory's constants are not computable a priori, so c and the condition
-    number estimate are caller-supplied.
-    """
-    if n < 2 or r < 1 or epsilon <= 0 or c <= 0 or kappa < 1:
-        raise ParameterError("invalid arguments for the sample-count heuristic")
-    return int(math.ceil(c * kappa * kappa * n * r**3 * math.log(n) / (epsilon * epsilon)))
-
-
 def lela(
     M: DenseMatrix,
     r: int,
@@ -116,9 +103,6 @@ def lela(
     split: str = "reuse",
     seed: int = 0,
     want_oracle: bool = False,
-    cross_validate: bool = False,
-    init_svd_iters: int = 100,
-    ls_eig_floor: float = 0.07,
 ) -> LelaReport:
     """Run the full sampled low-rank approximation pipeline on M.
 
@@ -145,9 +129,6 @@ def lela(
         iterations=iterations,
         split_mode=split,
         seed=rng.derive_seed(seed, rng.TAG_SPLIT),
-        cross_validate=cross_validate,
-        init_svd_iters=init_svd_iters,
-        ls_eig_floor=ls_eig_floor,
     )
     F = waltmin(samples, plan.stats, cfg)
     passes = M.pass_count - passes_before

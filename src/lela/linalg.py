@@ -1,8 +1,9 @@
 """Dense-matrix container and the small numerical kernels everything else uses.
 
 Covers matrix statistics, top-r SVD of an implicit operator via blocked
-subspace iteration, QR orthonormalization, weighted r-by-r least-squares
-solves, and power-iteration estimates of spectral residual norms.
+subspace iteration, QR orthonormalization, batched weighted normal equations
+and their r-by-r solves, and power-iteration estimates of spectral residual
+norms.
 """
 from __future__ import annotations
 
@@ -112,10 +113,6 @@ class Factorization:
         """Materialize the product; intended for tests and small audits only."""
         return self.u @ self.v.T
 
-    @staticmethod
-    def zero(n: int, d: int, r: int) -> "Factorization":
-        return Factorization(np.zeros((n, r)), np.zeros((d, r)))
-
 
 @dataclass(frozen=True)
 class OracleDecomposition:
@@ -137,11 +134,6 @@ class LinearOperator:
         self.d = int(d)
         self.mv = mv
         self.rmv = rmv
-
-    @staticmethod
-    def from_dense(arr: np.ndarray) -> "LinearOperator":
-        n, d = arr.shape
-        return LinearOperator(n, d, lambda x: arr @ x, lambda y: arr.T @ y)
 
 
 def compute_stats(M: DenseMatrix) -> MatrixStats:
@@ -233,31 +225,39 @@ def topk_svd(
     return OracleDecomposition(u_star=Ub, sigma_star=s, v_star=V, kappa=kappa)
 
 
-def pseudo_solve_spd(B: np.ndarray, z: np.ndarray) -> np.ndarray:
-    """Solve B x = z for symmetric PSD B with eigenvalue thresholding.
+def normal_equations(
+    group: np.ndarray, G: np.ndarray, w: np.ndarray, y: np.ndarray, out_dim: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked weighted normal systems B: (out_dim, r, r), z: (out_dim, r).
 
-    Eigendirections below 1e-10 * trace(B)/r are dropped, giving the
-    minimum-norm solution when B is singular to working precision.  A zero B
-    returns the zero vector.
+    Observation k adds w_k G_k G_k^T to B[group_k] and w_k y_k G_k to
+    z[group_k]; a group with no observations gets zeros.  Each entry of the
+    packed upper triangle (a <= b) is one bincount, mirrored below it.
     """
-    lam, Q = np.linalg.eigh(B)
-    tol = 1e-10 * np.trace(B) / B.shape[0]
-    if tol <= 0.0:
-        return np.zeros_like(z)
-    keep = lam > tol
-    inv = np.zeros_like(lam)
-    inv[keep] = 1.0 / lam[keep]
-    return Q @ (inv * (Q.T @ z))
+    r = G.shape[1]
+    wy = w * y
+    B = np.empty((out_dim, r, r))
+    z = np.empty((out_dim, r))
+    for a in range(r):
+        z[:, a] = np.bincount(group, weights=wy * G[:, a], minlength=out_dim)
+        for b in range(a, r):
+            acc = np.bincount(group, weights=w * G[:, a] * G[:, b], minlength=out_dim)
+            B[:, a, b] = acc
+            B[:, b, a] = acc
+    return B, z
 
 
-def pseudo_solve_spd_batch(B: np.ndarray, z: np.ndarray, eig_floor: float = 0.0) -> np.ndarray:
-    """Batched pseudo_solve_spd over stacks B: (k, r, r), z: (k, r).
+def pseudo_solve_spd_batch(B: np.ndarray, z: np.ndarray, eig_floor: float) -> np.ndarray:
+    """Solve B_k x_k = z_k over stacks B: (k, r, r) of symmetric PSD matrices.
 
-    ``eig_floor`` additionally drops eigendirections below an absolute
-    threshold.  Solver loops use it with factors orthonormalized and weights
-    equal to reciprocal inclusion probabilities, where each B concentrates
-    near the identity; directions carrying far less than unit information are
-    then too noisy to invert and are zeroed instead.
+    Eigendirections below 1e-10 * trace(B_k)/r are dropped, giving the
+    minimum-norm solution when B_k is singular to working precision (a zero
+    B_k returns the zero vector).  ``eig_floor`` additionally drops
+    eigendirections below an absolute threshold.  Solver loops use it with
+    factors orthonormalized and weights equal to reciprocal inclusion
+    probabilities, where each B concentrates near the identity; directions
+    carrying far less than unit information are then too noisy to invert and
+    are zeroed instead.
     """
     lam, Q = np.linalg.eigh(B)
     traces = np.einsum("kii->k", B)
@@ -267,33 +267,6 @@ def pseudo_solve_spd_batch(B: np.ndarray, z: np.ndarray, eig_floor: float = 0.0)
     inv[keep] = 1.0 / lam[keep]
     coeff = np.einsum("kir,ki->kr", Q, z)
     return np.einsum("kir,kr->ki", Q, inv * coeff)
-
-
-def solve_weighted_row_ls(targets, rank: int) -> np.ndarray:
-    """Solve one weighted least-squares row subproblem.
-
-    ``targets`` is an iterable of (weight, response, regressor) triples with
-    regressors in R^rank.  Assembles the normal equations B x = z with
-    B = sum w g g^T and z = sum w y g.  An empty target list means the row was
-    never observed and yields the zero vector; callers treat that as a flag.
-    """
-    if rank < 1:
-        raise ParameterError("rank must be at least 1")
-    B = np.zeros((rank, rank))
-    z = np.zeros(rank)
-    empty = True
-    for w, y, g in targets:
-        if w <= 0:
-            raise ParameterError("weights must be strictly positive")
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != (rank,):
-            raise ParameterError("regressor length must equal the rank")
-        B += w * np.outer(g, g)
-        z += (w * y) * g
-        empty = False
-    if empty:
-        return np.zeros(rank)
-    return pseudo_solve_spd(B, z)
 
 
 def spectral_error(M: DenseMatrix, F: Factorization, iters: int = 200, seed: int = 0) -> float:

@@ -13,8 +13,14 @@ from .linalg import DenseMatrix, Factorization
 
 
 def read_matrix(path) -> DenseMatrix:
-    """Read a MatrixMarket file (coordinate or array format) as a dense matrix."""
-    mat = scipy.io.mmread(path)
+    """Read a MatrixMarket file (coordinate or array format) as a dense matrix.
+
+    A file that cannot be opened or parsed is a parameter error.
+    """
+    try:
+        mat = scipy.io.mmread(path)
+    except (OSError, ValueError) as exc:
+        raise ParameterError(f"cannot read matrix {str(path)!r}: {exc}") from exc
     if scipy.sparse.issparse(mat):
         mat = mat.toarray()
     return DenseMatrix(np.asarray(mat, dtype=np.float64))

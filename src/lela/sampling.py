@@ -26,8 +26,6 @@ from . import rng
 from .errors import DegenerateInputError, ParameterError
 from .linalg import DenseMatrix, LinearOperator, MatrixStats, compute_stats
 
-SAMPLES_HEADER = "%lela-samples"
-
 
 class OpCounter:
     """Debug accumulator for the sampler's work units."""
@@ -42,7 +40,7 @@ class OpCounter:
 
 
 class SampleSet:
-    """Observed entries (i, j, value, weight) with row/column adjacency.
+    """Observed entries (i, j, value, weight).
 
     Entries are kept sorted by (row, col); duplicates are rejected.  Weights
     are the reciprocal inclusion probabilities and must be positive.
@@ -73,29 +71,11 @@ class SampleSet:
         self.cols = cols
         self.vals = vals
         self.weights = weights
-        self._row_ptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(rows, minlength=self.n)))
-        )
-        self._col_order = np.lexsort((rows, cols))
-        self._col_ptr = np.concatenate(
-            ([0], np.cumsum(np.bincount(cols, minlength=self.d)))
-        )
         self._csr = None
 
     @property
     def size(self) -> int:
         return int(self.rows.size)
-
-    def row_entries(self, i: int) -> np.ndarray:
-        """Positions of the entries stored for row i."""
-        return np.arange(self._row_ptr[i], self._row_ptr[i + 1])
-
-    def col_entries(self, j: int) -> np.ndarray:
-        """Positions of the entries stored for column j."""
-        return self._col_order[self._col_ptr[j] : self._col_ptr[j + 1]]
-
-    def observed_rows(self) -> np.ndarray:
-        return np.unique(self.rows)
 
     def observed_cols(self) -> np.ndarray:
         return np.unique(self.cols)
@@ -126,30 +106,6 @@ class SampleSet:
         csc = csr.T.tocsr()
         return LinearOperator(self.n, self.d, lambda x: csr @ x, lambda y: csc @ y)
 
-    def to_text(self, path) -> None:
-        """Write the `i j value weight` triple format (0-based indices)."""
-        with open(path, "w", encoding="ascii") as fh:
-            fh.write(f"{SAMPLES_HEADER} {self.n} {self.d} {self.size}\n")
-            for i, j, v, w in zip(self.rows, self.cols, self.vals, self.weights):
-                fh.write(f"{i} {j} {float(v)!r} {float(w)!r}\n")
-
-    @staticmethod
-    def from_text(path) -> "SampleSet":
-        with open(path, "r", encoding="ascii") as fh:
-            header = fh.readline().split()
-            if len(header) != 4 or header[0] != SAMPLES_HEADER:
-                raise ParameterError(f"missing {SAMPLES_HEADER} header")
-            n, d, count = (int(t) for t in header[1:])
-            rows = np.empty(count, dtype=np.int64)
-            cols = np.empty(count, dtype=np.int64)
-            vals = np.empty(count)
-            weights = np.empty(count)
-            for k in range(count):
-                parts = fh.readline().split()
-                rows[k], cols[k] = int(parts[0]), int(parts[1])
-                vals[k], weights[k] = float(parts[2]), float(parts[3])
-        return SampleSet(n, d, rows, cols, vals, weights)
-
 
 @dataclass(frozen=True)
 class SamplingPlan:
@@ -167,7 +123,6 @@ class SamplingPlan:
     matrix: DenseMatrix
     row_marginal: np.ndarray
     within_row_base: np.ndarray
-    mode: str = "element"
 
     def intensity_row(self, i: int) -> np.ndarray:
         """Unclipped q(i, j) for all columns j of row i."""
@@ -222,6 +177,28 @@ def _require_same_matrix(plan: SamplingPlan, M: DenseMatrix) -> None:
         raise ParameterError("plan was built from a different matrix")
 
 
+def draw_bernoulli_rows(n, d, row_ids, prob_row, value_row, seed, tag) -> SampleSet:
+    """The per-row Bernoulli kernel every exact sampler shares.
+
+    Row ``row_ids[k]`` draws d uniforms from the stream (seed, tag, row_ids[k])
+    and keeps column j when u_j < p_j, storing weight 1 / p_j; the outcome
+    depends on the row id only, never on the position k or on who draws it.
+    ``prob_row(k)`` returns the row's inclusion probabilities and
+    ``value_row(k, js)`` the values of its kept columns.
+    """
+    rows_acc, cols_acc, vals_acc, wts_acc = [], [], [], []
+    for k, i in enumerate(row_ids):
+        p = prob_row(k)
+        u = rng.stream(seed, tag, int(i)).random(d)
+        js = np.flatnonzero(u < p)
+        if js.size:
+            rows_acc.append(np.full(js.size, i, dtype=np.int64))
+            cols_acc.append(js)
+            vals_acc.append(value_row(k, js))
+            wts_acc.append(1.0 / p[js])
+    return _concat_samples(n, d, rows_acc, cols_acc, vals_acc, wts_acc)
+
+
 def draw_bernoulli(plan: SamplingPlan, M: DenseMatrix, seed: int = 0) -> SampleSet:
     """Reference sampler: include each cell independently with its probability.
 
@@ -230,18 +207,12 @@ def draw_bernoulli(plan: SamplingPlan, M: DenseMatrix, seed: int = 0) -> SampleS
     (seed, TAG_BERNOULLI, i), so the outcome is independent of row ordering.
     """
     _require_same_matrix(plan, M)
-    rows_acc, cols_acc, vals_acc, wts_acc = [], [], [], []
-    for i in range(plan.n):
-        p = plan.inclusion_probabilities_row(i)
-        u = rng.stream(seed, rng.TAG_BERNOULLI, i).random(plan.d)
-        js = np.flatnonzero(u < p)
-        if js.size:
-            rows_acc.append(np.full(js.size, i, dtype=np.int64))
-            cols_acc.append(js)
-            vals_acc.append(M.row(i)[js])
-            wts_acc.append(1.0 / p[js])
+    S = draw_bernoulli_rows(
+        plan.n, plan.d, np.arange(plan.n), plan.inclusion_probabilities_row,
+        lambda i, js: M.row(i)[js], seed, rng.TAG_BERNOULLI,
+    )
     M.note_pass()
-    return _concat_samples(plan.n, plan.d, rows_acc, cols_acc, vals_acc, wts_acc)
+    return S
 
 
 def draw_multinomial(
@@ -288,17 +259,11 @@ def draw_multinomial(
     return _concat_samples(n, d, rows_acc, cols_acc, vals_acc, wts_acc)
 
 
-def _concat_samples(n, d, rows_acc, cols_acc, vals_acc, wts_acc) -> SampleSet:
-    if rows_acc:
-        return SampleSet(
-            n,
-            d,
-            np.concatenate(rows_acc),
-            np.concatenate(cols_acc),
-            np.concatenate(vals_acc),
-            np.concatenate(wts_acc),
-        )
-    return SampleSet(n, d, [], [], [], [])
+def _concat_samples(n, d, *blocks) -> SampleSet:
+    """One SampleSet from per-row blocks of rows, cols, vals and weights."""
+    if not blocks[0]:
+        return SampleSet(n, d, [], [], [], [])
+    return SampleSet(n, d, *(np.concatenate(b) for b in blocks))
 
 
 @dataclass(frozen=True)
@@ -315,7 +280,6 @@ class ProductSamplingPlan:
     fro_sq_b: float
     a: DenseMatrix
     b: DenseMatrix
-    mode: str = "product"
 
     def intensity_row(self, i: int) -> np.ndarray:
         return self.m * (
@@ -380,17 +344,10 @@ def materialize_product_samples(
     """Draw product cells Bernoulli-style and fill them with exact dot products."""
     if plan.a is not A or plan.b is not B:
         raise ParameterError("plan was built from different matrices")
-    rows_acc, cols_acc, vals_acc, wts_acc = [], [], [], []
-    for i in range(plan.n1):
-        p = plan.inclusion_probabilities_row(i)
-        u = rng.stream(seed, rng.TAG_PRODUCT, i).random(plan.n2)
-        js = np.flatnonzero(u < p)
-        if js.size:
-            rows_acc.append(np.full(js.size, i, dtype=np.int64))
-            cols_acc.append(js)
-            vals_acc.append(A.row(i) @ B.data[:, js])
-            wts_acc.append(1.0 / p[js])
-    return _concat_samples(plan.n1, plan.n2, rows_acc, cols_acc, vals_acc, wts_acc)
+    return draw_bernoulli_rows(
+        plan.n1, plan.n2, np.arange(plan.n1), plan.inclusion_probabilities_row,
+        lambda i, js: A.row(i) @ B.data[:, js], seed, rng.TAG_PRODUCT,
+    )
 
 
 def saturating_sample_count(M: DenseMatrix, stats: MatrixStats | None = None) -> int:

@@ -25,6 +25,7 @@ from .errors import DegenerateInputError, ParameterError
 from .linalg import (
     Factorization,
     MatrixStats,
+    normal_equations,
     orthonormal_columns,
     pseudo_solve_spd_batch,
     qr_orthonormalize,
@@ -39,6 +40,9 @@ TRIM_FACTOR = 4.0
 UPDATE_V = "update-V"
 UPDATE_U = "update-U"
 
+# Share of the samples held out when cross_validate is on.
+HOLDOUT_FRACTION = 0.05
+
 
 @dataclass
 class WaltMinConfig:
@@ -46,8 +50,9 @@ class WaltMinConfig:
 
     split_mode "fresh" partitions the samples into 2T+1 disjoint subsets (one
     for initialization, two per round); "reuse" runs every stage on the full
-    sample set.  cross_validate holds out a fraction of the samples and stops
-    early once the held-out weighted error rises for two consecutive rounds.
+    sample set.  cross_validate holds out HOLDOUT_FRACTION of the samples and
+    stops early once the held-out weighted error rises for two consecutive
+    rounds.
     """
 
     rank: int
@@ -56,7 +61,6 @@ class WaltMinConfig:
     init_svd_iters: int = 100
     seed: int = 0
     cross_validate: bool = False
-    holdout_fraction: float = 0.05
     ls_eig_floor: float = 0.07
 
     def __post_init__(self):
@@ -68,8 +72,6 @@ class WaltMinConfig:
             raise ParameterError("split_mode must be 'reuse' or 'fresh'")
         if self.init_svd_iters < 1:
             raise ParameterError("init_svd_iters must be at least 1")
-        if not 0.0 < self.holdout_fraction < 1.0:
-            raise ParameterError("holdout_fraction must lie in (0, 1)")
         if self.ls_eig_floor < 0.0:
             raise ParameterError("ls_eig_floor must be nonnegative")
 
@@ -148,22 +150,11 @@ def als_half_step(
         raise ParameterError(f"unknown half-step side {side!r}")
     if S_t.size == 0:
         raise DegenerateInputError("half step requires a nonempty sample set")
-    r = fixed.shape[1]
     if side == UPDATE_V:
         group, other, out_dim = S_t.cols, S_t.rows, S_t.d
     else:
         group, other, out_dim = S_t.rows, S_t.cols, S_t.n
-    G = fixed[other]
-    w = S_t.weights
-    wy = w * S_t.vals
-    B = np.empty((out_dim, r, r))
-    z = np.empty((out_dim, r))
-    for a in range(r):
-        z[:, a] = np.bincount(group, weights=wy * G[:, a], minlength=out_dim)
-        for b in range(a, r):
-            acc = np.bincount(group, weights=w * G[:, a] * G[:, b], minlength=out_dim)
-            B[:, a, b] = acc
-            B[:, b, a] = acc
+    B, z = normal_equations(group, fixed[other], S_t.weights, S_t.vals, out_dim)
     factor = pseudo_solve_spd_batch(B, z, eig_floor=eig_floor)
     observed = np.bincount(group, minlength=out_dim) > 0
     return factor, np.flatnonzero(~observed)
@@ -205,7 +196,7 @@ def waltmin(
     holdout = None
     train = S
     if cfg.cross_validate:
-        train, holdout = _holdout_split(S, cfg.holdout_fraction, cfg.seed)
+        train, holdout = _holdout_split(S, HOLDOUT_FRACTION, cfg.seed)
         if holdout.size == 0:
             holdout = None
     if cfg.split_mode == "fresh":

@@ -16,7 +16,6 @@ from lela import (
     ProductTask,
     add_noise,
     build_plan,
-    centralized_reference,
     communication_bound,
     compute_stats,
     draw_bernoulli,
@@ -33,7 +32,7 @@ from lela import (
 )
 from lela import lela as run_lela
 from lela import rng as lrng
-from lela.distpca import partition_rows, dist_sample, total_samples, CommLedger
+from lela.distpca import partition_rows, dist_sample, CommLedger
 from lela.linalg import orthonormal_columns
 from lela.sampling import OpCounter
 from lela.waltmin import WaltMinConfig, als_half_step, waltmin
@@ -257,11 +256,11 @@ def test_criterion_07_distributed_equivalence():
         T = 3
         init_rounds = 4
         F, ledger = run_distpca(M, s, r, m, T, init_rounds=init_rounds, seed=seed)
-        C = centralized_reference(M, r, m, T, init_rounds=init_rounds, seed=seed)
+        C = oracles.centralized_reference(M, r, m, T, init_rounds=init_rounds, seed=seed)
         worst = max(worst, float(np.abs(F.u - C.u).max()), float(np.abs(F.v - C.v).max()))
         shards = partition_rows(M, s)
         dist_sample(shards, m, CommLedger(), seed=seed)
-        omega = total_samples(shards)
+        omega = oracles.total_samples(shards)
         if ledger.grand_total() > communication_bound(d, s, omega, r, init_rounds):
             bound_ok = False
         assert ledger.verify()

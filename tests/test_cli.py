@@ -172,3 +172,20 @@ def test_budget_from_projection_dimension(capsys):
     code = main(["lela", "--n", "20", "--d", "20", "--rank", "2",
                  "--m", "100", "--l", "9", "--iters", "2"])
     assert code == cli.EXIT_PARAMETER
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["distpca", "--config", "{tmp}/bad.conf"],
+        ["distpca", "--config", "{tmp}/missing.conf"],
+        ["lela", "--matrix", "{tmp}/missing.mtx"],
+        ["bench", "--noise-list", "0.1,x"],
+        ["bench", "--m-list", "10,y"],
+    ],
+)
+def test_malformed_outside_input_is_parameter_error(tmp_path, capsys, argv):
+    (tmp_path / "bad.conf").write_text("n=abc\n")
+    code = main([a.format(tmp=tmp_path) for a in argv])
+    assert code == cli.EXIT_PARAMETER
+    assert capsys.readouterr().err.startswith("parameter error: ")

@@ -7,12 +7,10 @@ from lela import (
     DenseMatrix,
     ParameterError,
     SampleSet,
-    centralized_reference,
     communication_bound,
     dist_init,
     dist_sample,
     dist_waltmin_round,
-    gen_powerlaw,
     partition_rows,
     run_distpca,
 )
@@ -26,12 +24,10 @@ from lela.distpca import (
     KIND_STATS_BROADCAST,
     KIND_V_ROWS_BLOCK,
     KIND_Z_AND_B,
-    ServerShard,
-    centralized_sample,
-    total_samples,
 )
 from lela.linalg import orthonormal_columns
 from lela import rng as lrng
+from oracles import centralized_reference, centralized_sample, total_samples
 
 
 def make_matrix(n, d, seed):
@@ -97,17 +93,24 @@ def test_dist_sample_single_server_matches_centralized_law():
 
 
 def test_dist_sample_identical_omega_across_server_counts():
+    # each row's stream is keyed by its global row id, so the partition moves
+    # no sample, no value and (up to the fold order of the stats) no weight
     M = make_matrix(24, 10, 6)
     omegas = []
     for s in (1, 2, 4):
         shards, _ = sampled_shards(M, s, 80, seed=4)
-        rows = np.concatenate([sh.local_samples.rows for sh in shards])
-        cols = np.concatenate([sh.local_samples.cols for sh in shards])
-        order = np.lexsort((cols, rows))
-        omegas.append((rows[order], cols[order]))
-    for rows, cols in omegas[1:]:
-        assert np.array_equal(rows, omegas[0][0])
-        assert np.array_equal(cols, omegas[0][1])
+        parts = [
+            np.concatenate([getattr(sh.local_samples, f) for sh in shards])
+            for f in ("rows", "cols", "vals", "weights")
+        ]
+        order = np.lexsort((parts[1], parts[0]))
+        omegas.append([a[order] for a in parts])
+    rows0, cols0, vals0, weights0 = omegas[0]
+    for rows, cols, vals, weights in omegas[1:]:
+        assert np.array_equal(rows, rows0)
+        assert np.array_equal(cols, cols0)
+        assert np.array_equal(vals, vals0)
+        assert np.allclose(weights, weights0, rtol=1e-12, atol=0.0)
 
 
 def test_dist_sample_step1_upload_is_sd_reals():
@@ -284,10 +287,11 @@ def test_ledger_totals_and_csv(tmp_path):
     M = make_matrix(20, 10, 25)
     _, ledger = run_distpca(M, 2, 2, 80, 2, init_rounds=2, seed=3)
     assert ledger.verify()
-    by_kind, by_round = ledger.recompute_totals()
-    assert by_kind == ledger.totals_by_kind
-    assert by_round == ledger.totals_by_round
-    assert ledger.grand_total() == sum(by_kind.values())
+    assert ledger.grand_total() == sum(ledger.totals_by_kind.values())
+    assert ledger.grand_total() == sum(ledger.totals_by_round.values())
+    ledger.totals_by_kind[KIND_Z_AND_B] += 1
+    assert not ledger.verify()
+    ledger.totals_by_kind[KIND_Z_AND_B] -= 1
     path = tmp_path / "ledger.csv"
     ledger.to_csv(path)
     lines = path.read_text().splitlines()

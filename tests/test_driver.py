@@ -9,7 +9,6 @@ from lela import (
     evaluate,
     gen_powerlaw,
     saturating_sample_count,
-    suggest_sample_count,
 )
 from lela import lela as run_lela
 from lela.driver import oracle_gaps, streaming_fro_error
@@ -68,7 +67,7 @@ def test_evaluate_with_truncated_svd_candidate():
 def test_evaluate_zero_factor_gives_frobenius_norm():
     arr = np.random.default_rng(8).standard_normal((12, 9))
     M = DenseMatrix(arr)
-    bundle = evaluate(M, Factorization.zero(12, 9, 2), 2, want_oracle=False)
+    bundle = evaluate(M, Factorization(np.zeros((12, 2)), np.zeros((9, 2))), 2, want_oracle=False)
     truth = np.linalg.norm(arr)
     assert abs(bundle.fro_err - truth) <= 1e-10 * truth
 
@@ -130,11 +129,3 @@ def test_parameter_validation():
         run_lela(M, 2, 10, 0)
     with pytest.raises(ParameterError):
         run_lela(M, 2, 10, 2, mode="bogus")
-
-
-def test_suggest_sample_count():
-    m = suggest_sample_count(1000, 5, 0.5, c=1.0, kappa=2.0)
-    expected = int(np.ceil(4.0 * 1000 * 125 * np.log(1000) / 0.25))
-    assert m == expected
-    with pytest.raises(ParameterError):
-        suggest_sample_count(10, 1, 0.0)

@@ -259,34 +259,6 @@ def test_sampleset_rejects_bad_weight():
         SampleSet(2, 2, [0], [0], [1.0], [0.0])
 
 
-def test_sampleset_adjacency_inverts_entry_list():
-    S = SampleSet(3, 4, [0, 0, 2, 1], [1, 3, 0, 2], [1.0, 2.0, 3.0, 4.0], [1.0, 1.0, 2.0, 1.0])
-    for i in range(3):
-        for pos in S.row_entries(i):
-            assert S.rows[pos] == i
-    for j in range(4):
-        for pos in S.col_entries(j):
-            assert S.cols[pos] == j
-    row_total = sum(len(S.row_entries(i)) for i in range(3))
-    col_total = sum(len(S.col_entries(j)) for j in range(4))
-    assert row_total == col_total == S.size
-
-
-def test_sampleset_text_roundtrip(tmp_path):
-    arr = np.random.default_rng(15).standard_normal((6, 5))
-    M = DenseMatrix(arr)
-    S = draw_bernoulli(build_plan(M, 12), M, seed=3)
-    path = tmp_path / "samples.txt"
-    S.to_text(path)
-    first = path.read_text().splitlines()[0]
-    assert first == f"%lela-samples 6 5 {S.size}"
-    T = SampleSet.from_text(path)
-    assert np.array_equal(S.rows, T.rows)
-    assert np.array_equal(S.cols, T.cols)
-    assert np.array_equal(S.vals, T.vals)
-    assert np.array_equal(S.weights, T.weights)
-
-
 def test_inclusion_probabilities_in_unit_interval():
     arr = np.random.default_rng(16).standard_normal((9, 7))
     M = DenseMatrix(arr)
