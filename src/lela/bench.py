@@ -273,8 +273,9 @@ def _run_one(cfg, cache, algorithm, noise_idx, m, l, trial, alg_seed):
     """Dispatch one cell of the grid; returns (err_vs_target, err_vs_input)."""
     if algorithm == "lela":
         M, truth = cache.plain(noise_idx, trial)
-        report = lela(M, cfg.r, m, cfg.iterations, mode=cfg.sampler_mode, seed=alg_seed)
-        return low_rank_diff_spectral_norm(truth, report.factorization), report.spectral_err
+        F = lela(M, cfg.r, m, cfg.iterations, mode=cfg.sampler_mode, seed=alg_seed).factorization
+        err_in = spectral_error(M, F, iters=200, seed=rng.derive_seed(alg_seed, rng.TAG_SPECTRAL))
+        return low_rank_diff_spectral_norm(truth, F), err_in
     if algorithm == "gaussian-projection":
         M, truth = cache.plain(noise_idx, trial)
         F = gaussian_projection_baseline(M, cfg.r, l, power_steps=0, seed=alg_seed)

@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from . import __version__
+from . import __version__, rng
 from .bench import (
     ALGORITHMS,
     ExperimentConfig,
@@ -25,7 +25,7 @@ from .driver import evaluate, lela
 from .errors import DegenerateInputError, ParameterError
 from .linalg import low_rank_diff_spectral_norm
 from .matprod import ProductTask, lowrank_covariance, lowrank_product, stagewise_product_baseline
-from .mmio import read_matrix, save_factorization
+from .mmio import read_matrix, require_parent_dir, save_factorization
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -79,23 +79,21 @@ def _resolve_budget(args, n, default_mult=8):
 def _cmd_lela(args) -> int:
     M = _load_or_generate(args)
     m = _resolve_budget(args, M.n_rows)
-    report = lela(
+    report = lela(M, args.rank, m, args.iters, mode=args.mode, split=args.split, seed=args.seed)
+    bundle = evaluate(
         M,
+        report.factorization,
         args.rank,
-        m,
-        args.iters,
-        mode=args.mode,
-        split=args.split,
-        seed=args.seed,
+        seed=rng.derive_seed(args.seed, rng.TAG_SPECTRAL),
         want_oracle=args.oracle,
     )
     print(f"samples: {report.sample_count}")
     print(f"passes over M: {report.passes_over_M}")
-    print(f"spectral error: {report.spectral_err:.6g}")
-    print(f"frobenius error: {report.fro_err:.6g}")
-    if report.oracle_spectral is not None:
-        print(f"oracle spectral gap: {report.oracle_spectral:.6g}")
-        print(f"oracle frobenius gap: {report.oracle_fro:.6g}")
+    print(f"spectral error: {bundle.spectral_err:.6g}")
+    print(f"frobenius error: {bundle.fro_err:.6g}")
+    if bundle.oracle_spectral is not None:
+        print(f"oracle spectral gap: {bundle.oracle_spectral:.6g}")
+        print(f"oracle frobenius gap: {bundle.oracle_fro:.6g}")
     if args.save_factors:
         save_factorization(
             args.save_factors,
@@ -104,7 +102,7 @@ def _cmd_lela(args) -> int:
         )
         print(f"factors written to {args.save_factors}.{{u,v}}.mtx")
     if args.out:
-        _write_single_row_csv(args.out, "lela", args, m, report.spectral_err, report.fro_err)
+        _write_single_row_csv(args.out, "lela", args, m, bundle.spectral_err, bundle.fro_err)
     return EXIT_OK
 
 
@@ -317,6 +315,11 @@ def main(argv=None) -> int:
     try:
         if getattr(args, "seed", None) is None:
             args.seed = _default_seed()
+        # refuse a missing output directory before the run, not after it
+        for attr in ("out", "save_factors", "ledger_csv"):
+            path = getattr(args, attr, None)
+            if path is not None:
+                require_parent_dir(path)
         return args.func(args)
     except ParameterError as exc:
         print(f"parameter error: {exc}", file=sys.stderr)

@@ -1,8 +1,9 @@
 """Top-level pipeline: stats pass, sampling pass, alternating minimization.
 
 The driver enforces the two-pass discipline over the input matrix (one pass
-for statistics, one for drawing and filling the samples) and reports errors of
-the computed factorization, optionally against the dense-SVD oracle when the
+for statistics, one for drawing and filling the samples) and returns the
+factors without scoring them.  ``evaluate`` is the separate, opt-in step that
+computes their errors, optionally against the dense-SVD oracle when the
 problem is small enough to afford one.
 """
 from __future__ import annotations
@@ -28,10 +29,6 @@ class LelaReport:
     """Result bundle for one pipeline run."""
 
     factorization: Factorization
-    spectral_err: float
-    fro_err: float
-    oracle_spectral: float | None
-    oracle_fro: float | None
     sample_count: int
     passes_over_M: int
 
@@ -102,14 +99,14 @@ def lela(
     mode: str = "multinomial",
     split: str = "reuse",
     seed: int = 0,
-    want_oracle: bool = False,
 ) -> LelaReport:
     """Run the full sampled low-rank approximation pipeline on M.
 
     ``mode`` selects the fast multinomial sampler (default) or the exact
     Bernoulli reference; ``split`` picks sample reuse (default) or fresh
-    disjoint subsets per half step.  Oracle metrics are only computed when
-    requested since they cost a dense SVD.
+    disjoint subsets per half step.  The factors are not scored here: call
+    ``evaluate(M, report.factorization, r, seed=rng.derive_seed(seed,
+    rng.TAG_SPECTRAL))`` for their errors.
     """
     if r < 1 or r > min(M.shape):
         raise ParameterError("rank must lie in [1, min(n, d)]")
@@ -131,18 +128,8 @@ def lela(
         seed=rng.derive_seed(seed, rng.TAG_SPLIT),
     )
     F = waltmin(samples, plan.stats, cfg)
-    passes = M.pass_count - passes_before
-    sp = spectral_error(M, F, iters=200, seed=rng.derive_seed(seed, rng.TAG_SPECTRAL))
-    fro = streaming_fro_error(M, F)
-    osp = ofro = None
-    if want_oracle:
-        osp, ofro = oracle_gaps(M, r)
     return LelaReport(
         factorization=F,
-        spectral_err=sp,
-        fro_err=fro,
-        oracle_spectral=osp,
-        oracle_fro=ofro,
         sample_count=samples.size,
-        passes_over_M=passes,
+        passes_over_M=M.pass_count - passes_before,
     )

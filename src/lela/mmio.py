@@ -26,8 +26,20 @@ def read_matrix(path) -> DenseMatrix:
     return DenseMatrix(np.asarray(mat, dtype=np.float64))
 
 
+def require_parent_dir(path) -> None:
+    """Refuse an output path whose directory does not exist.
+
+    ``scipy.io.mmwrite`` into a missing directory can return without error and
+    without writing anything, so the check cannot be left to the write.
+    """
+    parent = Path(path).parent
+    if not parent.is_dir():
+        raise ParameterError(f"output directory {str(parent)!r} does not exist")
+
+
 def write_matrix(path, M: DenseMatrix, fmt: str = "array") -> None:
     """Write a matrix in MatrixMarket array or coordinate format."""
+    require_parent_dir(path)
     if fmt == "array":
         scipy.io.mmwrite(path, M.data)
     elif fmt == "coordinate":
@@ -43,6 +55,7 @@ def save_factorization(prefix, F: Factorization, meta: dict | None = None) -> No
     the metadata always records the shape and rank, plus whatever the caller
     adds (iteration count, seed).
     """
+    require_parent_dir(prefix)
     prefix = Path(prefix)
     scipy.io.mmwrite(str(prefix) + ".u.mtx", F.u)
     scipy.io.mmwrite(str(prefix) + ".v.mtx", F.v)

@@ -133,19 +133,8 @@ class SamplingPlan:
         l1_term = np.abs(self.matrix.row(i)) / (2.0 * s.l11)
         return self.m * (norm_term + l1_term)
 
-    def intensity(self, i: int, j: int) -> float:
-        s = self.stats
-        norm_term = (s.row_sq_norms[i] + s.col_sq_norms[j]) / (
-            2.0 * (self.n + self.d) * s.fro_sq
-        )
-        l1_term = abs(float(self.matrix.data[i, j])) / (2.0 * s.l11)
-        return float(self.m * (norm_term + l1_term))
-
     def inclusion_probabilities_row(self, i: int) -> np.ndarray:
         return np.minimum(self.intensity_row(i), 1.0)
-
-    def inclusion_probability(self, i: int, j: int) -> float:
-        return min(self.intensity(i, j), 1.0)
 
 
 def build_plan(M: DenseMatrix, m: int, stats: MatrixStats | None = None) -> SamplingPlan:
@@ -287,20 +276,8 @@ class ProductSamplingPlan:
             + self.col_sq_norms_b / (self.n1 * self.fro_sq_b)
         )
 
-    def intensity(self, i: int, j: int) -> float:
-        return float(
-            self.m
-            * (
-                self.row_sq_norms_a[i] / (self.n2 * self.fro_sq_a)
-                + self.col_sq_norms_b[j] / (self.n1 * self.fro_sq_b)
-            )
-        )
-
     def inclusion_probabilities_row(self, i: int) -> np.ndarray:
         return np.minimum(self.intensity_row(i), 1.0)
-
-    def inclusion_probability(self, i: int, j: int) -> float:
-        return min(self.intensity(i, j), 1.0)
 
     def row_trim_scores(self) -> np.ndarray:
         """Surrogate row scores |A^i| / |A|_F used to trim the left factor."""

@@ -4,7 +4,8 @@ These deliberately avoid the code paths under test: statistics by explicit
 double loops, SVD via cyclic Jacobi on the Gram matrix, orthonormalization by
 modified Gram-Schmidt, 2x2 solves by the closed-form inverse, least-squares
 rows by one eigendecomposition each, and the distributed sample by its own
-per-row loop.
+per-row loop.  The per-cell sampling intensity is the exception: it is read
+off the plan's own row law, so a test can address one cell.
 """
 import numpy as np
 
@@ -102,6 +103,16 @@ def weighted_ls_2x2(targets):
         B += w * np.outer(g, g)
         z += w * y * g
     return inv_2x2(B) @ z
+
+
+def intensity(plan, i, j):
+    """Unclipped sampling intensity q(i, j) of one cell, from the plan's row law."""
+    return float(plan.intensity_row(i)[j])
+
+
+def inclusion_probability(plan, i, j):
+    """Chance that cell (i, j) is kept by one Bernoulli draw: min(q(i, j), 1)."""
+    return min(intensity(plan, i, j), 1.0)
 
 
 def spectral_norm_dense(arr):

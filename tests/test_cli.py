@@ -2,7 +2,15 @@ import numpy as np
 import pytest
 
 import lela.cli as cli
-from lela import DenseMatrix, Factorization, load_factorization, read_matrix, save_factorization, write_matrix
+from lela import (
+    DenseMatrix,
+    Factorization,
+    ParameterError,
+    load_factorization,
+    read_matrix,
+    save_factorization,
+    write_matrix,
+)
 from lela.cli import main
 
 
@@ -182,10 +190,28 @@ def test_budget_from_projection_dimension(capsys):
         ["lela", "--matrix", "{tmp}/missing.mtx"],
         ["bench", "--noise-list", "0.1,x"],
         ["bench", "--m-list", "10,y"],
+        ["lela", "--save-factors", "{tmp}/missing/f"],
+        ["lela", "--out", "{tmp}/missing/run.csv"],
+        ["distpca", "--ledger-csv", "{tmp}/missing/ledger.csv"],
     ],
 )
-def test_malformed_outside_input_is_parameter_error(tmp_path, capsys, argv):
+def test_malformed_outside_input_is_parameter_error(tmp_path, capsys, monkeypatch, argv):
+    def no_run(*args, **kwargs):
+        raise AssertionError("the run started before its input and output paths were checked")
+
+    for name in ("lela", "run_distpca", "run_experiment"):
+        monkeypatch.setattr(cli, name, no_run)
     (tmp_path / "bad.conf").write_text("n=abc\n")
     code = main([a.format(tmp=tmp_path) for a in argv])
     assert code == cli.EXIT_PARAMETER
     assert capsys.readouterr().err.startswith("parameter error: ")
+    assert not (tmp_path / "missing").exists()
+
+
+def test_writers_refuse_missing_directory(tmp_path):
+    M = DenseMatrix(np.eye(3))
+    with pytest.raises(ParameterError):
+        write_matrix(tmp_path / "missing" / "m.mtx", M)
+    with pytest.raises(ParameterError):
+        save_factorization(tmp_path / "missing" / "f", Factorization(np.eye(3), np.eye(3)))
+    assert not (tmp_path / "missing").exists()

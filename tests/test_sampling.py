@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import oracles
 from lela import (
     DegenerateInputError,
     DenseMatrix,
@@ -23,10 +24,10 @@ def test_plan_identity_hand_values():
     # 4 * ((1+1)/(2*4*2) + 1/(2*2)) = 1.5 (clipped to 1), off-diagonal 0.5
     M = DenseMatrix(np.eye(2))
     plan = build_plan(M, 4)
-    assert abs(plan.intensity(0, 0) - 1.5) < 1e-12
-    assert abs(plan.intensity(0, 1) - 0.5) < 1e-12
-    assert plan.inclusion_probability(0, 0) == 1.0
-    assert abs(plan.inclusion_probability(0, 1) - 0.5) < 1e-12
+    assert abs(oracles.intensity(plan, 0, 0) - 1.5) < 1e-12
+    assert abs(oracles.intensity(plan, 0, 1) - 0.5) < 1e-12
+    assert oracles.inclusion_probability(plan, 0, 0) == 1.0
+    assert abs(oracles.inclusion_probability(plan, 0, 1) - 0.5) < 1e-12
 
 
 def test_plan_rejects_zero_budget():
@@ -43,8 +44,8 @@ def test_plan_intensities_sum_to_m():
     arr = np.random.default_rng(0).standard_normal((10, 8))
     M = DenseMatrix(arr)
     plan = build_plan(M, 40)
-    total = sum(plan.intensity(i, j) for i in range(10) for j in range(8))
-    clipped = sum(plan.inclusion_probability(i, j) for i in range(10) for j in range(8))
+    total = sum(oracles.intensity(plan, i, j) for i in range(10) for j in range(8))
+    clipped = sum(oracles.inclusion_probability(plan, i, j) for i in range(10) for j in range(8))
     assert abs(total - 40.0) <= 1e-10 * 40.0
     assert clipped <= 40.0 + 1e-12
 
@@ -128,7 +129,7 @@ def test_multinomial_weights_are_reciprocal_bernoulli_probabilities():
     plan = build_plan(M, 20)
     S = draw_multinomial(plan, M, seed=9)
     for i, j, w in zip(S.rows, S.cols, S.weights):
-        assert abs(w - 1.0 / plan.inclusion_probability(i, j)) <= 1e-12 * w
+        assert abs(w - 1.0 / oracles.inclusion_probability(plan, i, j)) <= 1e-12 * w
 
 
 def test_multinomial_saturated_weights_are_one():
@@ -194,8 +195,8 @@ def test_product_plan_identity_hand_values():
     plan = build_product_plan(A, B, 4)
     for i in range(2):
         for j in range(2):
-            assert abs(plan.intensity(i, j) - 2.0) < 1e-12
-            assert plan.inclusion_probability(i, j) == 1.0
+            assert abs(oracles.intensity(plan, i, j) - 2.0) < 1e-12
+            assert oracles.inclusion_probability(plan, i, j) == 1.0
 
 
 def test_product_plan_rejects_zero_matrix():
@@ -213,7 +214,7 @@ def test_product_plan_intensities_sum_to_two_m():
     A = DenseMatrix(g.standard_normal((6, 3)))
     B = DenseMatrix(g.standard_normal((3, 5)))
     plan = build_product_plan(A, B, 30)
-    total = sum(plan.intensity(i, j) for i in range(6) for j in range(5))
+    total = sum(oracles.intensity(plan, i, j) for i in range(6) for j in range(5))
     assert abs(total - 60.0) <= 1e-10 * 60.0
 
 
