@@ -21,7 +21,7 @@ from .bench import (
     run_experiment,
 )
 from .distpca import run_distpca
-from .driver import evaluate, lela
+from .driver import evaluate, lela, require_oracle_size
 from .errors import DegenerateInputError, ParameterError
 from .linalg import low_rank_diff_spectral_norm
 from .matprod import ProductTask, lowrank_covariance, lowrank_product, stagewise_product_baseline
@@ -40,21 +40,38 @@ def _default_seed() -> int:
         raise ParameterError(f"LELA_SEED must be an integer, got {raw!r}")
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--n", type=int, default=200, help="rows of the synthetic instance")
-    p.add_argument("--d", type=int, default=200, help="columns of the synthetic instance")
-    p.add_argument("--rank", type=int, default=5, help="target rank r")
-    p.add_argument("--alpha", type=float, default=0.0, help="power-law exponent")
-    p.add_argument("--noise", type=float, default=0.0, help="spectral norm of the added noise")
-    p.add_argument("--m", type=int, default=None, help="sample budget")
-    p.add_argument(
-        "--l", type=int, default=None,
+# Flags that more than one subcommand reads.  Each subcommand registers only
+# the flags its handler reads, so a flag it would ignore is refused instead.
+_SHARED_FLAGS = {
+    "--n": dict(type=int, default=200, help="rows of the synthetic instance"),
+    "--d": dict(type=int, default=200, help="columns of the synthetic instance"),
+    "--rank": dict(type=int, default=5, help="target rank r"),
+    "--alpha": dict(type=float, default=0.0, help="power-law exponent"),
+    "--noise": dict(type=float, default=0.0, help="spectral norm of the added noise"),
+    "--m": dict(type=int, default=None, help="sample budget"),
+    "--l": dict(
+        type=int, default=None,
         help="projection dimension; sets the budget to l * n when --m is absent",
-    )
-    p.add_argument("--iters", type=int, default=15, help="alternating rounds T")
-    p.add_argument("--seed", type=int, default=None, help="seed (default LELA_SEED or 0)")
-    p.add_argument("--matrix", default=None, help="MatrixMarket input path")
-    p.add_argument("--out", default=None, help="CSV output path")
+    ),
+    "--iters": dict(type=int, default=15, help="alternating rounds T"),
+    "--seed": dict(type=int, default=None, help="seed (default LELA_SEED or 0)"),
+    "--matrix": dict(default=None, help="MatrixMarket input path"),
+    "--out": dict(default=None, help="CSV output path"),
+    "--mode": dict(choices=("bernoulli", "multinomial"), default="multinomial"),
+    "--oracle": dict(action="store_true", help="also compute dense-SVD gaps"),
+    "--save-factors": dict(default=None, help="prefix for factor output files"),
+    "--servers": dict(type=int, default=4),
+    "--init-rounds": dict(type=int, default=10),
+}
+
+
+def _subcommand(sub, name: str, summary: str, func, *shared: str) -> argparse.ArgumentParser:
+    # no abbreviations: `bench --noise` must not silently mean --noise-list
+    p = sub.add_parser(name, help=summary, allow_abbrev=False)
+    for flag in shared:
+        p.add_argument(flag, **_SHARED_FLAGS[flag])
+    p.set_defaults(func=func)
+    return p
 
 
 def _load_or_generate(args):
@@ -78,6 +95,8 @@ def _resolve_budget(args, n, default_mult=8):
 
 def _cmd_lela(args) -> int:
     M = _load_or_generate(args)
+    if args.oracle:
+        require_oracle_size(M.shape)
     m = _resolve_budget(args, M.n_rows)
     report = lela(M, args.rank, m, args.iters, mode=args.mode, split=args.split, seed=args.seed)
     bundle = evaluate(
@@ -194,6 +213,8 @@ def _cmd_distpca(args) -> int:
         if "partition" in conf:
             args.partition = conf["partition"]
     M = _load_or_generate(args)
+    if args.oracle:
+        require_oracle_size(M.shape)
     m = _resolve_budget(args, M.n_rows)
     F, ledger = run_distpca(
         M,
@@ -257,31 +278,32 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("lela", help="low-rank approximation of one matrix")
-    _add_common(p)
-    p.add_argument("--mode", choices=("bernoulli", "multinomial"), default="multinomial")
+    p = _subcommand(
+        sub, "lela", "low-rank approximation of one matrix", _cmd_lela,
+        "--n", "--d", "--rank", "--alpha", "--noise", "--m", "--l", "--iters", "--seed",
+        "--matrix", "--out", "--mode", "--oracle", "--save-factors",
+    )
     p.add_argument("--split", choices=("reuse", "fresh"), default="reuse")
-    p.add_argument("--oracle", action="store_true", help="also compute dense-SVD gaps")
-    p.add_argument("--save-factors", default=None, help="prefix for factor output files")
-    p.set_defaults(func=_cmd_lela)
 
-    p = sub.add_parser("product", help="low-rank approximation of a product A @ B")
-    _add_common(p)
+    p = _subcommand(
+        sub, "product", "low-rank approximation of a product A @ B", _cmd_product,
+        "--n", "--rank", "--m", "--l", "--iters", "--seed", "--matrix", "--save-factors",
+    )
     p.add_argument("--matrix-b", default=None, help="MatrixMarket path of the right factor")
     p.add_argument("--baseline", action="store_true", help="also run the stagewise baseline")
-    p.add_argument("--save-factors", default=None)
-    p.set_defaults(func=_cmd_product)
 
-    p = sub.add_parser("covariance", help="low-rank approximation of Y @ Y.T")
-    _add_common(p)
+    p = _subcommand(
+        sub, "covariance", "low-rank approximation of Y @ Y.T", _cmd_covariance,
+        "--n", "--d", "--rank", "--alpha", "--noise", "--m", "--l", "--iters", "--seed",
+        "--matrix", "--save-factors",
+    )
     p.add_argument("--symmetrize", action="store_true", help="symmetrize the output")
-    p.add_argument("--save-factors", default=None)
-    p.set_defaults(func=_cmd_covariance)
 
-    p = sub.add_parser("distpca", help="simulated distributed run with a communication ledger")
-    _add_common(p)
-    p.add_argument("--servers", type=int, default=4)
-    p.add_argument("--init-rounds", type=int, default=10, dest="init_rounds")
+    p = _subcommand(
+        sub, "distpca", "simulated distributed run with a communication ledger", _cmd_distpca,
+        "--n", "--d", "--rank", "--alpha", "--noise", "--m", "--l", "--iters", "--seed",
+        "--matrix", "--oracle", "--servers", "--init-rounds",
+    )
     p.add_argument(
         "--partition",
         choices=("contiguous", "round-robin", "seeded-random"),
@@ -289,12 +311,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--config", default=None, help="flat key=value scenario file")
     p.add_argument("--ledger-csv", default=None, dest="ledger_csv")
-    p.add_argument("--oracle", action="store_true")
-    p.set_defaults(func=_cmd_distpca)
 
-    p = sub.add_parser("bench", help="experiment grid with CSV output")
-    _add_common(p)
-    p.add_argument("--mode", choices=("bernoulli", "multinomial"), default="multinomial")
+    p = _subcommand(
+        sub, "bench", "experiment grid with CSV output", _cmd_bench,
+        "--n", "--d", "--rank", "--alpha", "--iters", "--seed", "--out", "--mode",
+        "--servers", "--init-rounds",
+    )
     p.add_argument(
         "--algorithms",
         default="lela,gaussian-projection",
@@ -303,9 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--noise-list", default="0.01,0.05,0.1", dest="noise_list")
     p.add_argument("--m-list", default=None, dest="m_list", help="comma list of budgets")
     p.add_argument("--trials", type=int, default=20)
-    p.add_argument("--servers", type=int, default=4)
-    p.add_argument("--init-rounds", type=int, default=10, dest="init_rounds")
-    p.set_defaults(func=_cmd_bench)
     return parser
 
 

@@ -17,7 +17,7 @@ from . import rng
 from .errors import ParameterError
 from .linalg import DenseMatrix, Factorization, spectral_error
 from .sampling import build_plan, draw_bernoulli, draw_multinomial
-from .waltmin import WaltMinConfig, waltmin
+from .waltmin import SPLIT_MODES, waltmin
 
 # Dense SVD oracle metrics are refused above this size; keeping the main path
 # at input-sparsity cost is the whole point of the pipeline.
@@ -50,15 +50,20 @@ def streaming_fro_error(M: DenseMatrix, F: Factorization, block: int = 4096) -> 
     return math.sqrt(total)
 
 
+def require_oracle_size(shape: tuple[int, int]) -> None:
+    """Refuse the dense-SVD oracle for a matrix of this shape above the size guard."""
+    if min(shape) > ORACLE_SIZE_GUARD:
+        raise ParameterError(
+            f"oracle metrics refused: min(n, d) > {ORACLE_SIZE_GUARD} makes the dense SVD too costly"
+        )
+
+
 def oracle_gaps(M: DenseMatrix, r: int) -> tuple[float, float]:
     """Exact (spectral, Frobenius) distances from M to its best rank-r part.
 
     Costs a dense SVD and is therefore refused above the size guard.
     """
-    if min(M.shape) > ORACLE_SIZE_GUARD:
-        raise ParameterError(
-            f"oracle metrics refused: min(n, d) > {ORACLE_SIZE_GUARD} makes the dense SVD too costly"
-        )
+    require_oracle_size(M.shape)
     sigma = np.linalg.svd(M.data, compute_uv=False)
     tail = sigma[r:]
     spectral = float(tail[0]) if tail.size else 0.0
@@ -83,11 +88,12 @@ def evaluate(
     power_iters: int = 200,
 ) -> ErrorBundle:
     """Spectral and Frobenius errors of F against M, plus oracle gaps on request."""
-    sp = spectral_error(M, F, iters=power_iters, seed=seed)
-    fro = streaming_fro_error(M, F)
     osp = ofro = None
     if want_oracle:
+        # first, so that the size guard refuses before the power iterations run
         osp, ofro = oracle_gaps(M, r)
+    sp = spectral_error(M, F, iters=power_iters, seed=seed)
+    fro = streaming_fro_error(M, F)
     return ErrorBundle(sp, fro, osp, ofro)
 
 
@@ -102,9 +108,11 @@ def lela(
 ) -> LelaReport:
     """Run the full sampled low-rank approximation pipeline on M.
 
-    ``mode`` selects the fast multinomial sampler (default) or the exact
-    Bernoulli reference; ``split`` picks sample reuse (default) or fresh
-    disjoint subsets per half step.  The factors are not scored here: call
+    ``mode`` selects the multinomial sampler (default) or the exact Bernoulli
+    reference; despite drawing only m entries, the multinomial sampler builds
+    two length-d tables per touched row and is the slower of the two on dense
+    input.  ``split`` picks sample reuse (default) or fresh disjoint subsets
+    per half step.  The factors are not scored here: call
     ``evaluate(M, report.factorization, r, seed=rng.derive_seed(seed,
     rng.TAG_SPECTRAL))`` for their errors.
     """
@@ -114,20 +122,19 @@ def lela(
         raise ParameterError("iteration count must be at least 1")
     if mode not in ("multinomial", "bernoulli"):
         raise ParameterError("mode must be 'multinomial' or 'bernoulli'")
+    if split not in SPLIT_MODES:
+        raise ParameterError("split must be 'reuse' or 'fresh'")
     passes_before = M.pass_count
     plan = build_plan(M, m)  # pass 1 (statistics)
     if mode == "bernoulli":
-        samples = draw_bernoulli(plan, M, seed=rng.derive_seed(seed, rng.TAG_BERNOULLI))
+        samples = draw_bernoulli(plan, seed=rng.derive_seed(seed, rng.TAG_BERNOULLI))
     else:
-        samples = draw_multinomial(plan, M, seed=rng.derive_seed(seed, rng.TAG_ROW_DRAWS))
+        samples = draw_multinomial(plan, seed=rng.derive_seed(seed, rng.TAG_ROW_DRAWS))
     # pass 2 happened inside the draw (probabilities plus value fill)
-    cfg = WaltMinConfig(
-        rank=r,
-        iterations=iterations,
-        split_mode=split,
+    F = waltmin(
+        samples, plan.row_trim_scores(), r, iterations, split=split,
         seed=rng.derive_seed(seed, rng.TAG_SPLIT),
     )
-    F = waltmin(samples, plan.stats, cfg)
     return LelaReport(
         factorization=F,
         sample_count=samples.size,

@@ -16,7 +16,7 @@ from . import rng
 from .errors import ParameterError
 from .linalg import DenseMatrix, Factorization, LinearOperator, topk_svd
 from .sampling import build_product_plan, materialize_product_samples
-from .waltmin import WaltMinConfig, waltmin
+from .waltmin import waltmin
 
 
 @dataclass(frozen=True)
@@ -51,15 +51,12 @@ def lowrank_product(task: ProductTask) -> Factorization:
     """
     plan = build_product_plan(task.a, task.b, task.m)
     samples = materialize_product_samples(
-        task.a, task.b, plan, seed=rng.derive_seed(task.seed, rng.TAG_PRODUCT)
+        plan, seed=rng.derive_seed(task.seed, rng.TAG_PRODUCT)
     )
-    cfg = WaltMinConfig(
-        rank=task.rank,
-        iterations=task.iterations,
-        split_mode="reuse",
+    return waltmin(
+        samples, plan.row_trim_scores(), task.rank, task.iterations,
         seed=rng.derive_seed(task.seed, rng.TAG_FACTOR_V),
     )
-    return waltmin(samples, None, cfg, trim_scores=plan.row_trim_scores())
 
 
 def lowrank_covariance(

@@ -14,7 +14,8 @@ import numpy as np
 _MASK = (1 << 63) - 1
 
 # Stream tags.  Each randomized operation owns one tag so that unrelated
-# operations sharing a seed never consume from the same stream.
+# operations sharing a seed never consume from the same stream.  A tag keys
+# every draw made under it, so tags are never renumbered; 14 is unused.
 TAG_SVD_INIT = 1
 TAG_SPECTRAL = 2
 TAG_BERNOULLI = 3
@@ -28,7 +29,6 @@ TAG_NOISE = 10
 TAG_SKETCH = 11
 TAG_FACTOR_U = 12
 TAG_FACTOR_V = 13
-TAG_HOLDOUT = 14
 TAG_PARTITION = 15
 TAG_TRIAL = 16
 

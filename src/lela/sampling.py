@@ -10,10 +10,15 @@ intensity uses only row norms of A and column norms of B:
 
     q(i, j) = m * ( |A^i|^2 / (n2 |A|_F^2) + |B_j|^2 / (n1 |B|_F^2) ).
 
-The exact Bernoulli sampler visits every cell (O(n d), reference behavior);
-the fast multinomial sampler draws m entries in O(nnz + m log d) by first
-drawing per-row counts from the row marginal and then drawing columns within
-each touched row, with replacement and duplicates collapsed.
+The exact Bernoulli sampler visits every cell (O(n d), reference behavior).
+The multinomial sampler draws m entries by first drawing per-row counts from
+the row marginal and then drawing columns within each touched row, with
+replacement and duplicates collapsed.  It is not the faster of the two: every
+touched row builds two length-d tables (the within-row law and the intensity
+row), so on dense input it also costs O(n d), and it measures slower than the
+Bernoulli sampler.
+
+Every sampler reads the matrix (or the product factors) from its plan.
 """
 from __future__ import annotations
 
@@ -136,13 +141,16 @@ class SamplingPlan:
     def inclusion_probabilities_row(self, i: int) -> np.ndarray:
         return np.minimum(self.intensity_row(i), 1.0)
 
+    def row_trim_scores(self) -> np.ndarray:
+        """Row scores |M^i| / |M|_F used to trim the initial left factor."""
+        return np.sqrt(self.stats.row_sq_norms / self.stats.fro_sq)
 
-def build_plan(M: DenseMatrix, m: int, stats: MatrixStats | None = None) -> SamplingPlan:
+
+def build_plan(M: DenseMatrix, m: int) -> SamplingPlan:
     """Build the element-sampling plan; one stats pass plus O(n + d) setup."""
     if m < 1:
         raise ParameterError("sample budget m must be at least 1")
-    if stats is None:
-        stats = compute_stats(M)
+    stats = compute_stats(M)
     if stats.l11 <= 0.0 or stats.fro_sq <= 0.0:
         raise DegenerateInputError("all-zero matrix has no sampling distribution")
     n, d = M.shape
@@ -159,11 +167,6 @@ def build_plan(M: DenseMatrix, m: int, stats: MatrixStats | None = None) -> Samp
         row_marginal=row_marginal,
         within_row_base=within_row_base,
     )
-
-
-def _require_same_matrix(plan: SamplingPlan, M: DenseMatrix) -> None:
-    if plan.matrix is not M:
-        raise ParameterError("plan was built from a different matrix")
 
 
 def draw_bernoulli_rows(n, d, row_ids, prob_row, value_row, seed, tag) -> SampleSet:
@@ -188,14 +191,15 @@ def draw_bernoulli_rows(n, d, row_ids, prob_row, value_row, seed, tag) -> Sample
     return _concat_samples(n, d, rows_acc, cols_acc, vals_acc, wts_acc)
 
 
-def draw_bernoulli(plan: SamplingPlan, M: DenseMatrix, seed: int = 0) -> SampleSet:
+def draw_bernoulli(plan: SamplingPlan, seed: int = 0) -> SampleSet:
     """Reference sampler: include each cell independently with its probability.
 
-    Visits every cell (one audited pass); cells with saturated probability 1
-    are included deterministically.  Row i draws from the stream
-    (seed, TAG_BERNOULLI, i), so the outcome is independent of row ordering.
+    Visits every cell of ``plan.matrix`` (one audited pass); cells with
+    saturated probability 1 are included deterministically.  Row i draws from
+    the stream (seed, TAG_BERNOULLI, i), so the outcome is independent of row
+    ordering.
     """
-    _require_same_matrix(plan, M)
+    M = plan.matrix
     S = draw_bernoulli_rows(
         plan.n, plan.d, np.arange(plan.n), plan.inclusion_probabilities_row,
         lambda i, js: M.row(i)[js], seed, rng.TAG_BERNOULLI,
@@ -206,19 +210,20 @@ def draw_bernoulli(plan: SamplingPlan, M: DenseMatrix, seed: int = 0) -> SampleS
 
 def draw_multinomial(
     plan: SamplingPlan,
-    M: DenseMatrix,
     seed: int = 0,
     counter: OpCounter | None = None,
     draw_log: list | None = None,
 ) -> SampleSet:
-    """Fast sampler: m total draws via row marginal then within-row columns.
+    """m total draws from ``plan.matrix`` via row marginal then within-row columns.
 
     Draws collapse to one stored entry per distinct cell; the stored weight is
     the reciprocal of the Bernoulli inclusion probability, not a
-    collision-corrected one.  ``counter`` (when given) accumulates work units
-    and ``draw_log`` records every raw (i, j) draw before deduplication.
+    collision-corrected one.  Each touched row builds two length-d tables, so
+    the cost is O(d) per touched row, O(n d) on dense input, and the sampler is
+    slower than ``draw_bernoulli``.  ``counter`` (when given) accumulates work
+    units and ``draw_log`` records every raw (i, j) draw before deduplication.
     """
-    _require_same_matrix(plan, M)
+    M = plan.matrix
     n, d = plan.n, plan.d
     log_d = max(1, int(np.ceil(np.log2(max(d, 2)))))
     counts = rng.stream(seed, rng.TAG_ROW_COUNTS).multinomial(plan.m, plan.row_marginal)
@@ -315,22 +320,18 @@ def build_product_plan(A: DenseMatrix, B: DenseMatrix, m: int) -> ProductSamplin
     )
 
 
-def materialize_product_samples(
-    A: DenseMatrix, B: DenseMatrix, plan: ProductSamplingPlan, seed: int = 0
-) -> SampleSet:
-    """Draw product cells Bernoulli-style and fill them with exact dot products."""
-    if plan.a is not A or plan.b is not B:
-        raise ParameterError("plan was built from different matrices")
+def materialize_product_samples(plan: ProductSamplingPlan, seed: int = 0) -> SampleSet:
+    """Draw cells of ``plan.a @ plan.b`` Bernoulli-style, filled with exact dot products."""
+    A, B = plan.a, plan.b
     return draw_bernoulli_rows(
         plan.n1, plan.n2, np.arange(plan.n1), plan.inclusion_probabilities_row,
         lambda i, js: A.row(i) @ B.data[:, js], seed, rng.TAG_PRODUCT,
     )
 
 
-def saturating_sample_count(M: DenseMatrix, stats: MatrixStats | None = None) -> int:
+def saturating_sample_count(M: DenseMatrix) -> int:
     """Smallest m that saturates every cell's inclusion probability to 1."""
-    if stats is None:
-        stats = compute_stats(M)
+    stats = compute_stats(M)
     if stats.fro_sq <= 0.0:
         raise DegenerateInputError("all-zero matrix cannot saturate")
     n, d = M.shape

@@ -36,7 +36,7 @@ from lela.distpca import partition_rows, dist_sample, CommLedger
 from lela.driver import streaming_fro_error
 from lela.linalg import orthonormal_columns
 from lela.sampling import OpCounter
-from lela.waltmin import WaltMinConfig, als_half_step, waltmin
+from lela.waltmin import als_half_step
 
 
 def _verdict(num, name, ok, detail=""):
@@ -85,7 +85,7 @@ def test_criterion_02_concentration_scaling():
             plan = build_plan(M, m)
             devs = []
             for t in range(20):
-                S = draw_bernoulli(plan, M, seed=t)
+                S = draw_bernoulli(plan, seed=t)
                 R = S.weighted_csr().toarray()
                 devs.append(
                     oracles.spectral_norm_dense(R - M.data) / np.sqrt(plan.stats.fro_sq)
@@ -211,10 +211,9 @@ def test_criterion_06_objective_monotonicity():
         arr = g.standard_normal((n, d))
         M = DenseMatrix(arr)
         plan = build_plan(M, 6 * max(n, d) * r)
-        S = draw_bernoulli(plan, M, seed=inst)
-        stats = plan.stats
+        S = draw_bernoulli(plan, seed=inst)
         try:
-            init = initialize(S, stats, r, init_svd_iters=40, seed=inst)
+            init = initialize(S, plan.row_trim_scores(), r, init_svd_iters=40, seed=inst)
         except Exception:
             continue
         u_hat = init.u0
@@ -287,7 +286,7 @@ def test_criterion_08_sampler_fidelity():
     n_draws = 2000
     hits = np.zeros((20, 20))
     for t in range(n_draws):
-        S = draw_bernoulli(plan, M, seed=t)
+        S = draw_bernoulli(plan, seed=t)
         hits[S.rows, S.cols] += 1
     freq = hits / n_draws
     stderr = np.sqrt(np.maximum(probs * (1 - probs), 1e-300) / n_draws)
@@ -374,7 +373,7 @@ def test_criterion_10_input_sparsity_discipline():
         M = DenseMatrix(arr)
         plan = build_plan(M, m)
         counter = OpCounter()
-        draw_multinomial(plan, M, seed=inst, counter=counter)
+        draw_multinomial(plan, seed=inst, counter=counter)
         bound = 4.0 * (n * d + m * np.ceil(np.log2(d)))
         budget_ok = budget_ok and counter.ops <= bound
         details.append(counter.ops / bound)

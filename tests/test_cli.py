@@ -193,6 +193,8 @@ def test_budget_from_projection_dimension(capsys):
         ["lela", "--save-factors", "{tmp}/missing/f"],
         ["lela", "--out", "{tmp}/missing/run.csv"],
         ["distpca", "--ledger-csv", "{tmp}/missing/ledger.csv"],
+        ["lela", "--matrix", "{tmp}/big.mtx", "--rank", "2", "--oracle"],
+        ["distpca", "--matrix", "{tmp}/big.mtx", "--rank", "2", "--oracle"],
     ],
 )
 def test_malformed_outside_input_is_parameter_error(tmp_path, capsys, monkeypatch, argv):
@@ -202,10 +204,40 @@ def test_malformed_outside_input_is_parameter_error(tmp_path, capsys, monkeypatc
     for name in ("lela", "run_distpca", "run_experiment"):
         monkeypatch.setattr(cli, name, no_run)
     (tmp_path / "bad.conf").write_text("n=abc\n")
+    # above the oracle size guard, yet quick to write and read
+    (tmp_path / "big.mtx").write_text(
+        "%%MatrixMarket matrix coordinate real general\n2001 2001 2\n1 1 1.0\n2001 2001 2.0\n"
+    )
     code = main([a.format(tmp=tmp_path) for a in argv])
     assert code == cli.EXIT_PARAMETER
     assert capsys.readouterr().err.startswith("parameter error: ")
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["product", "--d", "10"],
+        ["product", "--alpha", "1"],
+        ["product", "--noise", "0.1"],
+        ["product", "--out", "p.csv"],
+        ["covariance", "--out", "c.csv"],
+        ["distpca", "--out", "d.csv"],
+        ["bench", "--matrix", "/nonexistent.mtx"],
+        ["bench", "--m", "100"],
+        ["bench", "--l", "10"],
+        ["bench", "--noise", "0.1"],
+    ],
+)
+def test_flag_a_subcommand_ignores_is_refused(monkeypatch, argv):
+    def no_run(*args, **kwargs):
+        raise AssertionError("an ignored flag was accepted and the run started")
+
+    for name in ("lowrank_product", "lowrank_covariance", "run_distpca", "run_experiment"):
+        monkeypatch.setattr(cli, name, no_run)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_writers_refuse_missing_directory(tmp_path):

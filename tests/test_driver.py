@@ -105,10 +105,19 @@ def test_streaming_fro_matches_naive_loop():
     assert abs(streaming_fro_error(M, F, block=3) - naive) <= 1e-10 * naive
 
 
-def test_oracle_guard_refuses_large_input():
+def test_oracle_guard_refuses_large_input(monkeypatch):
     M = DenseMatrix(np.ones((2001, 2001)))
     with pytest.raises(ParameterError):
         oracle_gaps(M, 2)
+
+    # evaluate() refuses before it spends the power iterations
+    def refuse(*args, **kwargs):
+        raise AssertionError("evaluate() scored before checking the oracle size")
+
+    monkeypatch.setattr(lela_driver, "spectral_error", refuse)
+    F = Factorization(np.zeros((2001, 2)), np.zeros((2001, 2)))
+    with pytest.raises(ParameterError):
+        evaluate(M, F, 2, want_oracle=True)
 
 
 def test_monotone_improvement_in_budget():
@@ -149,3 +158,6 @@ def test_parameter_validation():
         run_lela(M, 2, 10, 0)
     with pytest.raises(ParameterError):
         run_lela(M, 2, 10, 2, mode="bogus")
+    with pytest.raises(ParameterError):
+        run_lela(M, 2, 10, 2, split="bogus")
+    assert M.pass_count == 0

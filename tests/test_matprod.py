@@ -162,7 +162,7 @@ def test_sampled_values_exact_on_product_path():
     A = DenseMatrix(g.standard_normal((10, 4)))
     B = DenseMatrix(g.standard_normal((4, 9)))
     plan = build_product_plan(A, B, 50)
-    S = materialize_product_samples(A, B, plan, seed=2)
+    S = materialize_product_samples(plan, seed=2)
     dense = A.data @ B.data
     truth = dense[S.rows, S.cols]
     assert np.all(np.abs(S.vals - truth) <= 1e-12 * np.maximum(np.abs(truth), 1.0))

@@ -56,19 +56,11 @@ def test_plan_row_marginal_sums_to_one():
     assert abs(plan.row_marginal.sum() - 1.0) <= 1e-12
 
 
-def test_plan_requires_matching_matrix():
-    M1 = DenseMatrix(np.eye(3))
-    M2 = DenseMatrix(np.eye(3))
-    plan = build_plan(M1, 5)
-    with pytest.raises(ParameterError):
-        draw_bernoulli(plan, M2, seed=0)
-
-
 def test_bernoulli_saturation_includes_everything():
     arr = np.random.default_rng(2).standard_normal((6, 5))
     M = DenseMatrix(arr)
     m = saturating_sample_count(M)
-    S = draw_bernoulli(build_plan(M, m), M, seed=3)
+    S = draw_bernoulli(build_plan(M, m), seed=3)
     assert S.size == 30
     assert np.all(S.weights == 1.0)
     assert np.allclose(S.vals, arr[S.rows, S.cols])
@@ -77,8 +69,8 @@ def test_bernoulli_saturation_includes_everything():
 def test_bernoulli_deterministic():
     M = DenseMatrix(np.random.default_rng(3).standard_normal((9, 7)))
     plan = build_plan(M, 25)
-    a = draw_bernoulli(plan, M, seed=11)
-    b = draw_bernoulli(plan, M, seed=11)
+    a = draw_bernoulli(plan, seed=11)
+    b = draw_bernoulli(plan, seed=11)
     assert np.array_equal(a.rows, b.rows)
     assert np.array_equal(a.cols, b.cols)
     assert np.array_equal(a.vals, b.vals)
@@ -93,7 +85,7 @@ def test_bernoulli_inclusion_frequencies_within_four_stderr():
     n_draws = 800
     hits = np.zeros((10, 10))
     for t in range(n_draws):
-        S = draw_bernoulli(plan, M, seed=t)
+        S = draw_bernoulli(plan, seed=t)
         hits[S.rows, S.cols] += 1
     freq = hits / n_draws
     stderr = np.sqrt(probs * (1 - probs) / n_draws)
@@ -114,7 +106,7 @@ def test_multinomial_single_row_law_chisquare():
     total = 0
     for t in range(50):
         log = []
-        S = draw_multinomial(plan, M, seed=t, draw_log=log)
+        S = draw_multinomial(plan, seed=t, draw_log=log)
         assert all(i == 0 for i, _ in log)  # single row takes every draw
         for _, j in log:
             counts[j] += 1
@@ -127,7 +119,7 @@ def test_multinomial_weights_are_reciprocal_bernoulli_probabilities():
     arr = np.random.default_rng(6).standard_normal((8, 6))
     M = DenseMatrix(arr)
     plan = build_plan(M, 20)
-    S = draw_multinomial(plan, M, seed=9)
+    S = draw_multinomial(plan, seed=9)
     for i, j, w in zip(S.rows, S.cols, S.weights):
         assert abs(w - 1.0 / oracles.inclusion_probability(plan, i, j)) <= 1e-12 * w
 
@@ -136,14 +128,14 @@ def test_multinomial_saturated_weights_are_one():
     arr = np.random.default_rng(7).standard_normal((5, 4))
     M = DenseMatrix(arr)
     m = saturating_sample_count(M)
-    S = draw_multinomial(build_plan(M, m), M, seed=1)
+    S = draw_multinomial(build_plan(M, m), seed=1)
     assert np.all(S.weights == 1.0)
 
 
 def test_multinomial_no_duplicates_and_in_range():
     arr = np.random.default_rng(8).standard_normal((20, 15))
     M = DenseMatrix(arr)
-    S = draw_multinomial(build_plan(M, 400), M, seed=2)
+    S = draw_multinomial(build_plan(M, 400), seed=2)
     pairs = set(zip(S.rows.tolist(), S.cols.tolist()))
     assert len(pairs) == S.size
     assert S.rows.min() >= 0 and S.rows.max() < 20
@@ -153,8 +145,8 @@ def test_multinomial_no_duplicates_and_in_range():
 def test_multinomial_deterministic():
     M = DenseMatrix(np.random.default_rng(9).standard_normal((14, 11)))
     plan = build_plan(M, 60)
-    a = draw_multinomial(plan, M, seed=21)
-    b = draw_multinomial(plan, M, seed=21)
+    a = draw_multinomial(plan, seed=21)
+    b = draw_multinomial(plan, seed=21)
     assert np.array_equal(a.rows, b.rows)
     assert np.array_equal(a.cols, b.cols)
     assert np.array_equal(a.weights, b.weights)
@@ -168,7 +160,7 @@ def test_weighted_reconstruction_unbiased():
     n_draws = 2000
     acc = np.zeros((15, 15))
     for t in range(n_draws):
-        S = draw_bernoulli(plan, M, seed=t)
+        S = draw_bernoulli(plan, seed=t)
         R = np.zeros((15, 15))
         R[S.rows, S.cols] = S.vals * S.weights
         acc += R
@@ -183,7 +175,7 @@ def test_sample_counter_budget():
     arr = np.random.default_rng(11).standard_normal((40, 30))
     M = DenseMatrix(arr)
     plan = build_plan(M, 300)
-    draw_multinomial(plan, M, seed=0, counter=counter)
+    draw_multinomial(plan, seed=0, counter=counter)
     nnz = compute_stats(DenseMatrix(arr)).nnz
     budget = 4 * (nnz + 300 * np.ceil(np.log2(30)))
     assert 0 < counter.ops <= budget
@@ -221,7 +213,7 @@ def test_product_plan_intensities_sum_to_two_m():
 def test_product_samples_saturated_identity():
     A = DenseMatrix(np.eye(2))
     B = DenseMatrix(np.eye(2))
-    S = materialize_product_samples(A, B, build_product_plan(A, B, 4), seed=0)
+    S = materialize_product_samples(build_product_plan(A, B, 4), seed=0)
     assert S.size == 4
     assert np.all(S.weights == 1.0)
     dense = np.zeros((2, 2))
@@ -233,7 +225,7 @@ def test_product_sample_values_match_dense_product():
     g = np.random.default_rng(13)
     A = DenseMatrix(g.standard_normal((8, 4)))
     B = DenseMatrix(g.standard_normal((4, 8)))
-    S = materialize_product_samples(A, B, build_product_plan(A, B, 40), seed=5)
+    S = materialize_product_samples(build_product_plan(A, B, 40), seed=5)
     dense = A.data @ B.data
     truth = dense[S.rows, S.cols]
     assert np.all(np.abs(S.vals - truth) <= 1e-12 * np.maximum(np.abs(truth), 1.0))
@@ -244,8 +236,8 @@ def test_product_samples_deterministic():
     A = DenseMatrix(g.standard_normal((5, 3)))
     B = DenseMatrix(g.standard_normal((3, 6)))
     plan = build_product_plan(A, B, 12)
-    s1 = materialize_product_samples(A, B, plan, seed=8)
-    s2 = materialize_product_samples(A, B, plan, seed=8)
+    s1 = materialize_product_samples(plan, seed=8)
+    s2 = materialize_product_samples(plan, seed=8)
     assert np.array_equal(s1.rows, s2.rows)
     assert np.array_equal(s1.vals, s2.vals)
 

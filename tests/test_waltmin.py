@@ -9,10 +9,8 @@ from lela import (
     Factorization,
     ParameterError,
     SampleSet,
-    WaltMinConfig,
     als_half_step,
     build_plan,
-    compute_stats,
     draw_bernoulli,
     initialize,
     objective,
@@ -20,7 +18,7 @@ from lela import (
     split_samples,
     waltmin,
 )
-from lela.waltmin import TRIM_FACTOR, trim_scores_from_stats
+from lela.waltmin import TRIM_FACTOR
 
 
 def full_sample_set(arr, weights=None):
@@ -29,6 +27,11 @@ def full_sample_set(arr, weights=None):
     rows, cols = rows.ravel(), cols.ravel()
     w = np.ones(rows.size) if weights is None else weights
     return SampleSet(n, d, rows, cols, arr[rows, cols], w)
+
+
+def trim_scores(arr):
+    """The row scores a sampling plan of arr hands to the solver."""
+    return build_plan(DenseMatrix(arr), 1).row_trim_scores()
 
 
 def gapped_matrix(n, d, r, seed, tail=0.05):
@@ -81,9 +84,7 @@ def test_initialize_fully_observed_rank_one():
     u = g.standard_normal(12)
     v = g.standard_normal(9)
     arr = np.outer(u, v)
-    M = DenseMatrix(arr)
-    stats = compute_stats(M)
-    init = initialize(full_sample_set(arr), stats, 1, init_svd_iters=80, seed=0)
+    init = initialize(full_sample_set(arr), trim_scores(arr), 1, init_svd_iters=80, seed=0)
     assert init.trimmed_rows.size == 0
     uu = u / np.linalg.norm(u)
     assert abs(abs(uu @ init.u0[:, 0]) - 1.0) <= 1e-10
@@ -97,19 +98,16 @@ def _heavy_row_setup(seed):
     g = np.random.default_rng(seed)
     arr = g.standard_normal((8, 6))
     arr[0] *= 0.01
-    M = DenseMatrix(arr)
-    stats = compute_stats(M)
     weights = np.ones(48)
     weights[:6] = 1.0e4  # row-major full sample set puts row 0 first
     S = full_sample_set(arr, weights=weights)
-    return arr, stats, S
+    return arr, trim_scores(arr), S
 
 
 def test_initialize_trims_row_with_tiny_score():
-    arr, stats, S = _heavy_row_setup(4)
-    scores = trim_scores_from_stats(stats)
+    arr, scores, S = _heavy_row_setup(4)
     assert TRIM_FACTOR * scores[0] < 1.0  # the bar is reachable
-    init = initialize(S, stats, 2, init_svd_iters=80, seed=1)
+    init = initialize(S, scores, 2, init_svd_iters=80, seed=1)
     assert 0 in init.trimmed_rows.tolist()
     # hand check of the rule on the untrimmed factor of the same operator
     from lela import topk_svd
@@ -121,9 +119,8 @@ def test_initialize_trims_row_with_tiny_score():
 
 
 def test_initialize_trimming_idempotent():
-    arr, stats, S = _heavy_row_setup(5)
-    scores = trim_scores_from_stats(stats)
-    init = initialize(S, stats, 2, init_svd_iters=80, seed=2)
+    arr, scores, S = _heavy_row_setup(5)
+    init = initialize(S, scores, 2, init_svd_iters=80, seed=2)
     assert init.trimmed_rows.size > 0
     trimmed_again = init.u0.copy()
     norms = np.linalg.norm(trimmed_again, axis=1)
@@ -133,10 +130,10 @@ def test_initialize_trimming_idempotent():
 
 def test_initialize_deterministic():
     arr = np.random.default_rng(6).standard_normal((7, 7))
-    stats = compute_stats(DenseMatrix(arr))
+    scores = trim_scores(arr)
     S = full_sample_set(arr)
-    a = initialize(S, stats, 3, init_svd_iters=50, seed=5)
-    b = initialize(S, stats, 3, init_svd_iters=50, seed=5)
+    a = initialize(S, scores, 3, init_svd_iters=50, seed=5)
+    b = initialize(S, scores, 3, init_svd_iters=50, seed=5)
     assert np.array_equal(a.u0, b.u0)
     assert np.array_equal(a.trimmed_rows, b.trimmed_rows)
 
@@ -144,14 +141,13 @@ def test_initialize_deterministic():
 def test_initialize_all_rows_trimmed_is_degenerate():
     arr = np.random.default_rng(7).standard_normal((5, 5))
     with pytest.raises(DegenerateInputError):
-        initialize(full_sample_set(arr), None, 2, seed=0, trim_scores=np.zeros(5))
+        initialize(full_sample_set(arr), np.zeros(5), 2, seed=0)
 
 
 def test_initialize_empty_set_is_degenerate():
     empty = SampleSet(3, 3, [], [], [], [])
-    stats = compute_stats(DenseMatrix(np.eye(3)))
     with pytest.raises(DegenerateInputError):
-        initialize(empty, stats, 1, seed=0)
+        initialize(empty, trim_scores(np.eye(3)), 1, seed=0)
 
 
 def test_half_step_rank_one_exact():
@@ -178,7 +174,7 @@ def test_half_step_never_increases_objective():
     arr = g.standard_normal((12, 10))
     M = DenseMatrix(arr)
     plan = build_plan(M, 70)
-    S = draw_bernoulli(plan, M, seed=4)
+    S = draw_bernoulli(plan, seed=4)
     U = g.standard_normal((12, 2))
     before = objective(S, Factorization(U, np.zeros((10, 2))))
     V_new, _ = als_half_step(U, S, "update-V")
@@ -192,7 +188,7 @@ def test_half_step_matches_public_ls_solver():
     g = np.random.default_rng(11)
     arr = g.standard_normal((9, 6))
     M = DenseMatrix(arr)
-    S = draw_bernoulli(build_plan(M, 30), M, seed=1)
+    S = draw_bernoulli(build_plan(M, 30), seed=1)
     U = g.standard_normal((9, 2))
     V_new, _ = als_half_step(U, S, "update-V")
     for j in range(6):
@@ -212,19 +208,17 @@ def test_half_step_reports_unobserved():
 
 def test_waltmin_full_data_matches_truncated_svd():
     arr, sigma = gapped_matrix(30, 20, 2, seed=12)
-    M = DenseMatrix(arr)
-    stats = compute_stats(M)
     S = full_sample_set(arr)
-    cfg = WaltMinConfig(rank=2, iterations=3, seed=0)
-    F = waltmin(S, stats, cfg)
+    F = waltmin(S, trim_scores(arr), 2, 3, seed=0)
     U, s, Vt = np.linalg.svd(arr)
     truth = (U[:, :2] * s[:2]) @ Vt[:2]
     assert oracles.spectral_norm_dense(F.dense() - truth) <= 1e-6
 
 
 def test_waltmin_rejects_zero_iterations():
+    arr = np.random.default_rng(12).standard_normal((5, 4))
     with pytest.raises(ParameterError):
-        WaltMinConfig(rank=2, iterations=0)
+        waltmin(full_sample_set(arr), trim_scores(arr), 2, 0)
 
 
 def test_waltmin_scaling_invariance():
@@ -232,12 +226,10 @@ def test_waltmin_scaling_invariance():
     arr = g.standard_normal((15, 12))
     M = DenseMatrix(arr)
     plan = build_plan(M, 140)
-    S = draw_bernoulli(plan, M, seed=2)
+    S = draw_bernoulli(plan, seed=2)
     scaled = SampleSet(S.n, S.d, S.rows, S.cols, 7.5 * S.vals, S.weights)
-    cfg = WaltMinConfig(rank=3, iterations=4, seed=5)
-    F1 = waltmin(S, plan.stats, cfg)
-    stats_scaled = compute_stats(DenseMatrix(7.5 * arr))
-    F2 = waltmin(scaled, stats_scaled, cfg)
+    F1 = waltmin(S, plan.row_trim_scores(), 3, 4, seed=5)
+    F2 = waltmin(scaled, trim_scores(7.5 * arr), 3, 4, seed=5)
     P1, P2 = F1.dense(), F2.dense()
     assert np.all(np.abs(P2 - 7.5 * P1) <= 1e-10 * np.maximum(np.abs(7.5 * P1), 1.0))
 
@@ -246,9 +238,9 @@ def test_waltmin_output_rank_exact():
     arr = np.random.default_rng(14).standard_normal((10, 8))
     M = DenseMatrix(arr)
     plan = build_plan(M, 60)
-    S = draw_bernoulli(plan, M, seed=3)
+    S = draw_bernoulli(plan, seed=3)
     for r in (1, 2, 4):
-        F = waltmin(S, plan.stats, WaltMinConfig(rank=r, iterations=2, seed=0))
+        F = waltmin(S, plan.row_trim_scores(), r, 2, seed=0)
         assert F.rank == r
         assert F.shape == (10, 8)
 
@@ -257,9 +249,9 @@ def test_waltmin_objective_trace_nonincreasing_reuse():
     arr = np.random.default_rng(15).standard_normal((14, 12))
     M = DenseMatrix(arr)
     plan = build_plan(M, 130)
-    S = draw_bernoulli(plan, M, seed=6)
+    S = draw_bernoulli(plan, seed=6)
     trace = []
-    waltmin(S, plan.stats, WaltMinConfig(rank=2, iterations=6, seed=1), objective_trace=trace)
+    waltmin(S, plan.row_trim_scores(), 2, 6, seed=1, objective_trace=trace)
     assert len(trace) == 12
     scale = max(trace[0], 1.0)
     assert all(b <= a + 1e-12 * scale for a, b in zip(trace, trace[1:]))
@@ -269,18 +261,16 @@ def test_waltmin_fresh_mode_uses_disjoint_parts():
     arr = np.random.default_rng(16).standard_normal((20, 16))
     M = DenseMatrix(arr)
     m = saturating_sample_count(M)
-    S = draw_bernoulli(build_plan(M, m), M, seed=1)
-    stats = compute_stats(DenseMatrix(arr))
-    F = waltmin(S, stats, WaltMinConfig(rank=2, iterations=2, split_mode="fresh", seed=3))
+    S = draw_bernoulli(build_plan(M, m), seed=1)
+    F = waltmin(S, trim_scores(arr), 2, 2, split="fresh", seed=3)
     assert F.rank == 2
 
 
 def test_waltmin_fresh_mode_empty_part_is_degenerate():
     arr = np.random.default_rng(17).standard_normal((3, 3))
     S = full_sample_set(arr)  # nine entries into seven parts: a part is empty
-    stats = compute_stats(DenseMatrix(arr))
     with pytest.raises(DegenerateInputError):
-        waltmin(S, stats, WaltMinConfig(rank=1, iterations=3, split_mode="fresh", seed=0))
+        waltmin(S, trim_scores(arr), 1, 3, split="fresh", seed=0)
 
 
 def test_waltmin_exact_recovery_bernoulli():
@@ -295,8 +285,8 @@ def test_waltmin_exact_recovery_bernoulli():
         arr = U @ V.T
         M = DenseMatrix(arr)
         plan = build_plan(M, m)
-        S = draw_bernoulli(plan, M, seed=seed)
-        F = waltmin(S, plan.stats, WaltMinConfig(rank=r, iterations=20, seed=seed))
+        S = draw_bernoulli(plan, seed=seed)
+        F = waltmin(S, plan.row_trim_scores(), r, 20, seed=seed)
         rel = np.linalg.norm(arr - F.dense()) / np.linalg.norm(arr)
         ok += rel <= 1e-3
     assert ok == 3
@@ -316,8 +306,8 @@ def test_initialization_quality_on_sampled_rank_r():
         arr = U @ V.T
         M = DenseMatrix(arr)
         plan = build_plan(M, m)
-        S = draw_bernoulli(plan, M, seed=seed)
-        init = initialize(S, plan.stats, r, init_svd_iters=100, seed=seed)
+        S = draw_bernoulli(plan, seed=seed)
+        init = initialize(S, plan.row_trim_scores(), r, init_svd_iters=100, seed=seed)
         u_perp = np.eye(n) - U @ U.T
         dist = oracles.spectral_norm_dense(u_perp @ init.u0)
         good += dist <= 0.5
@@ -339,7 +329,7 @@ def test_objective_matches_naive_loop():
     g = np.random.default_rng(19)
     arr = g.standard_normal((7, 6))
     M = DenseMatrix(arr)
-    S = draw_bernoulli(build_plan(M, 25), M, seed=7)
+    S = draw_bernoulli(build_plan(M, 25), seed=7)
     F = Factorization(g.standard_normal((7, 2)), g.standard_normal((6, 2)))
     naive = 0.0
     for k in range(S.size):
@@ -347,12 +337,3 @@ def test_objective_matches_naive_loop():
         naive += S.weights[k] * (S.vals[k] - pred) ** 2
     assert abs(objective(S, F) - naive) <= 1e-10 * naive
 
-
-def test_waltmin_cross_validation_flag_runs():
-    arr = np.random.default_rng(20).standard_normal((16, 12))
-    M = DenseMatrix(arr)
-    plan = build_plan(M, 150)
-    S = draw_bernoulli(plan, M, seed=8)
-    cfg = WaltMinConfig(rank=2, iterations=8, seed=2, cross_validate=True)
-    F = waltmin(S, plan.stats, cfg)
-    assert F.rank == 2
