@@ -1,121 +1,56 @@
 """Sampled low-rank approximation: leveraged-element sampling plus weighted
-alternating minimization, with product, covariance, and distributed variants."""
+alternating minimization, with product, covariance, and distributed variants.
+
+The package exports the pipelines and what their callers need; the kernels
+they are built from live in ``lela.sampling``, ``lela.waltmin``,
+``lela.linalg`` and ``lela.distpca``.
+"""
 
 __version__ = "0.1.0"
 
 from .errors import DegenerateInputError, LelaError, ParameterError
-from .linalg import (
-    DenseMatrix,
-    Factorization,
-    LinearOperator,
-    MatrixStats,
-    OracleDecomposition,
-    compute_stats,
-    low_rank_diff_spectral_norm,
-    qr_orthonormalize,
-    spectral_error,
-    topk_svd,
-)
-from .sampling import (
-    ProductSamplingPlan,
-    SampleSet,
-    SamplingPlan,
-    build_plan,
-    build_product_plan,
-    draw_bernoulli,
-    draw_multinomial,
-    materialize_product_samples,
-    saturating_sample_count,
-)
-from .waltmin import (
-    als_half_step,
-    initialize,
-    objective,
-    split_samples,
-    waltmin,
-)
+from .linalg import DenseMatrix, Factorization
+from .driver import LelaReport, evaluate, lela
 from .matprod import (
     ProductTask,
     lowrank_covariance,
     lowrank_product,
     stagewise_product_baseline,
 )
-from .distpca import (
-    CommLedger,
-    Message,
-    ServerShard,
-    communication_bound,
-    dist_init,
-    dist_sample,
-    dist_waltmin_round,
-    partition_rows,
-    run_distpca,
-)
-from .driver import LelaReport, evaluate, lela
+from .distpca import CommLedger, communication_bound, run_distpca
 from .bench import (
     ExperimentConfig,
-    ExperimentRow,
     add_noise,
     gaussian_projection_baseline,
     gen_powerlaw,
     make_adversarial_product,
     run_experiment,
 )
-from .mmio import load_factorization, read_matrix, save_factorization, write_matrix
+from .mmio import load_factorization, read_matrix, save_factorization
 
 __all__ = [
-    "DegenerateInputError",
     "LelaError",
     "ParameterError",
+    "DegenerateInputError",
     "DenseMatrix",
     "Factorization",
-    "LinearOperator",
-    "MatrixStats",
-    "OracleDecomposition",
-    "compute_stats",
-    "low_rank_diff_spectral_norm",
-    "qr_orthonormalize",
-    "spectral_error",
-    "topk_svd",
-    "ProductSamplingPlan",
-    "SampleSet",
-    "SamplingPlan",
-    "build_plan",
-    "build_product_plan",
-    "draw_bernoulli",
-    "draw_multinomial",
-    "materialize_product_samples",
-    "saturating_sample_count",
-    "als_half_step",
-    "initialize",
-    "objective",
-    "split_samples",
-    "waltmin",
-    "ProductTask",
-    "lowrank_covariance",
-    "lowrank_product",
-    "stagewise_product_baseline",
-    "CommLedger",
-    "Message",
-    "ServerShard",
-    "communication_bound",
-    "dist_init",
-    "dist_sample",
-    "dist_waltmin_round",
-    "partition_rows",
-    "run_distpca",
+    "lela",
     "LelaReport",
     "evaluate",
-    "lela",
-    "ExperimentConfig",
-    "ExperimentRow",
+    "ProductTask",
+    "lowrank_product",
+    "lowrank_covariance",
+    "stagewise_product_baseline",
+    "run_distpca",
+    "CommLedger",
+    "communication_bound",
+    "gen_powerlaw",
     "add_noise",
     "gaussian_projection_baseline",
-    "gen_powerlaw",
     "make_adversarial_product",
     "run_experiment",
-    "load_factorization",
+    "ExperimentConfig",
     "read_matrix",
     "save_factorization",
-    "write_matrix",
+    "load_factorization",
 ]

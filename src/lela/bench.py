@@ -102,42 +102,35 @@ def add_noise(M_r: DenseMatrix, noise_spectral: float, seed: int = 0) -> DenseMa
 
 
 def gaussian_projection_baseline(
-    M: DenseMatrix, r: int, l: int, power_steps: int = 0, seed: int = 0
+    M: DenseMatrix, r: int, l: int, seed: int = 0
 ) -> Factorization:
     """Sketch-based baseline: project onto M @ G for a d x l Gaussian G.
 
-    Orthonormalizes the sketch, optionally applies power steps, and truncates
-    the projected matrix to rank r.
+    Orthonormalizes the sketch and truncates the projected matrix to rank r.
     """
     n, d = M.shape
     if not (r <= l <= min(n, d)):
         raise ParameterError(f"projection dimension l={l} must satisfy r <= l <= min(n, d)")
-    if power_steps < 0:
-        raise ParameterError("power step count must be nonnegative")
     g = rng.stream(seed, rng.TAG_SKETCH)
     G = g.standard_normal((d, l))
     a = M.data
     Q = orthonormal_columns(a @ G)
-    for _ in range(power_steps):
-        Q = orthonormal_columns(a @ (a.T @ Q))
     B = Q.T @ a
     ub, s, vt = np.linalg.svd(B, full_matrices=False)
     return Factorization(Q @ (ub[:, :r] * s[:r]), vt[:r].T)
 
 
 def make_adversarial_product(
-    n: int, r: int, seed: int = 0, inner: int | None = None
+    n: int, r: int, seed: int = 0
 ) -> tuple[DenseMatrix, DenseMatrix, Factorization]:
     """Rank-2r pair (A, B) whose product is exactly rank r.
 
-    The top-r row space of A is orthogonal to the top-r column space of B, so
-    any method that truncates A and B separately before multiplying loses the
-    entire product.  Returns (A, B, exact factorization of A @ B).
+    A is n x k and B is k x n, with k = max(3r, 8).  The top-r row space of A
+    is orthogonal to the top-r column space of B, so any method that truncates
+    A and B separately before multiplying loses the entire product.  Returns
+    (A, B, exact factorization of A @ B).
     """
-    if inner is None:
-        inner = max(3 * r, 8)
-    if inner < 3 * r:
-        raise ParameterError("inner dimension must be at least 3r")
+    inner = max(3 * r, 8)
     g = rng.stream(seed, rng.TAG_FACTOR_U)
     W = orthonormal_columns(g.standard_normal((inner, 3 * r)))
     w1, w2, w3 = W[:, :r], W[:, r : 2 * r], W[:, 2 * r :]
@@ -154,7 +147,10 @@ def make_adversarial_product(
 
 @dataclass
 class ExperimentConfig:
-    """Grid definition for one experiment run."""
+    """Grid definition for one experiment run.
+
+    The Gaussian projection paired with budget m uses dimension l = m // n.
+    """
 
     n: int
     d: int
@@ -166,7 +162,6 @@ class ExperimentConfig:
     iterations: int = 15
     seed: int = 0
     algorithms: list[str] = field(default_factory=lambda: ["lela", "gaussian-projection"])
-    l_grid: list[int] | None = None
     servers: int = 4
     init_rounds: int = 10
     sampler_mode: str = "multinomial"
@@ -179,12 +174,6 @@ class ExperimentConfig:
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ParameterError(f"unknown algorithm {name!r}")
-        if self.l_grid is None:
-            self.l_grid = [m // self.n for m in self.m_grid]
-        if len(self.l_grid) != len(self.m_grid) or any(
-            l != m // self.n for l, m in zip(self.l_grid, self.m_grid)
-        ):
-            raise ParameterError("each projection dimension l must equal its paired m // n")
         if not self.noise_levels:
             raise ParameterError("noise level list must be nonempty")
         if self.sampler_mode not in ("multinomial", "bernoulli"):
@@ -278,7 +267,7 @@ def _run_one(cfg, cache, algorithm, noise_idx, m, l, trial, alg_seed):
         return low_rank_diff_spectral_norm(truth, F), err_in
     if algorithm == "gaussian-projection":
         M, truth = cache.plain(noise_idx, trial)
-        F = gaussian_projection_baseline(M, cfg.r, l, power_steps=0, seed=alg_seed)
+        F = gaussian_projection_baseline(M, cfg.r, l, seed=alg_seed)
         err_in = spectral_error(M, F, iters=200, seed=alg_seed)
         return low_rank_diff_spectral_norm(truth, F), err_in
     if algorithm == "distpca":
@@ -329,7 +318,8 @@ def run_experiment(
         noise_indices = [0] if product_family else range(len(cfg.noise_levels))
         for noise_idx in noise_indices:
             noise = 0.0 if product_family else cfg.noise_levels[noise_idx]
-            for m, l in zip(cfg.m_grid, cfg.l_grid):
+            for m in cfg.m_grid:
+                l = m // cfg.n  # the projection dimension paired with budget m
                 for trial in range(cfg.trials):
                     alg_seed = rng.derive_seed(cfg.seed, alg_idx, noise_idx, m, trial)
                     start = time_fn()

@@ -20,7 +20,7 @@ from .bench import (
     make_adversarial_product,
     run_experiment,
 )
-from .distpca import run_distpca
+from .distpca import PARTITION_POLICIES, run_distpca
 from .driver import evaluate, lela, require_oracle_size
 from .errors import DegenerateInputError, ParameterError
 from .linalg import low_rank_diff_spectral_norm
@@ -65,16 +65,39 @@ _SHARED_FLAGS = {
 }
 
 
+# Flags that only shape a synthetic instance.  Where --matrix is also
+# accepted they parse to None, so that one given next to --matrix, which it
+# could not affect, is refused; _synthetic_instance fills in the default.
+_INSTANCE_FLAGS = ("--n", "--d", "--alpha", "--noise")
+
+
 def _subcommand(sub, name: str, summary: str, func, *shared: str) -> argparse.ArgumentParser:
     # no abbreviations: `bench --noise` must not silently mean --noise-list
     p = sub.add_parser(name, help=summary, allow_abbrev=False)
     for flag in shared:
-        p.add_argument(flag, **_SHARED_FLAGS[flag])
+        spec = _SHARED_FLAGS[flag]
+        if flag in _INSTANCE_FLAGS and "--matrix" in shared:
+            spec = {**spec, "default": None}
+        p.add_argument(flag, **spec)
     p.set_defaults(func=func)
     return p
 
 
+def _synthetic_instance(args) -> None:
+    """Refuse synthetic-instance settings next to --matrix, else default them."""
+    names = [f[2:] for f in _INSTANCE_FLAGS if hasattr(args, f[2:])]
+    given = [k for k in names if getattr(args, k) is not None]
+    if args.matrix is not None and given:
+        raise ParameterError(
+            f"synthetic-instance settings ({', '.join(given)}) cannot be combined with --matrix"
+        )
+    for k in names:
+        if getattr(args, k) is None:
+            setattr(args, k, _SHARED_FLAGS["--" + k]["default"])
+
+
 def _load_or_generate(args):
+    _synthetic_instance(args)
     if args.matrix is not None:
         return read_matrix(args.matrix)
     seed = args.seed
@@ -135,9 +158,10 @@ def _write_single_row_csv(path, algorithm, args, m, spectral, fro) -> None:
 
 
 def _cmd_product(args) -> int:
+    _synthetic_instance(args)
+    if (args.matrix is None) != (args.matrix_b is None):
+        raise ParameterError("--matrix and --matrix-b must be given together")
     if args.matrix is not None:
-        if args.matrix_b is None:
-            raise ParameterError("--matrix-b is required when --matrix is given")
         A = read_matrix(args.matrix)
         B = read_matrix(args.matrix_b)
         truth = None
@@ -161,11 +185,7 @@ def _cmd_product(args) -> int:
 
 
 def _cmd_covariance(args) -> int:
-    if args.matrix is not None:
-        Y = read_matrix(args.matrix)
-    else:
-        Y_r, _ = gen_powerlaw(args.n, args.d, args.rank, args.alpha, seed=args.seed)
-        Y = add_noise(Y_r, args.noise, seed=args.seed)
+    Y = _load_or_generate(args)
     m = _resolve_budget(args, Y.n_rows)
     F = lowrank_covariance(Y, args.rank, m, args.iters, seed=args.seed, symmetrize=args.symmetrize)
     print(f"covariance factors: {F.u.shape[0]}x{F.rank} and {F.v.shape[0]}x{F.rank}")
@@ -184,8 +204,15 @@ def _number(text: str, convert, source: str):
         raise ParameterError(f"{source} expects {convert.__name__} values, got {text!r}")
 
 
+# Scenario-file keys of the distributed run, each with the flag it sets.
+_SCENARIO_KEYS = {
+    "n": "n", "d": "d", "s": "servers", "r": "rank", "m": "m", "T": "iters",
+    "init_rounds": "init_rounds", "seed": "seed", "partition": "partition",
+}
+
+
 def _parse_config_file(path) -> dict:
-    """Flat key=value scenario file for the distributed run."""
+    """Flat key=value scenario file for the distributed run; unknown keys are refused."""
     values: dict[str, str] = {}
     try:
         with open(path, "r", encoding="ascii") as fh:
@@ -199,19 +226,23 @@ def _parse_config_file(path) -> dict:
         if "=" not in line:
             raise ParameterError(f"malformed scenario line {line!r}")
         key, value = line.split("=", 1)
-        values[key.strip()] = value.strip()
+        key = key.strip()
+        if key not in _SCENARIO_KEYS:
+            raise ParameterError(
+                f"unknown scenario key {key!r} (known: {', '.join(_SCENARIO_KEYS)})"
+            )
+        values[key] = value.strip()
     return values
 
 
 def _cmd_distpca(args) -> int:
     if args.config is not None:
-        conf = _parse_config_file(args.config)
-        for key in ("n", "d", "s", "r", "m", "T", "init_rounds", "seed"):
-            if key in conf:
-                value = _number(conf[key], int, f"scenario key {key!r}")
-                setattr(args, {"s": "servers", "r": "rank", "T": "iters"}.get(key, key), value)
-        if "partition" in conf:
-            args.partition = conf["partition"]
+        for key, value in _parse_config_file(args.config).items():
+            if key != "partition":
+                value = _number(value, int, f"scenario key {key!r}")
+            elif value not in PARTITION_POLICIES:
+                raise ParameterError(f"unknown partition policy {value!r}")
+            setattr(args, _SCENARIO_KEYS[key], value)
     M = _load_or_generate(args)
     if args.oracle:
         require_oracle_size(M.shape)
@@ -306,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--partition",
-        choices=("contiguous", "round-robin", "seeded-random"),
+        choices=PARTITION_POLICIES,
         default="contiguous",
     )
     p.add_argument("--config", default=None, help="flat key=value scenario file")

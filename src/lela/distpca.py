@@ -79,10 +79,6 @@ class CommLedger:
         self._round += 1
         return self._round
 
-    @property
-    def current_round(self) -> int:
-        return self._round
-
     def record(self, round_no: int, direction: str, kind: str, payload_reals: int) -> None:
         if payload_reals <= 0:
             raise ParameterError("recorded messages must carry a positive payload")

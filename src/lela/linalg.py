@@ -55,9 +55,6 @@ class DenseMatrix:
     def row(self, i: int) -> np.ndarray:
         return self.data[i, :]
 
-    def col(self, j: int) -> np.ndarray:
-        return self.data[:, j]
-
     def __repr__(self) -> str:
         return f"DenseMatrix({self.n_rows}x{self.n_cols})"
 
@@ -78,8 +75,8 @@ class MatrixStats:
 class Factorization:
     """Rank-r factor pair (u: n x r, v: d x r) representing u @ v.T.
 
-    The dense product is never materialized by library code; consumers either
-    evaluate entries on demand or apply the factors as an operator.
+    The dense product is never materialized by library code; consumers apply
+    the factors instead.
     """
 
     u: np.ndarray
@@ -98,16 +95,6 @@ class Factorization:
     @property
     def shape(self) -> tuple[int, int]:
         return (self.u.shape[0], self.v.shape[0])
-
-    def entries(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """Evaluate the represented matrix at the given index pairs."""
-        return np.einsum("kr,kr->k", self.u[rows], self.v[cols])
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        return self.u @ (self.v.T @ x)
-
-    def rmatvec(self, y: np.ndarray) -> np.ndarray:
-        return self.v @ (self.u.T @ y)
 
     def dense(self) -> np.ndarray:
         """Materialize the product; intended for tests and small audits only."""

@@ -37,17 +37,6 @@ def require_parent_dir(path) -> None:
         raise ParameterError(f"output directory {str(parent)!r} does not exist")
 
 
-def write_matrix(path, M: DenseMatrix, fmt: str = "array") -> None:
-    """Write a matrix in MatrixMarket array or coordinate format."""
-    require_parent_dir(path)
-    if fmt == "array":
-        scipy.io.mmwrite(path, M.data)
-    elif fmt == "coordinate":
-        scipy.io.mmwrite(path, scipy.sparse.coo_matrix(M.data))
-    else:
-        raise ParameterError("format must be 'array' or 'coordinate'")
-
-
 def save_factorization(prefix, F: Factorization, meta: dict | None = None) -> None:
     """Write U and V as MatrixMarket array files plus a JSON metadata header.
 

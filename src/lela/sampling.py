@@ -267,7 +267,6 @@ class ProductSamplingPlan:
     m: int
     n1: int
     n2: int
-    inner: int
     row_sq_norms_a: np.ndarray
     col_sq_norms_b: np.ndarray
     fro_sq_a: float
@@ -310,7 +309,6 @@ def build_product_plan(A: DenseMatrix, B: DenseMatrix, m: int) -> ProductSamplin
         m=int(m),
         n1=A.n_rows,
         n2=B.n_cols,
-        inner=A.n_cols,
         row_sq_norms_a=row_sq_a,
         col_sq_norms_b=col_sq_b,
         fro_sq_a=fro_a,
@@ -327,15 +325,3 @@ def materialize_product_samples(plan: ProductSamplingPlan, seed: int = 0) -> Sam
         plan.n1, plan.n2, np.arange(plan.n1), plan.inclusion_probabilities_row,
         lambda i, js: A.row(i) @ B.data[:, js], seed, rng.TAG_PRODUCT,
     )
-
-
-def saturating_sample_count(M: DenseMatrix) -> int:
-    """Smallest m that saturates every cell's inclusion probability to 1."""
-    stats = compute_stats(M)
-    if stats.fro_sq <= 0.0:
-        raise DegenerateInputError("all-zero matrix cannot saturate")
-    n, d = M.shape
-    min_pair = stats.row_sq_norms.min() + stats.col_sq_norms.min()
-    if min_pair <= 0.0:
-        raise DegenerateInputError("a zero row or column prevents saturation")
-    return int(np.ceil(2.0 * (n + d) * stats.fro_sq / min_pair)) + 1

@@ -121,14 +121,6 @@ def als_half_step(
     return factor, np.flatnonzero(~observed)
 
 
-def objective(S: SampleSet, F: Factorization) -> float:
-    """Weighted squared error of the factorization over the stored entries."""
-    if F.shape != (S.n, S.d):
-        raise ParameterError("factorization shape does not match the sample set")
-    residual = S.vals - F.entries(S.rows, S.cols)
-    return float(np.sum(S.weights * residual * residual))
-
-
 def waltmin(
     S: SampleSet,
     trim_scores: np.ndarray,
@@ -136,7 +128,6 @@ def waltmin(
     iterations: int,
     split: str = "reuse",
     seed: int = 0,
-    objective_trace: list | None = None,
 ) -> Factorization:
     """Run initialization plus ``iterations`` alternating rounds.
 
@@ -144,9 +135,7 @@ def waltmin(
     for initialization, two per round); "reuse" runs every stage on the full
     sample set.  ``seed`` keys both the split and the initial SVD.  Returns the
     factor pair whose product is the final iterate: the last U is the exact
-    least-squares response to the (orthonormalized) last V.  When
-    ``objective_trace`` is a list, the training objective is appended after
-    every half step.
+    least-squares response to the (orthonormalized) last V.
     """
     if rank < 1:
         raise ParameterError("rank must be at least 1")
@@ -174,11 +163,7 @@ def waltmin(
         sv = parts[2 * t + 1] if parts is not None else S
         su = parts[2 * t + 2] if parts is not None else S
         v_raw, _ = als_half_step(u_hat, sv, UPDATE_V, eig_floor=LS_EIG_FLOOR)
-        if objective_trace is not None:
-            objective_trace.append(objective(S, Factorization(u_hat, v_raw)))
         v_hat = orthonormal_columns(v_raw)
         u_raw, _ = als_half_step(v_hat, su, UPDATE_U, eig_floor=LS_EIG_FLOOR)
-        if objective_trace is not None:
-            objective_trace.append(objective(S, Factorization(u_raw, v_hat)))
         u_hat = orthonormal_columns(u_raw)
     return Factorization(u_raw, v_hat)

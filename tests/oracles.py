@@ -5,13 +5,23 @@ double loops, SVD via cyclic Jacobi on the Gram matrix, orthonormalization by
 modified Gram-Schmidt, 2x2 solves by the closed-form inverse, least-squares
 rows by one eigendecomposition each, and the distributed sample by its own
 per-row loop.  The per-cell sampling intensity is the exception: it is read
-off the plan's own row law, so a test can address one cell.
+off the plan's own row law, so a test can address one cell.  The last three
+functions are helpers the tests share and the library has no use for: the
+weighted training objective, a budget that saturates every cell, and a
+matrix writer.
 """
 import numpy as np
+import scipy.io
 
-from lela import DegenerateInputError, Factorization, ParameterError, SampleSet
+from lela import DegenerateInputError, Factorization, ParameterError
 from lela import rng as lrng
-from lela.linalg import normal_equations, orthonormal_columns, pseudo_solve_spd_batch
+from lela.linalg import (
+    compute_stats,
+    normal_equations,
+    orthonormal_columns,
+    pseudo_solve_spd_batch,
+)
+from lela.sampling import SampleSet
 
 
 def naive_stats(arr):
@@ -214,3 +224,28 @@ def centralized_reference(M, r, m, iterations, init_rounds=10, seed=0):
         B, z = normal_equations(samples.cols, U[samples.rows], samples.weights, samples.vals, d)
         V = pseudo_solve_spd_batch(B, z, eig_floor=0.0)
     return Factorization(U, V)
+
+
+def objective(S, F):
+    """Weighted squared error of the factorization over the stored entries."""
+    if F.shape != (S.n, S.d):
+        raise ParameterError("factorization shape does not match the sample set")
+    residual = S.vals - np.einsum("kr,kr->k", F.u[S.rows], F.v[S.cols])
+    return float(np.sum(S.weights * residual * residual))
+
+
+def saturating_sample_count(M):
+    """Smallest m that saturates every cell's inclusion probability to 1."""
+    stats = compute_stats(M)
+    if stats.fro_sq <= 0.0:
+        raise DegenerateInputError("all-zero matrix cannot saturate")
+    n, d = M.shape
+    min_pair = stats.row_sq_norms.min() + stats.col_sq_norms.min()
+    if min_pair <= 0.0:
+        raise DegenerateInputError("a zero row or column prevents saturation")
+    return int(np.ceil(2.0 * (n + d) * stats.fro_sq / min_pair)) + 1
+
+
+def write_matrix(path, M):
+    """Write a matrix as a MatrixMarket array file."""
+    scipy.io.mmwrite(path, M.data)

@@ -15,28 +15,21 @@ from lela import (
     Factorization,
     ProductTask,
     add_noise,
-    build_plan,
     communication_bound,
-    compute_stats,
-    draw_bernoulli,
-    draw_multinomial,
     gaussian_projection_baseline,
     gen_powerlaw,
-    initialize,
-    low_rank_diff_spectral_norm,
     lowrank_product,
-    objective,
     run_distpca,
-    saturating_sample_count,
     stagewise_product_baseline,
 )
 from lela import lela as run_lela
 from lela import rng as lrng
 from lela.distpca import partition_rows, dist_sample, CommLedger
 from lela.driver import streaming_fro_error
-from lela.linalg import orthonormal_columns
-from lela.sampling import OpCounter
-from lela.waltmin import als_half_step
+from lela.linalg import compute_stats, low_rank_diff_spectral_norm, orthonormal_columns
+from lela.sampling import OpCounter, build_plan, draw_bernoulli, draw_multinomial
+from lela.waltmin import als_half_step, initialize
+from oracles import objective, saturating_sample_count
 
 
 def _verdict(num, name, ok, detail=""):

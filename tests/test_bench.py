@@ -142,6 +142,7 @@ def test_experiment_records_error_rows_and_continues():
     rows = run_experiment(cfg, time_fn=lambda: 0.0)
     statuses = [(r.algorithm, r.m, r.status) for r in rows]
     assert ("gaussian-projection", 40, "error:ParameterError") in statuses
+    assert [r.l for r in rows if r.algorithm == "gaussian-projection"] == [2, 32]
     assert all(r.status == "ok" for r in rows if r.algorithm == "lela")
     assert len(rows) == 4
 
@@ -182,12 +183,6 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         ExperimentConfig(n=10, d=10, r=2, alpha=0.0, noise_levels=[0.1], m_grid=[40],
                          trials=1, algorithms=["nope"])
-    with pytest.raises(ParameterError):
-        ExperimentConfig(n=10, d=10, r=2, alpha=0.0, noise_levels=[0.1], m_grid=[40],
-                         trials=1, algorithms=["lela"], l_grid=[7])
-    cfg = ExperimentConfig(n=10, d=10, r=2, alpha=0.0, noise_levels=[0.1], m_grid=[40],
-                           trials=1, algorithms=["lela"])
-    assert cfg.l_grid == [4]
 
 
 def test_write_rows_csv_empty(tmp_path):

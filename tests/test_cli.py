@@ -9,9 +9,9 @@ from lela import (
     load_factorization,
     read_matrix,
     save_factorization,
-    write_matrix,
 )
 from lela.cli import main
+from oracles import write_matrix
 
 
 def test_version_flag(capsys):
@@ -160,16 +160,6 @@ def test_product_requires_second_matrix(tmp_path):
     assert code == cli.EXIT_PARAMETER
 
 
-def test_write_matrix_coordinate_roundtrip(tmp_path):
-    arr = np.random.default_rng(2).standard_normal((5, 7))
-    arr[arr < 0] = 0.0
-    path = tmp_path / "coo_out.mtx"
-    write_matrix(path, DenseMatrix(arr), fmt="coordinate")
-    assert "coordinate" in path.read_text().splitlines()[0]
-    back = read_matrix(path)
-    assert np.allclose(back.data, arr, atol=1e-12)
-
-
 def test_budget_from_projection_dimension(capsys):
     code = main(["lela", "--n", "20", "--d", "20", "--rank", "2", "--l", "10",
                  "--iters", "2", "--seed", "1"])
@@ -195,15 +185,34 @@ def test_budget_from_projection_dimension(capsys):
         ["distpca", "--ledger-csv", "{tmp}/missing/ledger.csv"],
         ["lela", "--matrix", "{tmp}/big.mtx", "--rank", "2", "--oracle"],
         ["distpca", "--matrix", "{tmp}/big.mtx", "--rank", "2", "--oracle"],
+        ["distpca", "--config", "{tmp}/servers.conf"],
+        ["distpca", "--config", "{tmp}/partition.conf"],
+        # synthetic-instance settings next to --matrix, which they cannot affect
+        ["lela", "--matrix", "{tmp}/m30.mtx", "--n", "500", "--d", "7", "--alpha", "2",
+         "--noise", "5", "--rank", "2", "--m", "300", "--iters", "2"],
+        ["lela", "--matrix", "{tmp}/m30.mtx", "--noise", "0", "--rank", "2"],
+        ["covariance", "--matrix", "{tmp}/m30.mtx", "--n", "500", "--rank", "2"],
+        ["covariance", "--matrix", "{tmp}/m30.mtx", "--alpha", "1", "--rank", "2"],
+        ["distpca", "--matrix", "{tmp}/m30.mtx", "--d", "7", "--rank", "2"],
+        ["distpca", "--matrix", "{tmp}/m30.mtx", "--config", "{tmp}/n.conf"],
+        ["product", "--matrix", "{tmp}/m30.mtx", "--matrix-b", "{tmp}/m30t.mtx", "--n", "30"],
+        ["product", "--matrix-b", "{tmp}/m30t.mtx", "--rank", "2"],
     ],
 )
 def test_malformed_outside_input_is_parameter_error(tmp_path, capsys, monkeypatch, argv):
     def no_run(*args, **kwargs):
         raise AssertionError("the run started before its input and output paths were checked")
 
-    for name in ("lela", "run_distpca", "run_experiment"):
+    for name in ("lela", "run_distpca", "run_experiment", "lowrank_product",
+                 "lowrank_covariance"):
         monkeypatch.setattr(cli, name, no_run)
     (tmp_path / "bad.conf").write_text("n=abc\n")
+    (tmp_path / "servers.conf").write_text("servers=3\n")  # the key is s
+    (tmp_path / "partition.conf").write_text("partition=bogus\n")
+    (tmp_path / "n.conf").write_text("n=30\nr=2\n")
+    arr = np.random.default_rng(3).standard_normal((30, 20))
+    write_matrix(tmp_path / "m30.mtx", DenseMatrix(arr))
+    write_matrix(tmp_path / "m30t.mtx", DenseMatrix(arr.T))
     # above the oracle size guard, yet quick to write and read
     (tmp_path / "big.mtx").write_text(
         "%%MatrixMarket matrix coordinate real general\n2001 2001 2\n1 1 1.0\n2001 2001 2.0\n"
@@ -241,9 +250,6 @@ def test_flag_a_subcommand_ignores_is_refused(monkeypatch, argv):
 
 
 def test_writers_refuse_missing_directory(tmp_path):
-    M = DenseMatrix(np.eye(3))
-    with pytest.raises(ParameterError):
-        write_matrix(tmp_path / "missing" / "m.mtx", M)
     with pytest.raises(ParameterError):
         save_factorization(tmp_path / "missing" / "f", Factorization(np.eye(3), np.eye(3)))
     assert not (tmp_path / "missing").exists()

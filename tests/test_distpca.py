@@ -6,12 +6,7 @@ from lela import (
     DegenerateInputError,
     DenseMatrix,
     ParameterError,
-    SampleSet,
     communication_bound,
-    dist_init,
-    dist_sample,
-    dist_waltmin_round,
-    partition_rows,
     run_distpca,
 )
 from lela.distpca import (
@@ -24,8 +19,13 @@ from lela.distpca import (
     KIND_STATS_BROADCAST,
     KIND_V_ROWS_BLOCK,
     KIND_Z_AND_B,
+    dist_init,
+    dist_sample,
+    dist_waltmin_round,
+    partition_rows,
 )
 from lela.linalg import orthonormal_columns
+from lela.sampling import SampleSet
 from lela import rng as lrng
 from oracles import centralized_reference, centralized_sample, total_samples
 

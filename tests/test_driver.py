@@ -9,11 +9,11 @@ from lela import (
     ParameterError,
     evaluate,
     gen_powerlaw,
-    saturating_sample_count,
 )
 from lela import lela as run_lela
 from lela import rng as lrng
 from lela.driver import oracle_gaps, streaming_fro_error
+from oracles import saturating_sample_count
 
 
 def gapped_instance(n, d, r, seed, tail=0.2):

@@ -2,19 +2,16 @@ import numpy as np
 import pytest
 
 import oracles
-from lela import (
-    DegenerateInputError,
-    DenseMatrix,
-    Factorization,
+from lela import DegenerateInputError, DenseMatrix, Factorization, ParameterError
+from lela.linalg import (
     LinearOperator,
-    ParameterError,
     compute_stats,
     low_rank_diff_spectral_norm,
+    pseudo_solve_spd_batch,
     qr_orthonormalize,
     spectral_error,
     topk_svd,
 )
-from lela.linalg import pseudo_solve_spd_batch
 
 
 def dense_op(arr):

@@ -8,14 +8,13 @@ from lela import (
     Factorization,
     ParameterError,
     ProductTask,
-    build_product_plan,
-    low_rank_diff_spectral_norm,
     lowrank_covariance,
     lowrank_product,
     make_adversarial_product,
-    materialize_product_samples,
     stagewise_product_baseline,
 )
+from lela.linalg import low_rank_diff_spectral_norm
+from lela.sampling import build_product_plan, materialize_product_samples
 
 
 def saturating_product_m(A, B):

@@ -3,20 +3,18 @@ import pytest
 import scipy.stats
 
 import oracles
-from lela import (
-    DegenerateInputError,
-    DenseMatrix,
-    ParameterError,
+from lela import DegenerateInputError, DenseMatrix, ParameterError
+from lela.linalg import compute_stats
+from lela.sampling import (
+    OpCounter,
     SampleSet,
     build_plan,
     build_product_plan,
-    compute_stats,
     draw_bernoulli,
     draw_multinomial,
     materialize_product_samples,
-    saturating_sample_count,
 )
-from lela.sampling import OpCounter
+from oracles import saturating_sample_count
 
 
 def test_plan_identity_hand_values():

@@ -2,23 +2,20 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import lela.waltmin as lela_waltmin
 import oracles
-from lela import (
-    DegenerateInputError,
-    DenseMatrix,
-    Factorization,
-    ParameterError,
-    SampleSet,
+from lela import DegenerateInputError, DenseMatrix, Factorization, ParameterError
+from lela.linalg import topk_svd
+from lela.sampling import SampleSet, build_plan, draw_bernoulli
+from lela.waltmin import (
+    TRIM_FACTOR,
+    UPDATE_V,
     als_half_step,
-    build_plan,
-    draw_bernoulli,
     initialize,
-    objective,
-    saturating_sample_count,
     split_samples,
     waltmin,
 )
-from lela.waltmin import TRIM_FACTOR
+from oracles import objective, saturating_sample_count
 
 
 def full_sample_set(arr, weights=None):
@@ -110,8 +107,6 @@ def test_initialize_trims_row_with_tiny_score():
     init = initialize(S, scores, 2, init_svd_iters=80, seed=1)
     assert 0 in init.trimmed_rows.tolist()
     # hand check of the rule on the untrimmed factor of the same operator
-    from lela import topk_svd
-
     dec = topk_svd(S.weighted_operator(), 2, iters=80, seed=1)
     assert np.linalg.norm(dec.u_star[0]) >= TRIM_FACTOR * scores[0]
     # trimmed rows are exactly zero before QR; QR leaves only rounding noise
@@ -245,13 +240,22 @@ def test_waltmin_output_rank_exact():
         assert F.shape == (10, 8)
 
 
-def test_waltmin_objective_trace_nonincreasing_reuse():
+def test_waltmin_objective_trace_nonincreasing_reuse(monkeypatch):
     arr = np.random.default_rng(15).standard_normal((14, 12))
     M = DenseMatrix(arr)
     plan = build_plan(M, 130)
     S = draw_bernoulli(plan, seed=6)
     trace = []
-    waltmin(S, plan.row_trim_scores(), 2, 6, seed=1, objective_trace=trace)
+
+    def traced_half_step(fixed, S_t, side, eig_floor=0.0):
+        # the training objective after every half step, read from outside
+        factor, empty = als_half_step(fixed, S_t, side, eig_floor=eig_floor)
+        u, v = (fixed, factor) if side == UPDATE_V else (factor, fixed)
+        trace.append(objective(S, Factorization(u, v)))
+        return factor, empty
+
+    monkeypatch.setattr(lela_waltmin, "als_half_step", traced_half_step)
+    waltmin(S, plan.row_trim_scores(), 2, 6, seed=1)
     assert len(trace) == 12
     scale = max(trace[0], 1.0)
     assert all(b <= a + 1e-12 * scale for a, b in zip(trace, trace[1:]))
