@@ -85,7 +85,7 @@ def gen_powerlaw(
     v_star = qb @ vct.T
     M = DenseMatrix(u_star @ v_star.T)
     ones = np.ones(r)
-    return M, OracleDecomposition(u_star=u_star, sigma_star=ones, v_star=v_star, kappa=1.0)
+    return M, OracleDecomposition(u_star=u_star, sigma_star=ones, v_star=v_star)
 
 
 def add_noise(M_r: DenseMatrix, noise_spectral: float, seed: int = 0) -> DenseMatrix:
@@ -128,8 +128,10 @@ def make_adversarial_product(
     A is n x k and B is k x n, with k = max(3r, 8).  The top-r row space of A
     is orthogonal to the top-r column space of B, so any method that truncates
     A and B separately before multiplying loses the entire product.  Returns
-    (A, B, exact factorization of A @ B).
+    (A, B, exact factorization of A @ B).  Needs n >= 2r.
     """
+    if n < 2 * r:
+        raise ParameterError(f"adversarial product needs n >= 2r, got n={n} and r={r}")
     inner = max(3 * r, 8)
     g = rng.stream(seed, rng.TAG_FACTOR_U)
     W = orthonormal_columns(g.standard_normal((inner, 3 * r)))
@@ -301,15 +303,12 @@ def _run_one(cfg, cache, algorithm, noise_idx, m, l, trial, alg_seed):
     raise ParameterError(f"unknown algorithm {algorithm!r}")
 
 
-def run_experiment(
-    cfg: ExperimentConfig, out_path=None, time_fn=time.perf_counter
-) -> list[ExperimentRow]:
+def run_experiment(cfg: ExperimentConfig, out_path=None) -> list[ExperimentRow]:
     """Execute algorithm x noise x budget x trial and emit one row per run.
 
     Rows are produced in deterministic (algorithm, noise, budget, trial)
     order.  Failures are recorded with an error marker and the run continues.
     Product algorithms ignore the noise grid (single pseudo-level 0.0).
-    ``time_fn`` exists so tests can inject a deterministic clock.
     """
     cache = _InstanceCache(cfg)
     rows: list[ExperimentRow] = []
@@ -322,7 +321,7 @@ def run_experiment(
                 l = m // cfg.n  # the projection dimension paired with budget m
                 for trial in range(cfg.trials):
                     alg_seed = rng.derive_seed(cfg.seed, alg_idx, noise_idx, m, trial)
-                    start = time_fn()
+                    start = time.perf_counter()
                     try:
                         err, err_in = _run_one(
                             cfg, cache, algorithm, noise_idx, m, l, trial, alg_seed
@@ -331,7 +330,7 @@ def run_experiment(
                     except LelaError as exc:
                         err = err_in = None
                         status = f"error:{type(exc).__name__}"
-                    elapsed = time_fn() - start
+                    elapsed = time.perf_counter() - start
                     rows.append(
                         ExperimentRow(
                             algorithm=algorithm,

@@ -189,7 +189,8 @@ def _cmd_covariance(args) -> int:
     m = _resolve_budget(args, Y.n_rows)
     F = lowrank_covariance(Y, args.rank, m, args.iters, seed=args.seed, symmetrize=args.symmetrize)
     print(f"covariance factors: {F.u.shape[0]}x{F.rank} and {F.v.shape[0]}x{F.rank}")
-    asym = abs(F.u @ F.v.T - (F.u @ F.v.T).T).max()
+    P = F.dense()
+    asym = abs(P - P.T).max()
     print(f"max asymmetry of the output: {asym:.6g}")
     if args.save_factors:
         save_factorization(args.save_factors, F, {"iterations": args.iters, "seed": args.seed, "m": m})

@@ -23,6 +23,9 @@ from .waltmin import SPLIT_MODES, waltmin
 # at input-sparsity cost is the whole point of the pipeline.
 ORACLE_SIZE_GUARD = 2000
 
+# Columns per block of the Frobenius error sweep.
+FRO_BLOCK = 4096
+
 
 @dataclass(frozen=True)
 class LelaReport:
@@ -33,7 +36,7 @@ class LelaReport:
     passes_over_M: int
 
 
-def streaming_fro_error(M: DenseMatrix, F: Factorization, block: int = 4096) -> float:
+def streaming_fro_error(M: DenseMatrix, F: Factorization) -> float:
     """Frobenius error |M - u v^T|_F accumulated over column blocks.
 
     The factored matrix is only ever materialized one block at a time, which
@@ -43,8 +46,8 @@ def streaming_fro_error(M: DenseMatrix, F: Factorization, block: int = 4096) -> 
         raise ParameterError("factorization shape does not match the matrix")
     a = M.data
     total = 0.0
-    for start in range(0, M.n_cols, block):
-        stop = min(start + block, M.n_cols)
+    for start in range(0, M.n_cols, FRO_BLOCK):
+        stop = min(start + FRO_BLOCK, M.n_cols)
         diff = a[:, start:stop] - F.u @ F.v[start:stop].T
         total += float(np.einsum("ij,ij->", diff, diff))
     return math.sqrt(total)

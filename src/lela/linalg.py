@@ -68,7 +68,6 @@ class MatrixStats:
     row_l1: np.ndarray
     fro_sq: float
     l11: float
-    nnz: int
 
 
 @dataclass(frozen=True)
@@ -97,18 +96,17 @@ class Factorization:
         return (self.u.shape[0], self.v.shape[0])
 
     def dense(self) -> np.ndarray:
-        """Materialize the product; intended for tests and small audits only."""
+        """Materialize the n x d product; for small outputs only."""
         return self.u @ self.v.T
 
 
 @dataclass(frozen=True)
 class OracleDecomposition:
-    """Top-r singular triplets with the condition number sigma_1/sigma_r."""
+    """Top-r singular triplets."""
 
     u_star: np.ndarray
     sigma_star: np.ndarray
     v_star: np.ndarray
-    kappa: float
 
 
 class LinearOperator:
@@ -126,8 +124,7 @@ class LinearOperator:
 def compute_stats(M: DenseMatrix) -> MatrixStats:
     """Gather row/column squared norms, row L1 norms, and global norms.
 
-    Counts as one audited pass over the matrix; nnz counts entries with
-    strictly positive magnitude.
+    Counts as one audited pass over the matrix.
     """
     a = M.data
     row_sq = np.einsum("ij,ij->i", a, a)
@@ -140,7 +137,6 @@ def compute_stats(M: DenseMatrix) -> MatrixStats:
         row_l1=row_l1,
         fro_sq=float(row_sq.sum()),
         l11=float(row_l1.sum()),
-        nnz=int(np.count_nonzero(a)),
     )
     M.note_pass()
     return stats
@@ -208,8 +204,7 @@ def topk_svd(
     flips[flips == 0] = 1.0
     Ub = Ub * flips
     V = V * flips
-    kappa = float(s[0] / s[r - 1]) if s[r - 1] > 0 else float("inf")
-    return OracleDecomposition(u_star=Ub, sigma_star=s, v_star=V, kappa=kappa)
+    return OracleDecomposition(u_star=Ub, sigma_star=s, v_star=V)
 
 
 def normal_equations(

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import rng
+from .driver import lela
 from .errors import ParameterError
 from .linalg import DenseMatrix, Factorization, LinearOperator, topk_svd
 from .sampling import build_product_plan, materialize_product_samples
@@ -97,8 +98,6 @@ def stagewise_product_baseline(
     Returns the factored product, which has rank at most r; costs two full
     sampling plus solve pipelines and a small r x r contraction.
     """
-    from .driver import lela  # local import: driver builds on this module
-
     if A.n_cols != B.n_rows:
         raise ParameterError(
             f"inner dimensions disagree: {A.shape} cannot multiply {B.shape}"

@@ -15,9 +15,17 @@ from .linalg import DenseMatrix, Factorization
 def read_matrix(path) -> DenseMatrix:
     """Read a MatrixMarket file (coordinate or array format) as a dense matrix.
 
-    A file that cannot be opened or parsed is a parameter error.
+    A file that cannot be opened or parsed is a parameter error, and so is one
+    whose header declares no rows or columns or a complex field.  The header is
+    checked first because ``scipy.io.mmread`` crashes the process on an empty
+    array-format file and drops the imaginary part of a complex one.
     """
     try:
+        n, d, _, _, field, _ = scipy.io.mminfo(path)
+        if n == 0 or d == 0:
+            raise ParameterError(f"matrix {str(path)!r} declares shape {n}x{d}")
+        if field == "complex":
+            raise ParameterError(f"matrix {str(path)!r} has complex entries")
         mat = scipy.io.mmread(path)
     except (OSError, ValueError) as exc:
         raise ParameterError(f"cannot read matrix {str(path)!r}: {exc}") from exc

@@ -32,18 +32,6 @@ from .errors import DegenerateInputError, ParameterError
 from .linalg import DenseMatrix, LinearOperator, MatrixStats, compute_stats
 
 
-class OpCounter:
-    """Debug accumulator for the sampler's work units."""
-
-    __slots__ = ("ops",)
-
-    def __init__(self):
-        self.ops = 0
-
-    def add(self, amount: int) -> None:
-        self.ops += int(amount)
-
-
 class SampleSet:
     """Observed entries (i, j, value, weight).
 
@@ -208,27 +196,19 @@ def draw_bernoulli(plan: SamplingPlan, seed: int = 0) -> SampleSet:
     return S
 
 
-def draw_multinomial(
-    plan: SamplingPlan,
-    seed: int = 0,
-    counter: OpCounter | None = None,
-    draw_log: list | None = None,
-) -> SampleSet:
+def draw_multinomial(plan: SamplingPlan, seed: int = 0) -> SampleSet:
     """m total draws from ``plan.matrix`` via row marginal then within-row columns.
 
     Draws collapse to one stored entry per distinct cell; the stored weight is
     the reciprocal of the Bernoulli inclusion probability, not a
     collision-corrected one.  Each touched row builds two length-d tables, so
     the cost is O(d) per touched row, O(n d) on dense input, and the sampler is
-    slower than ``draw_bernoulli``.  ``counter`` (when given) accumulates work
-    units and ``draw_log`` records every raw (i, j) draw before deduplication.
+    slower than ``draw_bernoulli``.  Row i draws its columns from the stream
+    (seed, TAG_ROW_DRAWS, i).
     """
     M = plan.matrix
     n, d = plan.n, plan.d
-    log_d = max(1, int(np.ceil(np.log2(max(d, 2)))))
     counts = rng.stream(seed, rng.TAG_ROW_COUNTS).multinomial(plan.m, plan.row_marginal)
-    if counter is not None:
-        counter.add(n + plan.m)
     rows_acc, cols_acc, vals_acc, wts_acc = [], [], [], []
     for i in np.flatnonzero(counts):
         row = M.row(i)
@@ -237,18 +217,12 @@ def draw_multinomial(
         draws = rng.stream(seed, rng.TAG_ROW_DRAWS, i).choice(
             d, size=int(counts[i]), replace=True, p=weights_in_row
         )
-        if draw_log is not None:
-            draw_log.extend((int(i), int(j)) for j in draws)
         js = np.unique(draws)
         p = np.minimum(plan.intensity_row(i)[js], 1.0)
         rows_acc.append(np.full(js.size, i, dtype=np.int64))
         cols_acc.append(js)
         vals_acc.append(row[js])
         wts_acc.append(1.0 / p)
-        if counter is not None:
-            # two O(d) table builds (within-row law, intensity row) plus the
-            # binary-search cost of the draws themselves
-            counter.add(2 * d + int(counts[i]) * log_d)
     M.note_pass()
     return _concat_samples(n, d, rows_acc, cols_acc, vals_acc, wts_acc)
 

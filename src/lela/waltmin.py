@@ -97,13 +97,13 @@ def initialize(
 
 def als_half_step(
     fixed: np.ndarray, S_t: SampleSet, side: str, eig_floor: float = 0.0
-) -> tuple[np.ndarray, np.ndarray]:
+) -> np.ndarray:
     """One exact weighted least-squares half step.
 
     For side "update-V" the left factor is fixed and every column j solves its
     r x r normal system over the samples observed in that column; "update-U"
-    is the symmetric row update.  Returns the new factor and the indices that
-    had no samples (their rows are zero).  ``eig_floor`` > 0 drops
+    is the symmetric row update.  Returns the new factor; an index with no
+    samples gets a zero row.  ``eig_floor`` > 0 drops
     under-informed directions of the normal matrices (see
     pseudo_solve_spd_batch); the default keeps the solves exact.
     """
@@ -116,9 +116,7 @@ def als_half_step(
     else:
         group, other, out_dim = S_t.rows, S_t.cols, S_t.n
     B, z = normal_equations(group, fixed[other], S_t.weights, S_t.vals, out_dim)
-    factor = pseudo_solve_spd_batch(B, z, eig_floor=eig_floor)
-    observed = np.bincount(group, minlength=out_dim) > 0
-    return factor, np.flatnonzero(~observed)
+    return pseudo_solve_spd_batch(B, z, eig_floor=eig_floor)
 
 
 def waltmin(
@@ -162,8 +160,8 @@ def waltmin(
     for t in range(T):
         sv = parts[2 * t + 1] if parts is not None else S
         su = parts[2 * t + 2] if parts is not None else S
-        v_raw, _ = als_half_step(u_hat, sv, UPDATE_V, eig_floor=LS_EIG_FLOOR)
+        v_raw = als_half_step(u_hat, sv, UPDATE_V, eig_floor=LS_EIG_FLOOR)
         v_hat = orthonormal_columns(v_raw)
-        u_raw, _ = als_half_step(v_hat, su, UPDATE_U, eig_floor=LS_EIG_FLOOR)
+        u_raw = als_half_step(v_hat, su, UPDATE_U, eig_floor=LS_EIG_FLOOR)
         u_hat = orthonormal_columns(u_raw)
     return Factorization(u_raw, v_hat)

@@ -7,8 +7,8 @@ rows by one eigendecomposition each, and the distributed sample by its own
 per-row loop.  The per-cell sampling intensity is the exception: it is read
 off the plan's own row law, so a test can address one cell.  The last three
 functions are helpers the tests share and the library has no use for: the
-weighted training objective, a budget that saturates every cell, and a
-matrix writer.
+weighted training objective, a budget that saturates every cell, a matrix
+writer, and the multinomial sampler's work count.
 """
 import numpy as np
 import scipy.io
@@ -30,16 +30,13 @@ def naive_stats(arr):
     row_sq = np.zeros(n)
     col_sq = np.zeros(d)
     row_l1 = np.zeros(n)
-    nnz = 0
     for i in range(n):
         for j in range(d):
             v = arr[i, j]
             row_sq[i] += v * v
             col_sq[j] += v * v
             row_l1[i] += abs(v)
-            if v != 0.0:
-                nnz += 1
-    return row_sq, col_sq, row_l1, float(row_sq.sum()), float(row_l1.sum()), nnz
+    return row_sq, col_sq, row_l1, float(row_sq.sum()), float(row_l1.sum())
 
 
 def cyclic_jacobi_eigh(S, sweeps=60, tol=1e-15):
@@ -249,3 +246,14 @@ def saturating_sample_count(M):
 def write_matrix(path, M):
     """Write a matrix as a MatrixMarket array file."""
     scipy.io.mmwrite(path, M.data)
+
+
+def multinomial_work(S, m):
+    """Work units of ``draw_multinomial`` that returned S from a budget of m.
+
+    One pass over the n row counts and the m draws, two length-d tables per
+    touched row, and a binary search of ceil(log2 d) steps per draw.  Every
+    touched row keeps at least one cell, so the touched rows are those of S.
+    """
+    log_d = max(1, int(np.ceil(np.log2(max(S.d, 2)))))
+    return S.n + m + 2 * S.d * np.unique(S.rows).size + m * log_d

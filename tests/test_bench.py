@@ -1,6 +1,9 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+import lela.bench as lela_bench
 import oracles
 from lela import (
     DenseMatrix,
@@ -14,6 +17,12 @@ from lela import (
 from lela.bench import CSV_HEADER, write_rows_csv
 
 
+@pytest.fixture
+def fixed_clock(monkeypatch):
+    """A clock that always reads 0, so every row's wall time is 0.0."""
+    monkeypatch.setattr(lela_bench, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+
+
 def test_gen_powerlaw_unit_spectrum_and_orthonormal():
     M, dec = gen_powerlaw(40, 30, 4, 0.7, seed=0)
     assert np.allclose(dec.sigma_star, np.ones(4))
@@ -22,7 +31,7 @@ def test_gen_powerlaw_unit_spectrum_and_orthonormal():
     sigma = np.linalg.svd(M.data, compute_uv=False)
     assert np.allclose(sigma[:4], 1.0, atol=1e-10)
     assert np.all(sigma[4:] <= 1e-10)
-    assert dec.kappa == 1.0
+    assert dec.sigma_star[0] / dec.sigma_star[-1] == 1.0
 
 
 def test_gen_powerlaw_incoherent_leverage():
@@ -105,18 +114,19 @@ def test_gaussian_projection_validation_and_determinism():
     assert np.array_equal(a.u, b.u)
 
 
-def test_experiment_single_cell_single_row():
+def test_experiment_single_cell_single_row(fixed_clock):
     cfg = ExperimentConfig(
         n=30, d=30, r=2, alpha=0.0, noise_levels=[0.05], m_grid=[30 * 2 * 4],
         trials=1, iterations=3, seed=1, algorithms=["lela"],
     )
-    rows = run_experiment(cfg, time_fn=lambda: 0.0)
+    rows = run_experiment(cfg)
     assert len(rows) == 1
     assert rows[0].status == "ok"
+    assert rows[0].wall_time == 0.0
     assert rows[0].spectral_err is not None
 
 
-def test_experiment_csv_schema_and_rerun_identical(tmp_path):
+def test_experiment_csv_schema_and_rerun_identical(tmp_path, fixed_clock):
     cfg = ExperimentConfig(
         n=24, d=24, r=2, alpha=0.0, noise_levels=[0.01, 0.1], m_grid=[24 * 2 * 4],
         trials=2, iterations=2, seed=3,
@@ -124,22 +134,22 @@ def test_experiment_csv_schema_and_rerun_identical(tmp_path):
     )
     p1 = tmp_path / "a.csv"
     p2 = tmp_path / "b.csv"
-    run_experiment(cfg, out_path=p1, time_fn=lambda: 0.0)
-    run_experiment(cfg, out_path=p2, time_fn=lambda: 0.0)
+    run_experiment(cfg, out_path=p1)
+    run_experiment(cfg, out_path=p2)
     b1, b2 = p1.read_bytes(), p2.read_bytes()
     assert b1 == b2
     header = b1.decode().splitlines()[0]
     assert header == ",".join(CSV_HEADER)
 
 
-def test_experiment_records_error_rows_and_continues():
+def test_experiment_records_error_rows_and_continues(fixed_clock):
     # l = m // n = 2 < r forces a parameter error inside the projection cell
     cfg = ExperimentConfig(
         n=20, d=20, r=4, alpha=0.0, noise_levels=[0.05], m_grid=[40, 20 * 4 * 8],
         trials=1, iterations=2, seed=5,
         algorithms=["gaussian-projection", "lela"],
     )
-    rows = run_experiment(cfg, time_fn=lambda: 0.0)
+    rows = run_experiment(cfg)
     statuses = [(r.algorithm, r.m, r.status) for r in rows]
     assert ("gaussian-projection", 40, "error:ParameterError") in statuses
     assert [r.l for r in rows if r.algorithm == "gaussian-projection"] == [2, 32]
@@ -147,13 +157,13 @@ def test_experiment_records_error_rows_and_continues():
     assert len(rows) == 4
 
 
-def test_experiment_covers_product_and_covariance_families():
+def test_experiment_covers_product_and_covariance_families(fixed_clock):
     cfg = ExperimentConfig(
         n=30, d=30, r=2, alpha=0.0, noise_levels=[0.05], m_grid=[30 * 2 * 8],
         trials=1, iterations=3, seed=7,
         algorithms=["product-direct", "product-stagewise", "covariance-direct"],
     )
-    rows = run_experiment(cfg, time_fn=lambda: 0.0)
+    rows = run_experiment(cfg)
     assert [r.algorithm for r in rows] == [
         "product-direct",
         "product-stagewise",
@@ -164,13 +174,24 @@ def test_experiment_covers_product_and_covariance_families():
     assert direct < staged  # the adversarial instance defeats the stagewise path
 
 
-def test_experiment_distpca_algorithm_runs():
+def test_experiment_distpca_algorithm_runs(fixed_clock):
     cfg = ExperimentConfig(
         n=24, d=24, r=2, alpha=0.0, noise_levels=[0.05], m_grid=[24 * 2 * 8],
         trials=1, iterations=2, seed=9, algorithms=["distpca"], servers=3, init_rounds=3,
     )
-    rows = run_experiment(cfg, time_fn=lambda: 0.0)
+    rows = run_experiment(cfg)
     assert rows[0].status == "ok"
+
+
+def test_experiment_records_adversarial_product_size_error(fixed_clock):
+    # n = 3 < 2r: the product instance is refused and the grid goes on
+    cfg = ExperimentConfig(
+        n=3, d=3, r=2, alpha=0.0, noise_levels=[0.05], m_grid=[30],
+        trials=2, iterations=2, seed=11, algorithms=["product-direct"],
+    )
+    rows = run_experiment(cfg)
+    assert [r.status for r in rows] == ["error:ParameterError"] * 2
+    assert all(r.spectral_err is None and r.wall_time == 0.0 for r in rows)
 
 
 def test_config_validation():

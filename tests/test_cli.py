@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import lela
 import lela.cli as cli
 from lela import (
     DenseMatrix,
@@ -197,6 +203,10 @@ def test_budget_from_projection_dimension(capsys):
         ["distpca", "--matrix", "{tmp}/m30.mtx", "--config", "{tmp}/n.conf"],
         ["product", "--matrix", "{tmp}/m30.mtx", "--matrix-b", "{tmp}/m30t.mtx", "--n", "30"],
         ["product", "--matrix-b", "{tmp}/m30t.mtx", "--rank", "2"],
+        # mmread would drop the imaginary parts
+        ["lela", "--matrix", "{tmp}/complex.mtx", "--rank", "1"],
+        # the adversarial product needs n >= 2r
+        ["product", "--n", "3", "--rank", "2"],
     ],
 )
 def test_malformed_outside_input_is_parameter_error(tmp_path, capsys, monkeypatch, argv):
@@ -217,10 +227,27 @@ def test_malformed_outside_input_is_parameter_error(tmp_path, capsys, monkeypatc
     (tmp_path / "big.mtx").write_text(
         "%%MatrixMarket matrix coordinate real general\n2001 2001 2\n1 1 1.0\n2001 2001 2.0\n"
     )
+    (tmp_path / "complex.mtx").write_text(
+        "%%MatrixMarket matrix coordinate complex general\n2 2 2\n1 1 1.0 2.0\n2 2 3.0 -1.0\n"
+    )
     code = main([a.format(tmp=tmp_path) for a in argv])
     assert code == cli.EXIT_PARAMETER
     assert capsys.readouterr().err.startswith("parameter error: ")
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize("shape", ["0 0", "0 3"])
+def test_empty_array_header_is_parameter_error(tmp_path, shape):
+    # in a child process: reading such a file with mmread kills the process
+    path = tmp_path / "empty.mtx"
+    path.write_text(f"%%MatrixMarket matrix array real general\n{shape}\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(lela.__file__).resolve().parents[1])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "lela.cli", "lela", "--matrix", str(path)],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert proc.returncode == cli.EXIT_PARAMETER
+    assert proc.stderr.startswith("parameter error: ")
 
 
 @pytest.mark.parametrize(

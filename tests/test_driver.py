@@ -92,17 +92,20 @@ def test_evaluate_zero_factor_gives_frobenius_norm():
 
 
 def test_streaming_fro_matches_naive_loop():
+    # 9000 columns span three column blocks, the last one partial
+    n, d = 3, 9000
+    assert 2 * lela_driver.FRO_BLOCK < d < 3 * lela_driver.FRO_BLOCK
     g = np.random.default_rng(9)
-    arr = g.standard_normal((14, 11))
+    arr = g.standard_normal((n, d))
     M = DenseMatrix(arr)
-    F = Factorization(g.standard_normal((14, 2)), g.standard_normal((11, 2)))
+    F = Factorization(g.standard_normal((n, 2)), g.standard_normal((d, 2)))
     naive = 0.0
     dense = F.dense()
-    for i in range(14):
-        for j in range(11):
+    for i in range(n):
+        for j in range(d):
             naive += (arr[i, j] - dense[i, j]) ** 2
     naive = np.sqrt(naive)
-    assert abs(streaming_fro_error(M, F, block=3) - naive) <= 1e-10 * naive
+    assert abs(streaming_fro_error(M, F) - naive) <= 1e-10 * naive
 
 
 def test_oracle_guard_refuses_large_input(monkeypatch):

@@ -4,9 +4,8 @@ import scipy.stats
 
 import oracles
 from lela import DegenerateInputError, DenseMatrix, ParameterError
-from lela.linalg import compute_stats
+from lela import rng as lrng
 from lela.sampling import (
-    OpCounter,
     SampleSet,
     build_plan,
     build_product_plan,
@@ -93,23 +92,47 @@ def test_bernoulli_inclusion_frequencies_within_four_stderr():
     assert np.all(np.abs(freq[mask] - probs[mask]) <= 4 * stderr[mask] + 1e-12)
 
 
-def test_multinomial_single_row_law_chisquare():
+class _ChoiceRecorder:
+    """Stand-in for one row's generator that logs each raw (row, column) draw."""
+
+    def __init__(self, gen, row, log):
+        self._gen, self._row, self._log = gen, row, log
+
+    def choice(self, *args, **kwargs):
+        draws = self._gen.choice(*args, **kwargs)
+        self._log.extend((self._row, int(j)) for j in draws)
+        return draws
+
+
+def record_row_draws(monkeypatch):
+    """Log every column the multinomial sampler draws, before deduplication."""
+    log = []
+    stream = lrng.stream
+
+    def recording_stream(seed, *path):
+        gen = stream(seed, *path)
+        if path[0] == lrng.TAG_ROW_DRAWS:
+            return _ChoiceRecorder(gen, int(path[1]), log)
+        return gen
+
+    monkeypatch.setattr(lrng, "stream", recording_stream)
+    return log
+
+
+def test_multinomial_single_row_law_chisquare(monkeypatch):
     arr = np.abs(np.random.default_rng(5).standard_normal((1, 8))) + 0.2
     M = DenseMatrix(arr)
     plan = build_plan(M, 40)
     stats = plan.stats
     weights = 0.5 * stats.col_sq_norms / stats.fro_sq + 0.5 * np.abs(arr[0]) / stats.l11
     law = weights / weights.sum()
-    counts = np.zeros(8)
-    total = 0
+    log = record_row_draws(monkeypatch)
     for t in range(50):
-        log = []
-        S = draw_multinomial(plan, seed=t, draw_log=log)
-        assert all(i == 0 for i, _ in log)  # single row takes every draw
-        for _, j in log:
-            counts[j] += 1
-            total += 1
-    _, p = scipy.stats.chisquare(counts, law * total)
+        draw_multinomial(plan, seed=t)
+    assert len(log) == 50 * 40  # every draw is logged, all from the single row
+    assert all(i == 0 for i, _ in log)
+    counts = np.bincount([j for _, j in log], minlength=8)
+    _, p = scipy.stats.chisquare(counts, law * len(log))
     assert p > 0.001
 
 
@@ -169,14 +192,12 @@ def test_weighted_reconstruction_unbiased():
 
 
 def test_sample_counter_budget():
-    counter = OpCounter()
     arr = np.random.default_rng(11).standard_normal((40, 30))
     M = DenseMatrix(arr)
-    plan = build_plan(M, 300)
-    draw_multinomial(plan, seed=0, counter=counter)
-    nnz = compute_stats(DenseMatrix(arr)).nnz
+    S = draw_multinomial(build_plan(M, 300), seed=0)
+    nnz = np.count_nonzero(arr)
     budget = 4 * (nnz + 300 * np.ceil(np.log2(30)))
-    assert 0 < counter.ops <= budget
+    assert 0 < oracles.multinomial_work(S, 300) <= budget
 
 
 def test_product_plan_identity_hand_values():
