@@ -116,17 +116,27 @@ def communication_bound(d: int, s: int, omega: int, r: int, init_rounds: int) ->
 
 @dataclass
 class ServerShard:
-    """One server's state: its rows, its samples, and the columns it touches."""
+    """One server's state: its rows, its samples, and the columns it touches.
+
+    ``local_pos[k]`` is the position in ``row_set`` of sample k's row.
+    """
 
     server_id: int
     row_set: np.ndarray
     local_rows: np.ndarray
     local_samples: SampleSet | None = None
+    local_pos: np.ndarray | None = None
     touched_cols: np.ndarray | None = None
 
     @property
     def n_local(self) -> int:
         return int(self.row_set.size)
+
+    def hold(self, samples: SampleSet) -> None:
+        """Keep the server's samples with their local row positions and columns."""
+        self.local_samples = samples
+        self.local_pos = np.searchsorted(self.row_set, samples.rows)
+        self.touched_cols = samples.observed_cols()
 
 
 def partition_rows(
@@ -188,10 +198,9 @@ def dist_sample(shards: list[ServerShard], m: int, ledger: CommLedger, seed: int
             q = m * ((row_sq[k] + col_sq) / (2.0 * n * fro_sq) + np.abs(rows[k]) / l11)
             return np.minimum(q, 1.0)
 
-        sh.local_samples = draw_bernoulli_rows(
+        sh.hold(draw_bernoulli_rows(
             n, d, sh.row_set, prob_row, lambda k, js: rows[k, js], seed, rng.TAG_DIST_SAMPLE
-        )
-        sh.touched_cols = sh.local_samples.observed_cols()
+        ))
         if sh.touched_cols.size:
             ledger.record(round_no, DIR_UP, KIND_COL_LISTS, int(sh.touched_cols.size))
 
@@ -241,19 +250,21 @@ def dist_init(
     return Y
 
 
-def _rows_ls_update(samples: SampleSet, row_ids: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """Weighted LS update of the given rows against fixed V (local, no comm)."""
-    local_pos = np.searchsorted(row_ids, samples.rows)
+def _rows_ls_update(sh: ServerShard, V: np.ndarray) -> np.ndarray:
+    """Weighted LS update of the server's rows against fixed V (local, no comm)."""
+    samples = sh.local_samples
     B, z = normal_equations(
-        local_pos, V[samples.cols], samples.weights, samples.vals, row_ids.size
+        sh.local_pos, V, samples.cols, samples.weights, samples.vals, sh.n_local
     )
     return pseudo_solve_spd_batch(B, z, eig_floor=LS_EIG_FLOOR)
 
 
-def _column_messages(samples: SampleSet, row_ids: np.ndarray, U_local: np.ndarray, d: int):
+def _column_messages(sh: ServerShard, U_local: np.ndarray, d: int):
     """Per-column (B_j, z_j) partial sums from one server's samples."""
-    local_pos = np.searchsorted(row_ids, samples.rows)
-    return normal_equations(samples.cols, U_local[local_pos], samples.weights, samples.vals, d)
+    samples = sh.local_samples
+    return normal_equations(
+        samples.cols, U_local, sh.local_pos, samples.weights, samples.vals, d
+    )
 
 
 def dist_waltmin_round(
@@ -273,9 +284,9 @@ def dist_waltmin_round(
     z_total = np.zeros((d, r))
     b_total = np.zeros((d, r, r))
     for sh in shards:  # fixed ascending server id
-        u_local = _rows_ls_update(sh.local_samples, sh.row_set, V_current)
+        u_local = _rows_ls_update(sh, V_current)
         u_blocks.append(u_local)
-        b_k, z_k = _column_messages(sh.local_samples, sh.row_set, u_local, d)
+        b_k, z_k = _column_messages(sh, u_local, d)
         z_total = z_total + z_k
         b_total = b_total + b_k
         if sh.touched_cols.size:

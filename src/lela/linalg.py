@@ -208,47 +208,99 @@ def topk_svd(
 
 
 def normal_equations(
-    group: np.ndarray, G: np.ndarray, w: np.ndarray, y: np.ndarray, out_dim: int
+    group: np.ndarray,
+    fixed: np.ndarray,
+    other: np.ndarray,
+    w: np.ndarray,
+    y: np.ndarray,
+    out_dim: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Stacked weighted normal systems B: (out_dim, r, r), z: (out_dim, r).
 
-    Observation k adds w_k G_k G_k^T to B[group_k] and w_k y_k G_k to
-    z[group_k]; a group with no observations gets zeros.  Each entry of the
-    packed upper triangle (a <= b) is one bincount, mirrored below it.
+    Observation k regresses y_k on the row g_k = fixed[other_k] of the fixed
+    factor: it adds w_k g_k g_k^T to B[group_k] and w_k y_k g_k to
+    z[group_k]; a group with no observations gets zeros.  The kernel gathers
+    the regressors itself, once, as r contiguous rows of length m.  Each
+    entry of the packed upper triangle (a <= b) is one bincount of
+    (w g_a) g_b in sample order, mirrored below it.
     """
-    r = G.shape[1]
+    r = fixed.shape[1]
+    G = np.take(fixed.T, other, axis=1)
     wy = w * y
+    wg = np.empty_like(wy)
+    prod = np.empty_like(wy)
     B = np.empty((out_dim, r, r))
     z = np.empty((out_dim, r))
     for a in range(r):
-        z[:, a] = np.bincount(group, weights=wy * G[:, a], minlength=out_dim)
+        np.multiply(wy, G[a], out=prod)
+        z[:, a] = np.bincount(group, weights=prod, minlength=out_dim)
+        np.multiply(w, G[a], out=wg)
         for b in range(a, r):
-            acc = np.bincount(group, weights=w * G[:, a] * G[:, b], minlength=out_dim)
+            np.multiply(wg, G[b], out=prod)
+            acc = np.bincount(group, weights=prod, minlength=out_dim)
             B[:, a, b] = acc
             B[:, b, a] = acc
     return B, z
 
 
+def _clears_shifted_cholesky(C: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """Mask of the systems k for which C_k - shift_k I has a Cholesky factor.
+
+    One column-by-column factorization runs over the whole stack, entry by
+    entry of the lower triangle, each step one vector op over all k.  A
+    system fails at its first pivot that is not positive (NaN included).
+    """
+    r = C.shape[1]
+    A = C.transpose(1, 2, 0)
+    L = np.zeros((r, r, C.shape[0]))
+    ok = np.ones(C.shape[0], dtype=bool)
+    for j in range(r):
+        Lj = L[j, :j]
+        pivot = A[j, j] - shift - np.einsum("pk,pk->k", Lj, Lj)
+        ok &= pivot > 0.0
+        root = np.sqrt(np.where(ok, pivot, 1.0))
+        for i in range(j + 1, r):
+            L[i, j] = (A[i, j] - np.einsum("pk,pk->k", L[i, :j], Lj)) / root
+    return ok
+
+
 def pseudo_solve_spd_batch(B: np.ndarray, z: np.ndarray, eig_floor: float) -> np.ndarray:
     """Solve B_k x_k = z_k over stacks B: (k, r, r) of symmetric PSD matrices.
 
-    Eigendirections below 1e-10 * trace(B_k)/r are dropped, giving the
-    minimum-norm solution when B_k is singular to working precision (a zero
-    B_k returns the zero vector).  ``eig_floor`` additionally drops
-    eigendirections below an absolute threshold.  Solver loops use it with
-    factors orthonormalized and weights equal to reciprocal inclusion
-    probabilities, where each B concentrates near the identity; directions
-    carrying far less than unit information are then too noisy to invert and
-    are zeroed instead.
+    The rule: with tau_k = max(1e-10 * trace(B_k)/r, eig_floor, 0), every
+    eigendirection of B_k with eigenvalue at or below tau_k is dropped and the
+    rest are inverted.  That is the minimum-norm solution when B_k is
+    singular to working precision (a zero B_k returns the zero vector).
+    ``eig_floor`` is an absolute threshold: solver loops use it with factors
+    orthonormalized and weights equal to reciprocal inclusion probabilities,
+    where each B concentrates near the identity; directions carrying far less
+    than unit information are then too noisy to invert and are zeroed instead.
+
+    The rule is applied in two tiers.  A system whose shifted matrix
+    B_k - (tau_k + 1e-8 * trace(B_k)/r) I has a Cholesky factor has every
+    eigenvalue above tau_k by a margin far larger than the rounding of either
+    the factorization or ``eigh``, so the rule keeps all of its directions and
+    it is solved directly (LU).  Only the systems that fail this gate are
+    eigendecomposed.  The kept directions are those of the rule on every
+    system; the solved values differ from a full eigendecomposition only by
+    rounding.
     """
-    lam, Q = np.linalg.eigh(B)
-    traces = np.einsum("kii->k", B)
-    tol = np.maximum(1e-10 * traces / B.shape[1], eig_floor)
-    keep = lam > np.maximum(tol, 0.0)[:, None]
+    r = B.shape[1]
+    scale = np.einsum("kii->k", B) / r
+    tol = np.maximum(np.maximum(1e-10 * scale, eig_floor), 0.0)
+    clear = _clears_shifted_cholesky(B, tol + 1e-8 * scale)
+    if clear.all():  # skips the masked copies on the common all-clear stack
+        return np.linalg.solve(B, z[..., None])[..., 0]
+    x = np.empty_like(z)
+    x[clear] = np.linalg.solve(B[clear], z[clear][..., None])[..., 0]
+    rest = ~clear
+    lam, Q = np.linalg.eigh(B[rest])
+    keep = lam > tol[rest][:, None]
     inv = np.zeros_like(lam)
     inv[keep] = 1.0 / lam[keep]
-    coeff = np.einsum("kir,ki->kr", Q, z)
-    return np.einsum("kir,kr->ki", Q, inv * coeff)
+    coeff = np.einsum("kir,ki->kr", Q, z[rest])
+    x[rest] = np.einsum("kir,kr->ki", Q, inv * coeff)
+    return x
 
 
 def spectral_error(M: DenseMatrix, F: Factorization, iters: int = 200, seed: int = 0) -> float:

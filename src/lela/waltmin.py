@@ -115,7 +115,7 @@ def als_half_step(
         group, other, out_dim = S_t.cols, S_t.rows, S_t.d
     else:
         group, other, out_dim = S_t.rows, S_t.cols, S_t.n
-    B, z = normal_equations(group, fixed[other], S_t.weights, S_t.vals, out_dim)
+    B, z = normal_equations(group, fixed, other, S_t.weights, S_t.vals, out_dim)
     return pseudo_solve_spd_batch(B, z, eig_floor=eig_floor)
 
 

@@ -3,10 +3,11 @@
 These deliberately avoid the code paths under test: statistics by explicit
 double loops, SVD via cyclic Jacobi on the Gram matrix, orthonormalization by
 modified Gram-Schmidt, 2x2 solves by the closed-form inverse, least-squares
-rows by one eigendecomposition each, and the distributed sample by its own
-per-row loop.  The per-cell sampling intensity is the exception: it is read
-off the plan's own row law, so a test can address one cell.  The last three
-functions are helpers the tests share and the library has no use for: the
+rows by one eigendecomposition each, the weighted normal equations by a
+per-observation loop, and the distributed sample by its own per-row loop.
+The per-cell sampling intensity is the exception: it is read off the plan's
+own row law, so a test can address one cell.  The last four functions are
+helpers the tests share and the library has no use for: the
 weighted training objective, a budget that saturates every cell, a matrix
 writer, and the multinomial sampler's work count.
 """
@@ -127,21 +128,45 @@ def spectral_norm_dense(arr):
     return float(np.linalg.svd(np.asarray(arr, dtype=np.float64), compute_uv=False)[0])
 
 
-def pseudo_solve_spd(B, z):
+def pseudo_solve_spd(B, z, eig_floor=0.0):
     """Solve B x = z for symmetric PSD B with eigenvalue thresholding.
 
-    Eigendirections below 1e-10 * trace(B)/r are dropped, giving the
-    minimum-norm solution when B is singular to working precision.  A zero B
-    returns the zero vector.
+    Eigendirections at or below max(1e-10 * trace(B)/r, eig_floor) are
+    dropped, giving the minimum-norm solution when B is singular to working
+    precision.  A zero B returns the zero vector.
     """
     lam, Q = np.linalg.eigh(B)
-    tol = 1e-10 * np.trace(B) / B.shape[0]
+    tol = max(1e-10 * np.trace(B) / B.shape[0], eig_floor)
     if tol <= 0.0:
         return np.zeros_like(z)
     keep = lam > tol
     inv = np.zeros_like(lam)
     inv[keep] = 1.0 / lam[keep]
     return Q @ (inv * (Q.T @ z))
+
+
+def normal_equations_loop(group, fixed, other, w, y, out_dim):
+    """Per-observation loop over the weighted normal systems, in sample order.
+
+    Observation k adds (w_k g_a) g_b to B[group_k, a, b] for a <= b and
+    (w_k y_k) g_a to z[group_k, a], with g = fixed[other_k]; the upper
+    triangle is mirrored below at the end.
+    """
+    r = fixed.shape[1]
+    B = np.zeros((out_dim, r, r))
+    z = np.zeros((out_dim, r))
+    for k in range(len(group)):
+        i, g = group[k], fixed[other[k]]
+        wy = w[k] * y[k]
+        for a in range(r):
+            z[i, a] += wy * g[a]
+            wg = w[k] * g[a]
+            for b in range(a, r):
+                B[i, a, b] += wg * g[b]
+    for a in range(r):
+        for b in range(a + 1, r):
+            B[:, b, a] = B[:, a, b]
+    return B, z
 
 
 def solve_weighted_row_ls(targets, rank):
@@ -216,9 +241,9 @@ def centralized_reference(M, r, m, iterations, init_rounds=10, seed=0):
     V = Y
     U = np.zeros((n, r))
     for _ in range(iterations):
-        B, z = normal_equations(samples.rows, V[samples.cols], samples.weights, samples.vals, n)
+        B, z = normal_equations(samples.rows, V, samples.cols, samples.weights, samples.vals, n)
         U = pseudo_solve_spd_batch(B, z, eig_floor=0.0)
-        B, z = normal_equations(samples.cols, U[samples.rows], samples.weights, samples.vals, d)
+        B, z = normal_equations(samples.cols, U, samples.rows, samples.weights, samples.vals, d)
         V = pseudo_solve_spd_batch(B, z, eig_floor=0.0)
     return Factorization(U, V)
 

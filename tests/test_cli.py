@@ -129,7 +129,23 @@ def test_covariance_subcommand(capsys):
         "--iters", "3", "--seed", "6",
     ])
     assert code == 0
-    assert "max asymmetry" in capsys.readouterr().out
+    assert "spectral asymmetry" in capsys.readouterr().out
+
+
+def test_covariance_spectral_asymmetry_matches_dense(tmp_path, capsys):
+    # a lean budget, so the two factors differ and the asymmetry is not ~0
+    prefix = tmp_path / "cov"
+    code = main([
+        "covariance", "--n", "30", "--d", "10", "--rank", "2", "--m", "300",
+        "--iters", "2", "--noise", "0.5", "--seed", "6", "--save-factors", str(prefix),
+    ])
+    assert code == 0
+    label = "spectral asymmetry of the output: "
+    printed = float(capsys.readouterr().out.split(label)[1].split()[0])
+    F, _ = load_factorization(prefix)
+    P = F.dense()
+    assert printed > 1e-3
+    assert abs(printed - np.linalg.norm(P - P.T, 2)) <= 1e-10
 
 
 def test_distpca_subcommand_with_config_and_ledger(tmp_path, capsys):

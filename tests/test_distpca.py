@@ -232,10 +232,8 @@ def test_disjoint_touched_columns_aggregation_is_copy():
     shards = partition_rows(M, 2, policy="contiguous")
     s0 = SampleSet(n, d, [0, 1, 2, 0], [0, 1, 2, 1], arr[[0, 1, 2, 0], [0, 1, 2, 1]], np.ones(4))
     s1 = SampleSet(n, d, [3, 4, 5, 4], [3, 4, 5, 5], arr[[3, 4, 5, 4], [3, 4, 5, 5]], np.ones(4))
-    shards[0].local_samples = s0
-    shards[0].touched_cols = s0.observed_cols()
-    shards[1].local_samples = s1
-    shards[1].touched_cols = s1.observed_cols()
+    shards[0].hold(s0)
+    shards[1].hold(s1)
     ledger = CommLedger()
     V0 = orthonormal_columns(np.random.default_rng(1).standard_normal((d, r)))
     _, V_new = dist_waltmin_round([shards[0], shards[1]], V0, ledger)

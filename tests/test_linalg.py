@@ -7,6 +7,7 @@ from lela.linalg import (
     LinearOperator,
     compute_stats,
     low_rank_diff_spectral_norm,
+    normal_equations,
     pseudo_solve_spd_batch,
     qr_orthonormalize,
     spectral_error,
@@ -209,6 +210,93 @@ def test_pseudo_solve_batch_matches_single():
     batch = pseudo_solve_spd_batch(np.array(Bs), np.array(zs), eig_floor=0.0)
     for k in range(5):
         assert np.allclose(batch[k], oracles.pseudo_solve_spd(Bs[k], zs[k]), atol=1e-12)
+
+
+@pytest.mark.parametrize("r", [1, 3, 5])
+def test_normal_equations_bitwise_equal_to_loop(r):
+    g = np.random.default_rng(20 + r)
+    n, out_dim, m = 9, 7, 60
+    fixed = g.standard_normal((n, r))
+    fixed[4, 0] = -0.0
+    other = g.integers(0, n, m)
+    other[:3] = 4
+    group = g.integers(0, out_dim, m)
+    group[group == 5] = 6  # group 5 gets no observations
+    w = 1.0 / g.uniform(0.05, 1.0, m)
+    y = g.standard_normal(m)
+    B, z = normal_equations(group, fixed, other, w, y, out_dim)
+    B_ref, z_ref = oracles.normal_equations_loop(group, fixed, other, w, y, out_dim)
+    assert np.array_equal(B.view(np.int64), B_ref.view(np.int64))
+    assert np.array_equal(z.view(np.int64), z_ref.view(np.int64))
+    assert not B[5].any() and not z[5].any()
+
+
+def _spd_with_spectrum(g, lam):
+    Q = np.linalg.qr(g.standard_normal((lam.size, lam.size)))[0]
+    return (Q * lam) @ Q.T
+
+
+def _mixed_stack(g, eig_floor, r=4):
+    """Well-conditioned systems plus one each at the edges of the solve rule."""
+    top = np.array([1.3, 1.1, 0.9])
+    Bs = [_spd_with_spectrum(g, g.uniform(0.5, 2.0, r)) for _ in range(5)]
+    # tau = max(1e-10 * trace / r, eig_floor); the Cholesky gate adds
+    # 1e-8 * trace / r.  The smallest eigenvalue sits half way into that
+    # margin (kept), or 1e-6 below tau (dropped).
+    for c in (0.5e-8, -1e-6):
+        if eig_floor > 0.0:
+            lam_min = eig_floor + c * (top.sum() + eig_floor) / r
+        else:  # solve lam_min = (1e-10 + c) * (top.sum() + lam_min) / r
+            c = max(c, -0.5e-10)
+            lam_min = (1e-10 + c) * top.sum() / (r - 1e-10 - c)
+        Bs.append(_spd_with_spectrum(g, np.append(top, lam_min)))
+    X = g.standard_normal((r, 2))
+    Bs.append(X @ X.T)  # rank 2
+    Bs.append(np.zeros((r, r)))
+    B = np.array(Bs)
+    z = np.einsum("kij,kj->ki", B, g.standard_normal((len(Bs), r)))
+    z[-1] = g.standard_normal(r)
+    return B, z
+
+
+@pytest.mark.parametrize("eig_floor", [0.07, 0.0])
+def test_pseudo_solve_batch_mixed_stack_matches_eigen_oracle(eig_floor):
+    B, z = _mixed_stack(np.random.default_rng(30), eig_floor)
+    x = pseudo_solve_spd_batch(B, z, eig_floor=eig_floor)
+    kept = []
+    for k in range(B.shape[0]):
+        ref = oracles.pseudo_solve_spd(B[k], z[k], eig_floor=eig_floor)
+        lam, Q = np.linalg.eigh(B[k])
+        keep = lam > max(1e-10 * np.trace(B[k]) / B.shape[1], eig_floor)
+        kept.append(int(keep.sum()))
+        # dropped directions carry nothing; the kept part matches the oracle
+        # to 1e-12 relative, times the condition number of the kept block
+        assert np.abs(Q[:, ~keep].T @ x[k]).max(initial=0.0) <= 1e-12, k
+        cond = lam[keep].max() / lam[keep].min() if keep.any() else 1.0
+        assert np.linalg.norm(x[k] - ref) <= 1e-12 * cond * max(1.0, np.linalg.norm(ref)), k
+    assert kept == [4] * 6 + [3, 2, 0]
+    assert not x[-1].any()
+
+
+def test_pseudo_solve_batch_all_clear_stack_skips_eigh(monkeypatch):
+    eigh = np.linalg.eigh
+    rows = []
+
+    def counting_eigh(a, *args, **kwargs):
+        rows.append(a.shape[0])
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    g = np.random.default_rng(31)
+    B = np.array([_spd_with_spectrum(g, g.uniform(0.5, 2.0, 5)) for _ in range(50)])
+    z = g.standard_normal((50, 5))
+    x = pseudo_solve_spd_batch(B, z, eig_floor=0.07)
+    assert rows == []
+    assert np.allclose(np.einsum("kij,kj->ki", B, x), z, rtol=0.0, atol=1e-12)
+    # a mixed stack eigendecomposes only the systems that fail the gate
+    B_mixed, z_mixed = _mixed_stack(g, 0.07)
+    pseudo_solve_spd_batch(B_mixed, z_mixed, eig_floor=0.07)
+    assert rows == [4]
 
 
 def test_spectral_error_exact_factorization_is_zero():
