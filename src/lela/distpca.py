@@ -31,7 +31,7 @@ from .errors import DegenerateInputError, ParameterError
 from .linalg import (
     DenseMatrix,
     Factorization,
-    normal_equations,
+    Grouping,
     orthonormal_columns,
     pseudo_solve_spd_batch,
 )
@@ -118,14 +118,16 @@ def communication_bound(d: int, s: int, omega: int, r: int, init_rounds: int) ->
 class ServerShard:
     """One server's state: its rows, its samples, and the columns it touches.
 
-    ``local_pos[k]`` is the position in ``row_set`` of sample k's row.
+    ``by_row`` groups the samples by their row's position in ``row_set`` and
+    ``by_col`` by their column; both are built once, when the samples arrive.
     """
 
     server_id: int
     row_set: np.ndarray
     local_rows: np.ndarray
     local_samples: SampleSet | None = None
-    local_pos: np.ndarray | None = None
+    by_row: Grouping | None = None
+    by_col: Grouping | None = None
     touched_cols: np.ndarray | None = None
 
     @property
@@ -133,9 +135,12 @@ class ServerShard:
         return int(self.row_set.size)
 
     def hold(self, samples: SampleSet) -> None:
-        """Keep the server's samples with their local row positions and columns."""
+        """Keep the server's samples, their two local layouts and their columns."""
         self.local_samples = samples
-        self.local_pos = np.searchsorted(self.row_set, samples.rows)
+        local_pos = np.searchsorted(self.row_set, samples.rows)
+        w, y = samples.weights, samples.vals
+        self.by_row = Grouping(local_pos, samples.cols, w, y, self.n_local, samples.d)
+        self.by_col = Grouping(samples.cols, local_pos, w, y, samples.d, self.n_local)
         self.touched_cols = samples.observed_cols()
 
 
@@ -230,7 +235,7 @@ def dist_init(
         round_no = ledger.advance_round()
         partials = []
         for sh in shards:
-            csr = sh.local_samples.weighted_csr()
+            csr = sh.by_row.matrix(sh.by_row.wy)
             # the product touches only the server's own Y block: csr has
             # support exactly on (row_set x touched_cols)
             partials.append(csr.T @ (csr @ Y))
@@ -250,23 +255,6 @@ def dist_init(
     return Y
 
 
-def _rows_ls_update(sh: ServerShard, V: np.ndarray) -> np.ndarray:
-    """Weighted LS update of the server's rows against fixed V (local, no comm)."""
-    samples = sh.local_samples
-    B, z = normal_equations(
-        sh.local_pos, V, samples.cols, samples.weights, samples.vals, sh.n_local
-    )
-    return pseudo_solve_spd_batch(B, z, eig_floor=LS_EIG_FLOOR)
-
-
-def _column_messages(sh: ServerShard, U_local: np.ndarray, d: int):
-    """Per-column (B_j, z_j) partial sums from one server's samples."""
-    samples = sh.local_samples
-    return normal_equations(
-        samples.cols, U_local, sh.local_pos, samples.weights, samples.vals, d
-    )
-
-
 def dist_waltmin_round(
     shards: list[ServerShard], V_current: np.ndarray, ledger: CommLedger
 ) -> tuple[list[np.ndarray], np.ndarray]:
@@ -284,9 +272,10 @@ def dist_waltmin_round(
     z_total = np.zeros((d, r))
     b_total = np.zeros((d, r, r))
     for sh in shards:  # fixed ascending server id
-        u_local = _rows_ls_update(sh, V_current)
+        B, z = sh.by_row.normal_equations(V_current)
+        u_local = pseudo_solve_spd_batch(B, z, eig_floor=LS_EIG_FLOOR)
         u_blocks.append(u_local)
-        b_k, z_k = _column_messages(sh, u_local, d)
+        b_k, z_k = sh.by_col.normal_equations(u_local)
         z_total = z_total + z_k
         b_total = b_total + b_k
         if sh.touched_cols.size:

@@ -115,8 +115,8 @@ def lela(
 
     ``mode`` selects the multinomial sampler (default) or the exact Bernoulli
     reference; despite drawing only m entries, the multinomial sampler builds
-    two length-d tables per touched row and is the slower of the two on dense
-    input.  ``split`` picks sample reuse (default) or fresh disjoint subsets
+    a length-d within-row law per touched row and is the slower of the two on
+    dense input.  ``split`` picks sample reuse (default) or fresh disjoint subsets
     per half step.  The factors are not scored here: call
     ``evaluate(M, report.factorization, r, seed=rng.derive_seed(seed,
     rng.TAG_SPECTRAL))`` for their errors.

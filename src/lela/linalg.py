@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse
 
 from . import rng
 from .errors import DegenerateInputError, ParameterError
@@ -207,40 +208,60 @@ def topk_svd(
     return OracleDecomposition(u_star=Ub, sigma_star=s, v_star=V)
 
 
-def normal_equations(
-    group: np.ndarray,
-    fixed: np.ndarray,
-    other: np.ndarray,
-    w: np.ndarray,
-    y: np.ndarray,
-    out_dim: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked weighted normal systems B: (out_dim, r, r), z: (out_dim, r).
+class Grouping:
+    """Weighted observations grouped by output index, in CSR form.
 
-    Observation k regresses y_k on the row g_k = fixed[other_k] of the fixed
-    factor: it adds w_k g_k g_k^T to B[group_k] and w_k y_k g_k to
-    z[group_k]; a group with no observations gets zeros.  The kernel gathers
-    the regressors itself, once, as r contiguous rows of length m.  Each
-    entry of the packed upper triangle (a <= b) is one bincount of
-    (w g_a) g_b in sample order, mirrored below it.
+    Observation k regresses y_k, with weight w_k, on the row fixed[other_k]
+    of a fixed factor and belongs to output group_k.  The layout keeps the
+    observations in group order (sample order within a group): the CSR row
+    pointer ``indptr`` and column index ``other``, stored in the index dtype
+    scipy keeps so no product re-checks or converts them, with ``w`` and
+    ``wy`` = w * y beside them.  Groups already in order are taken as given,
+    with no sort.  It is built once per sample set and side and serves every
+    half step over that set.
     """
-    r = fixed.shape[1]
-    G = np.take(fixed.T, other, axis=1)
-    wy = w * y
-    wg = np.empty_like(wy)
-    prod = np.empty_like(wy)
-    B = np.empty((out_dim, r, r))
-    z = np.empty((out_dim, r))
-    for a in range(r):
-        np.multiply(wy, G[a], out=prod)
-        z[:, a] = np.bincount(group, weights=prod, minlength=out_dim)
-        np.multiply(w, G[a], out=wg)
-        for b in range(a, r):
-            np.multiply(wg, G[b], out=prod)
-            acc = np.bincount(group, weights=prod, minlength=out_dim)
-            B[:, a, b] = acc
-            B[:, b, a] = acc
-    return B, z
+
+    __slots__ = ("out_dim", "n_other", "indptr", "other", "w", "wy")
+
+    def __init__(self, group, other, w, y, out_dim, n_other):
+        self.out_dim = int(out_dim)
+        self.n_other = int(n_other)
+        idx = scipy.sparse.get_index_dtype(maxval=max(self.out_dim, self.n_other, group.size))
+        self.indptr = np.zeros(self.out_dim + 1, dtype=idx)
+        np.cumsum(np.bincount(group, minlength=self.out_dim), out=self.indptr[1:])
+        wy = w * y
+        if np.any(group[1:] < group[:-1]):
+            order = np.argsort(group, kind="stable")  # keeps sample order within a group
+            other, w, wy = other[order], w[order], wy[order]
+        self.other = other.astype(idx)
+        self.w = w
+        self.wy = wy
+
+    def matrix(self, values: np.ndarray) -> scipy.sparse.csr_matrix:
+        """The (out_dim, n_other) CSR matrix holding ``values`` in layout order."""
+        return scipy.sparse.csr_matrix(
+            (values, self.other, self.indptr), shape=(self.out_dim, self.n_other)
+        )
+
+    def normal_equations(self, fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Stacked weighted normal systems B: (out_dim, r, r), z: (out_dim, r).
+
+        Observation k adds w_k g_k g_k^T to B[group_k] and w_k y_k g_k to
+        z[group_k], with g_k = fixed[other_k]; a group with no observations
+        gets zeros.  Row a of the packed upper triangle is one sparse product
+        E(w g_a) @ fixed[:, a:], mirrored below it, and z = E(w y) @ fixed.
+        Each product adds (w g_a) g_b into a zeroed output in layout order,
+        so every entry is summed in sample order within its group.
+        """
+        r = fixed.shape[1]
+        G = np.take(fixed.T, self.other, axis=1)
+        B = np.empty((self.out_dim, r, r))
+        z = self.matrix(self.wy) @ fixed
+        for a in range(r):
+            acc = self.matrix(self.w * G[a]) @ fixed[:, a:]
+            B[:, a, a:] = acc
+            B[:, a:, a] = acc
+        return B, z
 
 
 def _clears_shifted_cholesky(C: np.ndarray, shift: np.ndarray) -> np.ndarray:

@@ -14,9 +14,10 @@ The exact Bernoulli sampler visits every cell (O(n d), reference behavior).
 The multinomial sampler draws m entries by first drawing per-row counts from
 the row marginal and then drawing columns within each touched row, with
 replacement and duplicates collapsed.  It is not the faster of the two: every
-touched row builds two length-d tables (the within-row law and the intensity
-row), so on dense input it also costs O(n d), and it measures slower than the
-Bernoulli sampler.
+touched row builds its length-d within-row law, so on dense input it also
+costs O(n d), and it measures slower than the Bernoulli sampler.  The
+intensity that sets a kept cell's weight is evaluated at the kept columns
+only.
 
 Every sampler reads the matrix (or the product factors) from its plan.
 """
@@ -29,14 +30,16 @@ import scipy.sparse
 
 from . import rng
 from .errors import DegenerateInputError, ParameterError
-from .linalg import DenseMatrix, LinearOperator, MatrixStats, compute_stats
+from .linalg import DenseMatrix, Grouping, LinearOperator, MatrixStats, compute_stats
 
 
 class SampleSet:
     """Observed entries (i, j, value, weight).
 
     Entries are kept sorted by (row, col); duplicates are rejected.  Weights
-    are the reciprocal inclusion probabilities and must be positive.
+    are the reciprocal inclusion probabilities and must be positive.  The
+    by-row and by-column layouts of the half steps are built on first use and
+    kept; the reweighted sampled matrix and its transpose are their matrices.
     """
 
     def __init__(self, n, d, rows, cols, vals, weights):
@@ -55,16 +58,21 @@ class SampleSet:
                 raise ParameterError("column index out of range")
             if np.any(weights <= 0):
                 raise ParameterError("weights must be strictly positive")
-            order = np.lexsort((cols, rows))
-            rows, cols, vals, weights = rows[order], cols[order], vals[order], weights[order]
-            key = rows[:-1] == rows[1:]
-            if np.any(key & (cols[:-1] == cols[1:])):
-                raise ParameterError("duplicate (i, j) entries are not allowed")
+            same_row = rows[:-1] == rows[1:]
+            # Strictly increasing (row, col) keys, as every sampler emits
+            # them, are sorted and free of duplicates already.
+            if not np.all((rows[:-1] < rows[1:]) | (same_row & (cols[:-1] < cols[1:]))):
+                order = np.lexsort((cols, rows))
+                rows, cols, vals, weights = rows[order], cols[order], vals[order], weights[order]
+                same_row = rows[:-1] == rows[1:]
+                if np.any(same_row & (cols[:-1] == cols[1:])):
+                    raise ParameterError("duplicate (i, j) entries are not allowed")
         self.rows = rows
         self.cols = cols
         self.vals = vals
         self.weights = weights
-        self._csr = None
+        self._by_row = None
+        self._by_col = None
 
     @property
     def size(self) -> int:
@@ -84,19 +92,28 @@ class SampleSet:
             self.weights[positions],
         )
 
+    def by_row(self) -> Grouping:
+        """The entries grouped by row: the layout of the row half step."""
+        if self._by_row is None:
+            self._by_row = Grouping(self.rows, self.cols, self.weights, self.vals, self.n, self.d)
+        return self._by_row
+
+    def by_col(self) -> Grouping:
+        """The entries grouped by column: the layout of the column half step."""
+        if self._by_col is None:
+            self._by_col = Grouping(self.cols, self.rows, self.weights, self.vals, self.d, self.n)
+        return self._by_col
+
     def weighted_csr(self) -> scipy.sparse.csr_matrix:
         """Sparse matrix of weight * value at the sampled cells, 0 elsewhere."""
-        if self._csr is None:
-            self._csr = scipy.sparse.csr_matrix(
-                (self.weights * self.vals, (self.rows, self.cols)),
-                shape=(self.n, self.d),
-            )
-        return self._csr
+        rows = self.by_row()
+        return rows.matrix(rows.wy)
 
     def weighted_operator(self) -> LinearOperator:
         """Operator view of the reweighted sampled matrix."""
         csr = self.weighted_csr()
-        csc = csr.T.tocsr()
+        cols = self.by_col()
+        csc = cols.matrix(cols.wy)
         return LinearOperator(self.n, self.d, lambda x: csr @ x, lambda y: csc @ y)
 
 
@@ -117,17 +134,17 @@ class SamplingPlan:
     row_marginal: np.ndarray
     within_row_base: np.ndarray
 
-    def intensity_row(self, i: int) -> np.ndarray:
-        """Unclipped q(i, j) for all columns j of row i."""
+    def intensity(self, i: int, cols) -> np.ndarray:
+        """Unclipped q(i, j) at the columns ``cols`` (an index array or slice) of row i."""
         s = self.stats
-        norm_term = (s.row_sq_norms[i] + s.col_sq_norms) / (
+        norm_term = (s.row_sq_norms[i] + s.col_sq_norms[cols]) / (
             2.0 * (self.n + self.d) * s.fro_sq
         )
-        l1_term = np.abs(self.matrix.row(i)) / (2.0 * s.l11)
+        l1_term = np.abs(self.matrix.data[i, cols]) / (2.0 * s.l11)
         return self.m * (norm_term + l1_term)
 
     def inclusion_probabilities_row(self, i: int) -> np.ndarray:
-        return np.minimum(self.intensity_row(i), 1.0)
+        return np.minimum(self.intensity(i, slice(None)), 1.0)
 
     def row_trim_scores(self) -> np.ndarray:
         """Row scores |M^i| / |M|_F used to trim the initial left factor."""
@@ -201,9 +218,10 @@ def draw_multinomial(plan: SamplingPlan, seed: int = 0) -> SampleSet:
 
     Draws collapse to one stored entry per distinct cell; the stored weight is
     the reciprocal of the Bernoulli inclusion probability, not a
-    collision-corrected one.  Each touched row builds two length-d tables, so
-    the cost is O(d) per touched row, O(n d) on dense input, and the sampler is
-    slower than ``draw_bernoulli``.  Row i draws its columns from the stream
+    collision-corrected one, evaluated at the kept columns only.  Each touched
+    row builds its length-d within-row law, so the cost is O(d) per touched
+    row, O(n d) on dense input, and the sampler is slower than
+    ``draw_bernoulli``.  Row i draws its columns from the stream
     (seed, TAG_ROW_DRAWS, i).
     """
     M = plan.matrix
@@ -218,7 +236,7 @@ def draw_multinomial(plan: SamplingPlan, seed: int = 0) -> SampleSet:
             d, size=int(counts[i]), replace=True, p=weights_in_row
         )
         js = np.unique(draws)
-        p = np.minimum(plan.intensity_row(i)[js], 1.0)
+        p = np.minimum(plan.intensity(i, js), 1.0)
         rows_acc.append(np.full(js.size, i, dtype=np.int64))
         cols_acc.append(js)
         vals_acc.append(row[js])
@@ -248,14 +266,12 @@ class ProductSamplingPlan:
     a: DenseMatrix
     b: DenseMatrix
 
-    def intensity_row(self, i: int) -> np.ndarray:
-        return self.m * (
+    def inclusion_probabilities_row(self, i: int) -> np.ndarray:
+        q = self.m * (
             self.row_sq_norms_a[i] / (self.n2 * self.fro_sq_a)
             + self.col_sq_norms_b / (self.n1 * self.fro_sq_b)
         )
-
-    def inclusion_probabilities_row(self, i: int) -> np.ndarray:
-        return np.minimum(self.intensity_row(i), 1.0)
+        return np.minimum(q, 1.0)
 
     def row_trim_scores(self) -> np.ndarray:
         """Surrogate row scores |A^i| / |A|_F used to trim the left factor."""

@@ -24,7 +24,6 @@ from . import rng
 from .errors import DegenerateInputError, ParameterError
 from .linalg import (
     Factorization,
-    normal_equations,
     orthonormal_columns,
     pseudo_solve_spd_batch,
     qr_orthonormalize,
@@ -111,11 +110,8 @@ def als_half_step(
         raise ParameterError(f"unknown half-step side {side!r}")
     if S_t.size == 0:
         raise DegenerateInputError("half step requires a nonempty sample set")
-    if side == UPDATE_V:
-        group, other, out_dim = S_t.cols, S_t.rows, S_t.d
-    else:
-        group, other, out_dim = S_t.rows, S_t.cols, S_t.n
-    B, z = normal_equations(group, fixed, other, S_t.weights, S_t.vals, out_dim)
+    layout = S_t.by_col() if side == UPDATE_V else S_t.by_row()
+    B, z = layout.normal_equations(fixed)
     return pseudo_solve_spd_batch(B, z, eig_floor=eig_floor)
 
 

@@ -4,25 +4,25 @@ These deliberately avoid the code paths under test: statistics by explicit
 double loops, SVD via cyclic Jacobi on the Gram matrix, orthonormalization by
 modified Gram-Schmidt, 2x2 solves by the closed-form inverse, least-squares
 rows by one eigendecomposition each, the weighted normal equations by a
-per-observation loop, and the distributed sample by its own per-row loop.
-The per-cell sampling intensity is the exception: it is read off the plan's
-own row law, so a test can address one cell.  The last four functions are
+per-observation loop, the per-cell sampling intensity by the law's formula,
+the weighted sampled matrix by scipy's COO conversion, and the distributed
+sample by its own per-row loop.  The last four functions are
 helpers the tests share and the library has no use for: the
 weighted training objective, a budget that saturates every cell, a matrix
 writer, and the multinomial sampler's work count.
 """
 import numpy as np
 import scipy.io
+import scipy.sparse
 
 from lela import DegenerateInputError, Factorization, ParameterError
 from lela import rng as lrng
 from lela.linalg import (
     compute_stats,
-    normal_equations,
     orthonormal_columns,
     pseudo_solve_spd_batch,
 )
-from lela.sampling import SampleSet
+from lela.sampling import ProductSamplingPlan, SampleSet
 
 
 def naive_stats(arr):
@@ -114,8 +114,15 @@ def weighted_ls_2x2(targets):
 
 
 def intensity(plan, i, j):
-    """Unclipped sampling intensity q(i, j) of one cell, from the plan's row law."""
-    return float(plan.intensity_row(i)[j])
+    """Unclipped sampling intensity q(i, j) of one cell, by the law's formula."""
+    if isinstance(plan, ProductSamplingPlan):
+        return plan.m * (
+            plan.row_sq_norms_a[i] / (plan.n2 * plan.fro_sq_a)
+            + plan.col_sq_norms_b[j] / (plan.n1 * plan.fro_sq_b)
+        )
+    s, n, d = plan.stats, plan.n, plan.d
+    norm_term = (s.row_sq_norms[i] + s.col_sq_norms[j]) / (2.0 * (n + d) * s.fro_sq)
+    return plan.m * (norm_term + abs(plan.matrix.data[i, j]) / (2.0 * s.l11))
 
 
 def inclusion_probability(plan, i, j):
@@ -196,6 +203,12 @@ def solve_weighted_row_ls(targets, rank):
     return pseudo_solve_spd(B, z)
 
 
+def weighted_coo_csr(S):
+    """The reweighted sampled matrix w * y, built by scipy from COO triplets."""
+    coo = scipy.sparse.coo_matrix((S.weights * S.vals, (S.rows, S.cols)), shape=(S.n, S.d))
+    return coo.tocsr()
+
+
 def total_samples(shards):
     """Number of samples held across the servers of a distributed run."""
     return sum(sh.local_samples.size for sh in shards if sh.local_samples is not None)
@@ -241,10 +254,8 @@ def centralized_reference(M, r, m, iterations, init_rounds=10, seed=0):
     V = Y
     U = np.zeros((n, r))
     for _ in range(iterations):
-        B, z = normal_equations(samples.rows, V, samples.cols, samples.weights, samples.vals, n)
-        U = pseudo_solve_spd_batch(B, z, eig_floor=0.0)
-        B, z = normal_equations(samples.cols, U, samples.rows, samples.weights, samples.vals, d)
-        V = pseudo_solve_spd_batch(B, z, eig_floor=0.0)
+        U = pseudo_solve_spd_batch(*samples.by_row().normal_equations(V), eig_floor=0.0)
+        V = pseudo_solve_spd_batch(*samples.by_col().normal_equations(U), eig_floor=0.0)
     return Factorization(U, V)
 
 

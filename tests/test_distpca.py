@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+import lela.distpca as lela_distpca
+import lela.sampling as lela_sampling
 from lela import (
     CommLedger,
     DegenerateInputError,
@@ -24,7 +26,7 @@ from lela.distpca import (
     dist_waltmin_round,
     partition_rows,
 )
-from lela.linalg import orthonormal_columns
+from lela.linalg import Grouping, orthonormal_columns
 from lela.sampling import SampleSet
 from lela import rng as lrng
 from oracles import centralized_reference, centralized_sample, total_samples
@@ -221,6 +223,26 @@ def test_dist_round_single_server_matches_centralized():
     C = centralized_reference(M, 2, 70, 3, init_rounds=4, seed=5)
     assert np.abs(F.u - C.u).max() <= 1e-10
     assert np.abs(F.v - C.v).max() <= 1e-10
+
+
+def test_rounds_build_no_layout_after_hold(monkeypatch):
+    M = make_matrix(24, 13, 24)
+    shards = partition_rows(M, 3)
+    ledger = CommLedger()
+    built = []
+
+    def counted_grouping(group, other, w, y, out_dim, n_other):
+        built.append(out_dim)
+        return Grouping(group, other, w, y, out_dim, n_other)
+
+    for module in (lela_distpca, lela_sampling):
+        monkeypatch.setattr(module, "Grouping", counted_grouping)
+    dist_sample(shards, 120, ledger, seed=4)
+    assert sorted(built) == sorted([13] * 3 + [sh.n_local for sh in shards])
+    V = dist_init(shards, 2, 3, ledger, seed=4)
+    for _ in range(3):
+        _, V = dist_waltmin_round(shards, V, ledger)
+    assert len(built) == 2 * len(shards)
 
 
 def test_disjoint_touched_columns_aggregation_is_copy():

@@ -4,10 +4,10 @@ import pytest
 import oracles
 from lela import DegenerateInputError, DenseMatrix, Factorization, ParameterError
 from lela.linalg import (
+    Grouping,
     LinearOperator,
     compute_stats,
     low_rank_diff_spectral_norm,
-    normal_equations,
     pseudo_solve_spd_batch,
     qr_orthonormalize,
     spectral_error,
@@ -224,7 +224,7 @@ def test_normal_equations_bitwise_equal_to_loop(r):
     group[group == 5] = 6  # group 5 gets no observations
     w = 1.0 / g.uniform(0.05, 1.0, m)
     y = g.standard_normal(m)
-    B, z = normal_equations(group, fixed, other, w, y, out_dim)
+    B, z = Grouping(group, other, w, y, out_dim, n).normal_equations(fixed)
     B_ref, z_ref = oracles.normal_equations_loop(group, fixed, other, w, y, out_dim)
     assert np.array_equal(B.view(np.int64), B_ref.view(np.int64))
     assert np.array_equal(z.view(np.int64), z_ref.view(np.int64))

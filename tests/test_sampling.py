@@ -266,6 +266,33 @@ def test_sampleset_rejects_duplicates():
         SampleSet(3, 3, [0, 0], [1, 1], [1.0, 2.0], [1.0, 1.0])
 
 
+def test_sampleset_rejects_unsorted_duplicates():
+    with pytest.raises(ParameterError):
+        SampleSet(3, 3, [1, 0, 1], [2, 0, 2], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
+
+
+@pytest.mark.parametrize("rows, cols", [([2, 0, 1, 0], [1, 3, 0, 1]), ([0, 0, 1, 2], [3, 1, 0, 1])])
+def test_sampleset_sorts_unsorted_input(rows, cols):
+    vals = 10.0 * np.array(rows) + np.array(cols)
+    S = SampleSet(3, 4, rows, cols, vals, vals + 1.0)
+    assert S.rows.tolist() == [0, 0, 1, 2]
+    assert S.cols.tolist() == [1, 3, 0, 1]
+    assert S.vals.tolist() == [1.0, 3.0, 10.0, 21.0]
+    assert S.weights.tolist() == [2.0, 4.0, 11.0, 22.0]
+
+
+def test_weighted_operator_bitwise_equal_to_coo_matrix():
+    g = np.random.default_rng(17)
+    M = DenseMatrix(g.standard_normal((23, 17)))
+    S = draw_bernoulli(build_plan(M, 150), seed=3)
+    ref = oracles.weighted_coo_csr(S)
+    op = S.weighted_operator()
+    x = np.asfortranarray(g.standard_normal((17, 3)))
+    y = g.standard_normal((23, 3))
+    assert np.array_equal(op.mv(x).view(np.int64), (ref @ x).view(np.int64))
+    assert np.array_equal(op.rmv(y).view(np.int64), (ref.T @ y).view(np.int64))
+
+
 def test_sampleset_rejects_bad_weight():
     with pytest.raises(ParameterError):
         SampleSet(2, 2, [0], [0], [1.0], [0.0])

@@ -2,10 +2,11 @@ import numpy as np
 import pytest
 import scipy.stats
 
+import lela.sampling as lela_sampling
 import lela.waltmin as lela_waltmin
 import oracles
 from lela import DegenerateInputError, DenseMatrix, Factorization, ParameterError
-from lela.linalg import topk_svd
+from lela.linalg import Grouping, topk_svd
 from lela.sampling import SampleSet, build_plan, draw_bernoulli
 from lela.waltmin import (
     TRIM_FACTOR,
@@ -259,6 +260,21 @@ def test_waltmin_objective_trace_nonincreasing_reuse(monkeypatch):
     assert len(trace) == 12
     scale = max(trace[0], 1.0)
     assert all(b <= a + 1e-12 * scale for a, b in zip(trace, trace[1:]))
+
+
+def test_waltmin_reuse_builds_one_layout_per_side(monkeypatch):
+    arr = np.random.default_rng(18).standard_normal((14, 11))
+    plan = build_plan(DenseMatrix(arr), 120)
+    S = draw_bernoulli(plan, seed=2)
+    built = []
+
+    def counted_grouping(group, other, w, y, out_dim, n_other):
+        built.append(out_dim)
+        return Grouping(group, other, w, y, out_dim, n_other)
+
+    monkeypatch.setattr(lela_sampling, "Grouping", counted_grouping)
+    waltmin(S, plan.row_trim_scores(), 2, 4, seed=1)
+    assert sorted(built) == [11, 14]
 
 
 def test_waltmin_fresh_mode_uses_disjoint_parts():
