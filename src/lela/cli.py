@@ -121,7 +121,7 @@ def _cmd_lela(args) -> int:
     if args.oracle:
         require_oracle_size(M.shape)
     m = _resolve_budget(args, M.n_rows)
-    report = lela(M, args.rank, m, args.iters, mode=args.mode, split=args.split, seed=args.seed)
+    report = lela(M, args.rank, m, args.iters, mode=args.mode, seed=args.seed)
     bundle = evaluate(
         M,
         report.factorization,
@@ -315,7 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--n", "--d", "--rank", "--alpha", "--noise", "--m", "--l", "--iters", "--seed",
         "--matrix", "--out", "--mode", "--oracle", "--save-factors",
     )
-    p.add_argument("--split", choices=("reuse", "fresh"), default="reuse")
 
     p = _subcommand(
         sub, "product", "low-rank approximation of a product A @ B", _cmd_product,

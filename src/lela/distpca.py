@@ -35,7 +35,7 @@ from .linalg import (
     orthonormal_columns,
     pseudo_solve_spd_batch,
 )
-from .sampling import SampleSet, draw_bernoulli_rows
+from .sampling import SampleSet, clipped_intensity, draw_bernoulli_rows
 
 KIND_COL_NORMS = "col-norms"
 KIND_STATS_BROADCAST = "stats-broadcast"
@@ -199,12 +199,11 @@ def dist_sample(shards: list[ServerShard], m: int, ledger: CommLedger, seed: int
         rows = sh.local_rows
         row_sq = np.einsum("ij,ij->i", rows, rows)
 
-        def prob_row(k):
-            q = m * ((row_sq[k] + col_sq) / (2.0 * n * fro_sq) + np.abs(rows[k]) / l11)
-            return np.minimum(q, 1.0)
+        def prob_block(a, b):
+            return clipped_intensity(m, row_sq[a:b, None], col_sq, 2.0 * n * fro_sq, rows[a:b], l11)
 
         sh.hold(draw_bernoulli_rows(
-            n, d, sh.row_set, prob_row, lambda k, js: rows[k, js], seed, rng.TAG_DIST_SAMPLE
+            n, d, sh.row_set, prob_block, lambda ks, js: rows[ks, js], seed, rng.TAG_DIST_SAMPLE
         ))
         if sh.touched_cols.size:
             ledger.record(round_no, DIR_UP, KIND_COL_LISTS, int(sh.touched_cols.size))

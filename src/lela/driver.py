@@ -17,7 +17,7 @@ from . import rng
 from .errors import ParameterError
 from .linalg import DenseMatrix, Factorization, spectral_error
 from .sampling import build_plan, draw_bernoulli, draw_multinomial
-from .waltmin import SPLIT_MODES, waltmin
+from .waltmin import waltmin
 
 # Dense SVD oracle metrics are refused above this size; keeping the main path
 # at input-sparsity cost is the whole point of the pipeline.
@@ -108,16 +108,15 @@ def lela(
     m: int,
     iterations: int,
     mode: str = "multinomial",
-    split: str = "reuse",
     seed: int = 0,
 ) -> LelaReport:
     """Run the full sampled low-rank approximation pipeline on M.
 
     ``mode`` selects the multinomial sampler (default) or the exact Bernoulli
-    reference; despite drawing only m entries, the multinomial sampler builds
-    a length-d within-row law per touched row and is the slower of the two on
-    dense input.  ``split`` picks sample reuse (default) or fresh disjoint subsets
-    per half step.  The factors are not scored here: call
+    reference.  Both cost O(n d) on dense input: the multinomial sampler draws
+    only m entries but builds the within-row CDF of every row it touches (see
+    ``lela.sampling`` for measured costs).  The solver reuses the whole sample
+    set in every half step.  The factors are not scored here: call
     ``evaluate(M, report.factorization, r, seed=rng.derive_seed(seed,
     rng.TAG_SPECTRAL))`` for their errors.
     """
@@ -127,8 +126,6 @@ def lela(
         raise ParameterError("iteration count must be at least 1")
     if mode not in ("multinomial", "bernoulli"):
         raise ParameterError("mode must be 'multinomial' or 'bernoulli'")
-    if split not in SPLIT_MODES:
-        raise ParameterError("split must be 'reuse' or 'fresh'")
     passes_before = M.pass_count
     plan = build_plan(M, m)  # pass 1 (statistics)
     if mode == "bernoulli":
@@ -137,7 +134,7 @@ def lela(
         samples = draw_multinomial(plan, seed=rng.derive_seed(seed, rng.TAG_ROW_DRAWS))
     # pass 2 happened inside the draw (probabilities plus value fill)
     F = waltmin(
-        samples, plan.row_trim_scores(), r, iterations, split=split,
+        samples, plan.row_trim_scores(), r, iterations,
         seed=rng.derive_seed(seed, rng.TAG_SPLIT),
     )
     return LelaReport(

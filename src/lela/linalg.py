@@ -216,9 +216,9 @@ class Grouping:
     observations in group order (sample order within a group): the CSR row
     pointer ``indptr`` and column index ``other``, stored in the index dtype
     scipy keeps so no product re-checks or converts them, with ``w`` and
-    ``wy`` = w * y beside them.  Groups already in order are taken as given,
-    with no sort.  It is built once per sample set and side and serves every
-    half step over that set.
+    ``wy`` = w * y beside them.  Groups already in order are taken as given;
+    others are placed by one linear counting pass.  It is built once per
+    sample set and side and serves every half step over that set.
     """
 
     __slots__ = ("out_dim", "n_other", "indptr", "other", "w", "wy")
@@ -231,7 +231,13 @@ class Grouping:
         np.cumsum(np.bincount(group, minlength=self.out_dim), out=self.indptr[1:])
         wy = w * y
         if np.any(group[1:] < group[:-1]):
-            order = np.argsort(group, kind="stable")  # keeps sample order within a group
+            # The CSC form of the matrix with one entry (k, group_k) per sample
+            # lists each group's samples in sample order, placed in linear time.
+            incidence = scipy.sparse.csr_matrix(
+                (np.ones(group.size, dtype=np.int8), group, np.arange(group.size + 1)),
+                shape=(group.size, self.out_dim),
+            )
+            order = incidence.tocsc().indices
             other, w, wy = other[order], w[order], wy[order]
         self.other = other.astype(idx)
         self.w = w

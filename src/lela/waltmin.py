@@ -20,7 +20,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
 from .errors import DegenerateInputError, ParameterError
 from .linalg import (
     Factorization,
@@ -44,8 +43,6 @@ INIT_SVD_ITERS = 100
 # Absolute eigenvalue floor of the normal matrices in waltmin's half steps.
 LS_EIG_FLOOR = 0.07
 
-SPLIT_MODES = ("reuse", "fresh")
-
 
 @dataclass(frozen=True)
 class InitResult:
@@ -53,20 +50,6 @@ class InitResult:
 
     u0: np.ndarray
     trimmed_rows: np.ndarray
-
-
-def split_samples(S: SampleSet, parts: int, seed: int = 0) -> list[SampleSet]:
-    """Assign each entry to one of ``parts`` subsets uniformly at random."""
-    if parts < 1:
-        raise ParameterError("number of parts must be at least 1")
-    if S.size == 0:
-        raise DegenerateInputError("cannot split an empty sample set")
-    if parts > S.size:
-        raise DegenerateInputError(f"cannot split {S.size} samples into {parts} parts")
-    if parts == 1:
-        return [S]
-    assignment = rng.stream(seed, rng.TAG_SPLIT).integers(0, parts, size=S.size)
-    return [S.subset(np.flatnonzero(assignment == p)) for p in range(parts)]
 
 
 def initialize(
@@ -120,44 +103,25 @@ def waltmin(
     trim_scores: np.ndarray,
     rank: int,
     iterations: int,
-    split: str = "reuse",
     seed: int = 0,
 ) -> Factorization:
     """Run initialization plus ``iterations`` alternating rounds.
 
-    ``split`` "fresh" partitions the samples into 2T+1 disjoint subsets (one
-    for initialization, two per round); "reuse" runs every stage on the full
-    sample set.  ``seed`` keys both the split and the initial SVD.  Returns the
-    factor pair whose product is the final iterate: the last U is the exact
-    least-squares response to the (orthonormalized) last V.
+    Every stage runs on the full sample set.  ``seed`` keys the initial SVD.
+    Returns the factor pair whose product is the final iterate: the last U is
+    the exact least-squares response to the (orthonormalized) last V.
     """
     if rank < 1:
         raise ParameterError("rank must be at least 1")
     if iterations < 1:
         raise ParameterError("iteration count must be at least 1")
-    if split not in SPLIT_MODES:
-        raise ParameterError("split must be 'reuse' or 'fresh'")
-    T = iterations
-    if split == "fresh":
-        parts = split_samples(S, 2 * T + 1, seed=seed)
-        if any(p.size == 0 for p in parts):
-            raise DegenerateInputError(
-                "fresh split produced an empty subset; lower T or supply more samples"
-            )
-        init_set = parts[0]
-    else:
-        parts = None
-        init_set = S
-
-    init = initialize(init_set, trim_scores, rank, seed=seed)
+    init = initialize(S, trim_scores, rank, seed=seed)
     u_hat = init.u0
     v_hat = np.zeros((S.d, rank))
     u_raw = np.zeros((S.n, rank))
-    for t in range(T):
-        sv = parts[2 * t + 1] if parts is not None else S
-        su = parts[2 * t + 2] if parts is not None else S
-        v_raw = als_half_step(u_hat, sv, UPDATE_V, eig_floor=LS_EIG_FLOOR)
+    for _ in range(iterations):
+        v_raw = als_half_step(u_hat, S, UPDATE_V, eig_floor=LS_EIG_FLOOR)
         v_hat = orthonormal_columns(v_raw)
-        u_raw = als_half_step(v_hat, su, UPDATE_U, eig_floor=LS_EIG_FLOOR)
+        u_raw = als_half_step(v_hat, S, UPDATE_U, eig_floor=LS_EIG_FLOOR)
         u_hat = orthonormal_columns(u_raw)
     return Factorization(u_raw, v_hat)

@@ -5,8 +5,11 @@ double loops, SVD via cyclic Jacobi on the Gram matrix, orthonormalization by
 modified Gram-Schmidt, 2x2 solves by the closed-form inverse, least-squares
 rows by one eigendecomposition each, the weighted normal equations by a
 per-observation loop, the per-cell sampling intensity by the law's formula,
-the weighted sampled matrix by scipy's COO conversion, and the distributed
-sample by its own per-row loop.  The last four functions are
+the weighted sampled matrix by scipy's COO conversion, the distributed
+sample by its own per-row loop, and the samplers by the row-at-a-time kernels
+the row-blocked ones replaced (the multinomial through ``Generator.choice``),
+whose outputs the blocked kernels reproduce bit for bit.  The last four
+functions are
 helpers the tests share and the library has no use for: the
 weighted training objective, a budget that saturates every cell, a matrix
 writer, and the multinomial sampler's work count.
@@ -17,6 +20,13 @@ import scipy.sparse
 
 from lela import DegenerateInputError, Factorization, ParameterError
 from lela import rng as lrng
+from lela.distpca import (
+    DIR_DOWN,
+    DIR_UP,
+    KIND_COL_LISTS,
+    KIND_COL_NORMS,
+    KIND_STATS_BROADCAST,
+)
 from lela.linalg import (
     compute_stats,
     orthonormal_columns,
@@ -114,7 +124,10 @@ def weighted_ls_2x2(targets):
 
 
 def intensity(plan, i, j):
-    """Unclipped sampling intensity q(i, j) of one cell, by the law's formula."""
+    """Unclipped sampling intensity q(i, j) by the law's formula.
+
+    ``j`` is one column, an index array or a slice of row i.
+    """
     if isinstance(plan, ProductSamplingPlan):
         return plan.m * (
             plan.row_sq_norms_a[i] / (plan.n2 * plan.fro_sq_a)
@@ -235,6 +248,122 @@ def centralized_sample(M, m, seed=0):
             vals.append(a[i, j])
             wts.append(1.0 / p[j])
     return SampleSet(n, d, rows, cols, vals, wts)
+
+
+def draw_bernoulli_rows(n, d, row_ids, prob_row, value_row, seed, tag):
+    """The per-row Bernoulli kernel every exact sampler shares.
+
+    Row ``row_ids[k]`` draws d uniforms from the stream (seed, tag, row_ids[k])
+    and keeps column j when u_j < p_j, storing weight 1 / p_j; the outcome
+    depends on the row id only, never on the position k or on who draws it.
+    ``prob_row(k)`` returns the row's inclusion probabilities and
+    ``value_row(k, js)`` the values of its kept columns.
+    """
+    rows_acc, cols_acc, vals_acc, wts_acc = [], [], [], []
+    for k, i in enumerate(row_ids):
+        p = prob_row(k)
+        u = lrng.stream(seed, tag, int(i)).random(d)
+        js = np.flatnonzero(u < p)
+        if js.size:
+            rows_acc.append(np.full(js.size, i, dtype=np.int64))
+            cols_acc.append(js)
+            vals_acc.append(value_row(k, js))
+            wts_acc.append(1.0 / p[js])
+    return _concat_samples(n, d, rows_acc, cols_acc, vals_acc, wts_acc)
+
+
+def _concat_samples(n, d, *blocks):
+    """One SampleSet from per-row blocks of rows, cols, vals and weights."""
+    if not blocks[0]:
+        return SampleSet(n, d, [], [], [], [])
+    return SampleSet(n, d, *(np.concatenate(b) for b in blocks))
+
+
+def _row_probabilities(plan):
+    """Row i's inclusion probabilities min(q(i, :), 1)."""
+    return lambda i: np.minimum(intensity(plan, i, slice(None)), 1.0)
+
+
+def draw_bernoulli(plan, seed=0):
+    """Row-at-a-time ``lela.sampling.draw_bernoulli``."""
+    M = plan.matrix
+    S = draw_bernoulli_rows(
+        plan.n, plan.d, np.arange(plan.n), _row_probabilities(plan),
+        lambda i, js: M.row(i)[js], seed, lrng.TAG_BERNOULLI,
+    )
+    M.note_pass()
+    return S
+
+
+def draw_multinomial(plan, seed=0):
+    """Row-at-a-time ``lela.sampling.draw_multinomial``, drawing with ``choice``."""
+    M = plan.matrix
+    n, d = plan.n, plan.d
+    counts = lrng.stream(seed, lrng.TAG_ROW_COUNTS).multinomial(plan.m, plan.row_marginal)
+    rows_acc, cols_acc, vals_acc, wts_acc = [], [], [], []
+    for i in np.flatnonzero(counts):
+        row = M.row(i)
+        weights_in_row = plan.within_row_base + 0.5 * np.abs(row) / plan.stats.l11
+        weights_in_row = weights_in_row / weights_in_row.sum()
+        draws = lrng.stream(seed, lrng.TAG_ROW_DRAWS, i).choice(
+            d, size=int(counts[i]), replace=True, p=weights_in_row
+        )
+        js = np.unique(draws)
+        p = np.minimum(intensity(plan, i, js), 1.0)
+        rows_acc.append(np.full(js.size, i, dtype=np.int64))
+        cols_acc.append(js)
+        vals_acc.append(row[js])
+        wts_acc.append(1.0 / p)
+    M.note_pass()
+    return _concat_samples(n, d, rows_acc, cols_acc, vals_acc, wts_acc)
+
+
+def materialize_product_samples(plan, seed=0):
+    """Row-at-a-time ``lela.sampling.materialize_product_samples``."""
+    A, B = plan.a, plan.b
+    return draw_bernoulli_rows(
+        plan.n1, plan.n2, np.arange(plan.n1), _row_probabilities(plan),
+        lambda i, js: A.row(i) @ B.data[:, js], seed, lrng.TAG_PRODUCT,
+    )
+
+
+def dist_sample(shards, m, ledger, seed=0):
+    """Row-at-a-time ``lela.distpca.dist_sample``: the same exchange and ledger."""
+    if m < 1:
+        raise ParameterError("sample budget m must be at least 1")
+    n = sum(sh.n_local for sh in shards)
+    d = shards[0].local_rows.shape[1]
+    round_no = ledger.advance_round()
+    local_col_sq = []
+    local_l1 = []
+    for sh in shards:
+        local_col_sq.append(np.einsum("ij,ij->j", sh.local_rows, sh.local_rows))
+        local_l1.append(float(np.abs(sh.local_rows).sum()))
+        ledger.record(round_no, DIR_UP, KIND_COL_NORMS, d)
+        ledger.record(round_no, DIR_UP, KIND_STATS_BROADCAST, 1)
+    col_sq = np.zeros(d)
+    l11 = 0.0
+    for sh_col, sh_l1 in zip(local_col_sq, local_l1):  # fixed ascending server id
+        col_sq = col_sq + sh_col
+        l11 += sh_l1
+    fro_sq = float(col_sq.sum())
+    if l11 <= 0.0 or fro_sq <= 0.0:
+        raise DegenerateInputError("all-zero matrix has no sampling distribution")
+    for sh in shards:
+        ledger.record(round_no, DIR_DOWN, KIND_STATS_BROADCAST, d + 2)
+    for sh in shards:
+        rows = sh.local_rows
+        row_sq = np.einsum("ij,ij->i", rows, rows)
+
+        def prob_row(k):
+            q = m * ((row_sq[k] + col_sq) / (2.0 * n * fro_sq) + np.abs(rows[k]) / l11)
+            return np.minimum(q, 1.0)
+
+        sh.hold(draw_bernoulli_rows(
+            n, d, sh.row_set, prob_row, lambda k, js: rows[k, js], seed, lrng.TAG_DIST_SAMPLE
+        ))
+        if sh.touched_cols.size:
+            ledger.record(round_no, DIR_UP, KIND_COL_LISTS, int(sh.touched_cols.size))
 
 
 def centralized_reference(M, r, m, iterations, init_rounds=10, seed=0):

@@ -275,7 +275,7 @@ def test_criterion_08_sampler_fidelity():
     arr = np.random.default_rng(42).standard_normal((20, 20))
     M = DenseMatrix(arr)
     plan = build_plan(M, 100)
-    probs = np.vstack([plan.inclusion_probabilities_row(i) for i in range(20)])
+    probs = plan.inclusion_probabilities(0, 20)
     n_draws = 2000
     hits = np.zeros((20, 20))
     for t in range(n_draws):

@@ -161,6 +161,4 @@ def test_parameter_validation():
         run_lela(M, 2, 10, 0)
     with pytest.raises(ParameterError):
         run_lela(M, 2, 10, 2, mode="bogus")
-    with pytest.raises(ParameterError):
-        run_lela(M, 2, 10, 2, split="bogus")
     assert M.pass_count == 0

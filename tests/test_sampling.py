@@ -5,6 +5,8 @@ import scipy.stats
 import oracles
 from lela import DegenerateInputError, DenseMatrix, ParameterError
 from lela import rng as lrng
+from lela import sampling
+from lela.distpca import PARTITION_POLICIES, CommLedger, dist_sample, partition_rows
 from lela.sampling import (
     SampleSet,
     build_plan,
@@ -78,7 +80,7 @@ def test_bernoulli_inclusion_frequencies_within_four_stderr():
     arr = np.random.default_rng(4).standard_normal((10, 10))
     M = DenseMatrix(arr)
     plan = build_plan(M, 30)
-    probs = np.vstack([plan.inclusion_probabilities_row(i) for i in range(10)])
+    probs = plan.inclusion_probabilities(0, 10)
     n_draws = 800
     hits = np.zeros((10, 10))
     for t in range(n_draws):
@@ -92,27 +94,27 @@ def test_bernoulli_inclusion_frequencies_within_four_stderr():
     assert np.all(np.abs(freq[mask] - probs[mask]) <= 4 * stderr[mask] + 1e-12)
 
 
-class _ChoiceRecorder:
-    """Stand-in for one row's generator that logs each raw (row, column) draw."""
+class _RandomRecorder:
+    """Stand-in for one row's generator that logs the uniforms it hands out."""
 
     def __init__(self, gen, row, log):
         self._gen, self._row, self._log = gen, row, log
 
-    def choice(self, *args, **kwargs):
-        draws = self._gen.choice(*args, **kwargs)
-        self._log.extend((self._row, int(j)) for j in draws)
-        return draws
+    def random(self, *args, **kwargs):
+        u = self._gen.random(*args, **kwargs)
+        self._log.append((self._row, u.copy()))
+        return u
 
 
-def record_row_draws(monkeypatch):
-    """Log every column the multinomial sampler draws, before deduplication."""
+def record_row_uniforms(monkeypatch):
+    """Log every uniform the multinomial sampler draws for its columns."""
     log = []
     stream = lrng.stream
 
     def recording_stream(seed, *path):
         gen = stream(seed, *path)
         if path[0] == lrng.TAG_ROW_DRAWS:
-            return _ChoiceRecorder(gen, int(path[1]), log)
+            return _RandomRecorder(gen, int(path[1]), log)
         return gen
 
     monkeypatch.setattr(lrng, "stream", recording_stream)
@@ -126,13 +128,21 @@ def test_multinomial_single_row_law_chisquare(monkeypatch):
     stats = plan.stats
     weights = 0.5 * stats.col_sq_norms / stats.fro_sq + 0.5 * np.abs(arr[0]) / stats.l11
     law = weights / weights.sum()
-    log = record_row_draws(monkeypatch)
+    cdf = np.cumsum(law)
+    cdf /= cdf[-1]
+    log = record_row_uniforms(monkeypatch)
+    drawn = []
     for t in range(50):
-        draw_multinomial(plan, seed=t)
-    assert len(log) == 50 * 40  # every draw is logged, all from the single row
-    assert all(i == 0 for i, _ in log)
-    counts = np.bincount([j for _, j in log], minlength=8)
-    _, p = scipy.stats.chisquare(counts, law * len(log))
+        log.clear()
+        S = draw_multinomial(plan, seed=t)
+        assert all(i == 0 for i, _ in log)  # every draw is from the single row
+        cols = np.searchsorted(cdf, np.concatenate([u for _, u in log]), side="right")
+        assert np.array_equal(S.cols, np.unique(cols))
+        drawn.append(cols)
+    drawn = np.concatenate(drawn)
+    assert drawn.size == 50 * 40  # every draw is logged
+    counts = np.bincount(drawn, minlength=8)
+    _, p = scipy.stats.chisquare(counts, law * drawn.size)
     assert p > 0.001
 
 
@@ -177,7 +187,7 @@ def test_weighted_reconstruction_unbiased():
     arr = np.random.default_rng(10).standard_normal((15, 15))
     M = DenseMatrix(arr)
     plan = build_plan(M, 60)
-    probs = np.vstack([plan.inclusion_probabilities_row(i) for i in range(15)])
+    probs = plan.inclusion_probabilities(0, 15)
     n_draws = 2000
     acc = np.zeros((15, 15))
     for t in range(n_draws):
@@ -303,6 +313,72 @@ def test_inclusion_probabilities_in_unit_interval():
     M = DenseMatrix(arr)
     for m in (5, 50, 500):
         plan = build_plan(M, m)
-        for i in range(9):
-            p = plan.inclusion_probabilities_row(i)
-            assert np.all(p > 0.0) and np.all(p <= 1.0)
+        p = plan.inclusion_probabilities(0, 9)
+        assert p.shape == (9, 7)
+        assert np.all(p > 0.0) and np.all(p <= 1.0)
+
+
+# Shapes of the bitwise oracle comparison: single cells, rows and columns, a
+# 40-row matrix whose 32-row default blocks leave an 8-row remainder, and a
+# row longer than a default block, so that every block holds one row.
+ORACLE_SHAPES = [(1, 1), (1, 7), (3, 1), (37, 11), (40, 2000), (2, sampling.BLOCK_CELLS + 3)]
+
+
+def assert_bitwise_equal(a, b):
+    for field in ("rows", "cols", "vals", "weights"):
+        x, y = getattr(a, field), getattr(b, field)
+        assert x.dtype == y.dtype and x.shape == y.shape, field
+        assert x.tobytes() == y.tobytes(), field
+
+
+def _budgets(n, d):
+    # lean (leaves rows without a multinomial draw), medium and saturating
+    return (max(1, n * d // 50), max(1, n * d // 4), 2 * n * d)
+
+
+@pytest.mark.parametrize("block_cells", [None, 1])
+@pytest.mark.parametrize("shape", ORACLE_SHAPES)
+@pytest.mark.parametrize("kind", ["bernoulli", "multinomial", "product", "distpca"])
+def test_blocked_samplers_bitwise_equal_to_rowwise_oracles(monkeypatch, kind, shape, block_cells):
+    if block_cells is not None:
+        monkeypatch.setattr(sampling, "BLOCK_CELLS", block_cells)
+    n, d = shape
+    g = np.random.default_rng(n * 1009 + d)
+    arr = g.standard_normal((n, d)) * (g.random((n, d)) < 0.8)
+    arr[0, 0] = 1.0  # never all zero
+    M = DenseMatrix(arr)
+    for m in _budgets(n, d):
+        for seed in (0, 5):
+            if kind == "distpca":
+                for policy in PARTITION_POLICIES:
+                    s = min(3, n)
+                    shards = partition_rows(M, s, policy, seed=seed)
+                    ref_shards = partition_rows(M, s, policy, seed=seed)
+                    ledger, ref_ledger = CommLedger(), CommLedger()
+                    dist_sample(shards, m, ledger, seed=seed)
+                    oracles.dist_sample(ref_shards, m, ref_ledger, seed=seed)
+                    for sh, ref in zip(shards, ref_shards):
+                        assert_bitwise_equal(sh.local_samples, ref.local_samples)
+                    assert ledger.totals_by_kind == ref_ledger.totals_by_kind
+                continue
+            if kind == "product":
+                k = 37  # long enough for a change of summation order to show
+                A = DenseMatrix(g.standard_normal((n, k)))
+                B = DenseMatrix(g.standard_normal((k, d)))
+                plan = build_product_plan(A, B, m)
+                new, ref = materialize_product_samples, oracles.materialize_product_samples
+                audited = (A, B)
+            else:
+                plan = build_plan(M, m)
+                if kind == "bernoulli":
+                    new, ref = draw_bernoulli, oracles.draw_bernoulli
+                else:
+                    new, ref = draw_multinomial, oracles.draw_multinomial
+                audited = (M,)
+            before = [X.pass_count for X in audited]
+            got = new(plan, seed=seed)
+            mid = [X.pass_count for X in audited]
+            want = ref(plan, seed=seed)
+            after = [X.pass_count for X in audited]
+            assert_bitwise_equal(got, want)
+            assert [b - a for a, b in zip(before, mid)] == [b - a for a, b in zip(mid, after)]

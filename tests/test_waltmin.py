@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-import scipy.stats
 
 import lela.sampling as lela_sampling
 import lela.waltmin as lela_waltmin
@@ -13,10 +12,9 @@ from lela.waltmin import (
     UPDATE_V,
     als_half_step,
     initialize,
-    split_samples,
     waltmin,
 )
-from oracles import objective, saturating_sample_count
+from oracles import objective
 
 
 def full_sample_set(arr, weights=None):
@@ -38,43 +36,6 @@ def gapped_matrix(n, d, r, seed, tail=0.05):
     V = oracles.modified_gram_schmidt(g.standard_normal((d, min(n, d))))
     sigma = np.concatenate([np.linspace(3.0, 2.0, r), tail * np.linspace(1.0, 0.1, min(n, d) - r)])
     return U @ np.diag(sigma) @ V.T, sigma
-
-
-def test_split_single_part_returns_input():
-    arr = np.random.default_rng(0).standard_normal((5, 5))
-    S = full_sample_set(arr)
-    assert split_samples(S, 1, seed=0)[0] is S
-
-
-def test_split_sizes_partition():
-    arr = np.random.default_rng(1).standard_normal((10, 10))
-    S = full_sample_set(arr)
-    parts = split_samples(S, 5, seed=2)
-    assert sum(p.size for p in parts) == 100
-    seen = set()
-    for p in parts:
-        for i, j in zip(p.rows, p.cols):
-            assert (i, j) not in seen
-            seen.add((i, j))
-    assert len(seen) == 100
-
-
-def test_split_uniform_chisquare():
-    arr = np.random.default_rng(2).standard_normal((4, 5))
-    S = full_sample_set(arr)
-    counts = np.zeros(5)
-    for t in range(200):
-        parts = split_samples(S, 5, seed=t)
-        for p_idx, p in enumerate(parts):
-            counts[p_idx] += p.size
-    _, p_val = scipy.stats.chisquare(counts)
-    assert p_val > 0.001
-
-
-def test_split_too_many_parts():
-    arr = np.ones((2, 2))
-    with pytest.raises(DegenerateInputError):
-        split_samples(full_sample_set(arr), 5, seed=0)
 
 
 def test_initialize_fully_observed_rank_one():
@@ -275,22 +236,6 @@ def test_waltmin_reuse_builds_one_layout_per_side(monkeypatch):
     monkeypatch.setattr(lela_sampling, "Grouping", counted_grouping)
     waltmin(S, plan.row_trim_scores(), 2, 4, seed=1)
     assert sorted(built) == [11, 14]
-
-
-def test_waltmin_fresh_mode_uses_disjoint_parts():
-    arr = np.random.default_rng(16).standard_normal((20, 16))
-    M = DenseMatrix(arr)
-    m = saturating_sample_count(M)
-    S = draw_bernoulli(build_plan(M, m), seed=1)
-    F = waltmin(S, trim_scores(arr), 2, 2, split="fresh", seed=3)
-    assert F.rank == 2
-
-
-def test_waltmin_fresh_mode_empty_part_is_degenerate():
-    arr = np.random.default_rng(17).standard_normal((3, 3))
-    S = full_sample_set(arr)  # nine entries into seven parts: a part is empty
-    with pytest.raises(DegenerateInputError):
-        waltmin(S, trim_scores(arr), 1, 3, split="fresh", seed=0)
 
 
 def test_waltmin_exact_recovery_bernoulli():
