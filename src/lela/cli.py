@@ -49,10 +49,6 @@ _SHARED_FLAGS = {
     "--alpha": dict(type=float, default=0.0, help="power-law exponent"),
     "--noise": dict(type=float, default=0.0, help="spectral norm of the added noise"),
     "--m": dict(type=int, default=None, help="sample budget"),
-    "--l": dict(
-        type=int, default=None,
-        help="projection dimension; sets the budget to l * n when --m is absent",
-    ),
     "--iters": dict(type=int, default=15, help="alternating rounds T"),
     "--seed": dict(type=int, default=None, help="seed (default LELA_SEED or 0)"),
     "--matrix": dict(default=None, help="MatrixMarket input path"),
@@ -106,13 +102,9 @@ def _load_or_generate(args):
 
 
 def _resolve_budget(args, n, default_mult=8):
-    """Sample budget from --m, or --l (m = l * n), or a default multiple."""
+    """Sample budget from --m, or a default multiple of n r."""
     if args.m is not None:
-        if args.l is not None and args.l != args.m // n:
-            raise ParameterError(f"--l must equal m // n = {args.m // n}, got {args.l}")
         return args.m
-    if args.l is not None:
-        return args.l * n
     return default_mult * n * args.rank
 
 
@@ -312,27 +304,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = _subcommand(
         sub, "lela", "low-rank approximation of one matrix", _cmd_lela,
-        "--n", "--d", "--rank", "--alpha", "--noise", "--m", "--l", "--iters", "--seed",
+        "--n", "--d", "--rank", "--alpha", "--noise", "--m", "--iters", "--seed",
         "--matrix", "--out", "--mode", "--oracle", "--save-factors",
     )
 
     p = _subcommand(
         sub, "product", "low-rank approximation of a product A @ B", _cmd_product,
-        "--n", "--rank", "--m", "--l", "--iters", "--seed", "--matrix", "--save-factors",
+        "--n", "--rank", "--m", "--iters", "--seed", "--matrix", "--save-factors",
     )
     p.add_argument("--matrix-b", default=None, help="MatrixMarket path of the right factor")
     p.add_argument("--baseline", action="store_true", help="also run the stagewise baseline")
 
     p = _subcommand(
         sub, "covariance", "low-rank approximation of Y @ Y.T", _cmd_covariance,
-        "--n", "--d", "--rank", "--alpha", "--noise", "--m", "--l", "--iters", "--seed",
+        "--n", "--d", "--rank", "--alpha", "--noise", "--m", "--iters", "--seed",
         "--matrix", "--save-factors",
     )
     p.add_argument("--symmetrize", action="store_true", help="symmetrize the output")
 
     p = _subcommand(
         sub, "distpca", "simulated distributed run with a communication ledger", _cmd_distpca,
-        "--n", "--d", "--rank", "--alpha", "--noise", "--m", "--l", "--iters", "--seed",
+        "--n", "--d", "--rank", "--alpha", "--noise", "--m", "--iters", "--seed",
         "--matrix", "--oracle", "--servers", "--init-rounds",
     )
     p.add_argument(

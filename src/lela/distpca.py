@@ -28,13 +28,7 @@ import numpy as np
 
 from . import rng
 from .errors import DegenerateInputError, ParameterError
-from .linalg import (
-    DenseMatrix,
-    Factorization,
-    Grouping,
-    orthonormal_columns,
-    pseudo_solve_spd_batch,
-)
+from .linalg import DenseMatrix, Factorization, orthonormal_columns, pseudo_solve_spd_batch
 from .sampling import SampleSet, clipped_intensity, draw_bernoulli_rows
 
 KIND_COL_NORMS = "col-norms"
@@ -116,32 +110,21 @@ def communication_bound(d: int, s: int, omega: int, r: int, init_rounds: int) ->
 
 @dataclass
 class ServerShard:
-    """One server's state: its rows, its samples, and the columns it touches.
+    """One server's state: its rows and, once drawn, its samples.
 
-    ``by_row`` groups the samples by their row's position in ``row_set`` and
-    ``by_col`` by their column; both are built once, when the samples arrive.
+    ``local_samples`` holds the samples of the rows ``row_set`` with row k
+    standing for ``row_set[k]``; its cached by-row and by-column layouts
+    serve every round.
     """
 
     server_id: int
     row_set: np.ndarray
     local_rows: np.ndarray
     local_samples: SampleSet | None = None
-    by_row: Grouping | None = None
-    by_col: Grouping | None = None
-    touched_cols: np.ndarray | None = None
 
     @property
     def n_local(self) -> int:
         return int(self.row_set.size)
-
-    def hold(self, samples: SampleSet) -> None:
-        """Keep the server's samples, their two local layouts and their columns."""
-        self.local_samples = samples
-        local_pos = np.searchsorted(self.row_set, samples.rows)
-        w, y = samples.weights, samples.vals
-        self.by_row = Grouping(local_pos, samples.cols, w, y, self.n_local, samples.d)
-        self.by_col = Grouping(samples.cols, local_pos, w, y, samples.d, self.n_local)
-        self.touched_cols = samples.observed_cols()
 
 
 def partition_rows(
@@ -202,11 +185,17 @@ def dist_sample(shards: list[ServerShard], m: int, ledger: CommLedger, seed: int
         def prob_block(a, b):
             return clipped_intensity(m, row_sq[a:b, None], col_sq, 2.0 * n * fro_sq, rows[a:b], l11)
 
-        sh.hold(draw_bernoulli_rows(
-            n, d, sh.row_set, prob_block, lambda ks, js: rows[ks, js], seed, rng.TAG_DIST_SAMPLE
-        ))
-        if sh.touched_cols.size:
-            ledger.record(round_no, DIR_UP, KIND_COL_LISTS, int(sh.touched_cols.size))
+        sh.local_samples = draw_bernoulli_rows(
+            d, sh.row_set, prob_block, lambda ks, js: rows[ks, js], seed, rng.TAG_DIST_SAMPLE
+        )
+        touched = sh.local_samples.observed_cols().size
+        if touched:
+            ledger.record(round_no, DIR_UP, KIND_COL_LISTS, touched)
+
+
+def _require_samples(shards: list[ServerShard], stage: str) -> None:
+    if any(sh.local_samples is None for sh in shards):
+        raise ParameterError(f"dist_sample must run before {stage}")
 
 
 def dist_init(
@@ -223,34 +212,30 @@ def dist_init(
     if rounds < 0:
         raise ParameterError("init round count must be nonnegative")
     d = shards[0].local_rows.shape[1]
-    if any(sh.local_samples is None for sh in shards):
-        raise ParameterError("dist_sample must run before dist_init")
+    _require_samples(shards, "dist_init")
+    touched = [sh.local_samples.observed_cols().size for sh in shards]
     Y = orthonormal_columns(rng.stream(seed, rng.TAG_DIST_INIT).standard_normal((d, r)))
     round_no = ledger.advance_round()
-    for sh in shards:
-        if sh.touched_cols.size:
-            ledger.record(round_no, DIR_DOWN, KIND_INIT_Y_BLOCK, int(sh.touched_cols.size) * r)
+    for t in touched:
+        if t:
+            ledger.record(round_no, DIR_DOWN, KIND_INIT_Y_BLOCK, t * r)
     for _ in range(rounds):
         round_no = ledger.advance_round()
         partials = []
-        for sh in shards:
-            csr = sh.by_row.matrix(sh.by_row.wy)
+        for sh, t in zip(shards, touched):
+            csr = sh.local_samples.weighted_csr()
             # the product touches only the server's own Y block: csr has
-            # support exactly on (row_set x touched_cols)
+            # support exactly on (row_set x touched columns)
             partials.append(csr.T @ (csr @ Y))
-            if sh.touched_cols.size:
-                ledger.record(
-                    round_no, DIR_UP, KIND_INIT_Y_PARTIAL, int(sh.touched_cols.size) * r
-                )
+            if t:
+                ledger.record(round_no, DIR_UP, KIND_INIT_Y_PARTIAL, t * r)
         folded = np.zeros((d, r))
         for z in partials:  # fixed ascending server id
             folded = folded + z
         Y = orthonormal_columns(folded)
-        for sh in shards:
-            if sh.touched_cols.size:
-                ledger.record(
-                    round_no, DIR_DOWN, KIND_INIT_Y_BLOCK, int(sh.touched_cols.size) * r
-                )
+        for t in touched:
+            if t:
+                ledger.record(round_no, DIR_DOWN, KIND_INIT_Y_BLOCK, t * r)
     return Y
 
 
@@ -266,25 +251,25 @@ def dist_waltmin_round(
     """
     d = V_current.shape[0]
     r = V_current.shape[1]
+    _require_samples(shards, "dist_waltmin_round")
+    touched = [sh.local_samples.observed_cols().size for sh in shards]
     round_no = ledger.advance_round()
     u_blocks = []
     z_total = np.zeros((d, r))
     b_total = np.zeros((d, r, r))
-    for sh in shards:  # fixed ascending server id
-        B, z = sh.by_row.normal_equations(V_current)
+    for sh, t in zip(shards, touched):  # fixed ascending server id
+        B, z = sh.local_samples.by_row().normal_equations(V_current)
         u_local = pseudo_solve_spd_batch(B, z, eig_floor=LS_EIG_FLOOR)
         u_blocks.append(u_local)
-        b_k, z_k = sh.by_col.normal_equations(u_local)
+        b_k, z_k = sh.local_samples.by_col().normal_equations(u_local)
         z_total = z_total + z_k
         b_total = b_total + b_k
-        if sh.touched_cols.size:
-            ledger.record(
-                round_no, DIR_UP, KIND_Z_AND_B, int(sh.touched_cols.size) * (r + r * r)
-            )
+        if t:
+            ledger.record(round_no, DIR_UP, KIND_Z_AND_B, t * (r + r * r))
     V_new = pseudo_solve_spd_batch(b_total, z_total, eig_floor=LS_EIG_FLOOR)
-    for sh in shards:
-        if sh.touched_cols.size:
-            ledger.record(round_no, DIR_DOWN, KIND_V_ROWS_BLOCK, int(sh.touched_cols.size) * r)
+    for t in touched:
+        if t:
+            ledger.record(round_no, DIR_DOWN, KIND_V_ROWS_BLOCK, t * r)
     return u_blocks, V_new
 
 

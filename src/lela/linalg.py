@@ -1,6 +1,6 @@
 """Dense-matrix container and the small numerical kernels everything else uses.
 
-Covers matrix statistics, top-r SVD of an implicit operator via blocked
+Covers matrix statistics, top-r SVD of a dense or sparse matrix via blocked
 subspace iteration, QR orthonormalization, batched weighted normal equations
 and their r-by-r solves, and power-iteration estimates of spectral residual
 norms.
@@ -110,18 +110,6 @@ class OracleDecomposition:
     v_star: np.ndarray
 
 
-class LinearOperator:
-    """Matrix-free operator: mv maps (d, k) -> (n, k), rmv its transpose."""
-
-    __slots__ = ("n", "d", "mv", "rmv")
-
-    def __init__(self, n, d, mv, rmv):
-        self.n = int(n)
-        self.d = int(d)
-        self.mv = mv
-        self.rmv = rmv
-
-
 def compute_stats(M: DenseMatrix) -> MatrixStats:
     """Gather row/column squared norms, row L1 norms, and global norms.
 
@@ -178,25 +166,27 @@ def qr_orthonormalize(X: np.ndarray) -> np.ndarray:
     return q
 
 
-def topk_svd(
-    op: LinearOperator, r: int, iters: int = 100, seed: int = 0
-) -> OracleDecomposition:
-    """Approximate top-r singular triplets of an implicit operator.
+def topk_svd(A, r: int, iters: int = 100, seed: int = 0) -> OracleDecomposition:
+    """Approximate top-r singular triplets of a real matrix.
 
+    ``A`` is any (n, d) matrix with ``A @ X`` and ``A.T @ Y``, such as a
+    numpy array or a scipy sparse matrix; its transpose is taken once.
     Blocked subspace iteration with per-step QR re-orthonormalization; a final
     thin SVD of the projected block aligns the factors and orders the singular
     values.  Deterministic given the seed.
     """
-    if r < 1 or r > min(op.n, op.d):
-        raise ParameterError(f"rank {r} outside [1, min(n, d) = {min(op.n, op.d)}]")
+    n, d = A.shape
+    if r < 1 or r > min(n, d):
+        raise ParameterError(f"rank {r} outside [1, min(n, d) = {min(n, d)}]")
     if iters < 1:
         raise ParameterError("iteration count must be at least 1")
+    At = A.T
     g = rng.stream(seed, rng.TAG_SVD_INIT)
-    V = orthonormal_columns(g.standard_normal((op.d, r)))
+    V = orthonormal_columns(g.standard_normal((d, r)))
     for _ in range(iters):
-        U = orthonormal_columns(op.mv(V))
-        V = orthonormal_columns(op.rmv(U))
-    B = op.mv(V)
+        U = orthonormal_columns(A @ V)
+        V = orthonormal_columns(At @ U)
+    B = A @ V
     Ub, s, Wt = np.linalg.svd(B, full_matrices=False)
     V = V @ Wt.T
     # Fix signs so the largest-magnitude entry of each left vector is positive.

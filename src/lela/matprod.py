@@ -15,7 +15,7 @@ import numpy as np
 from . import rng
 from .driver import lela
 from .errors import ParameterError
-from .linalg import DenseMatrix, Factorization, LinearOperator, topk_svd
+from .linalg import DenseMatrix, Factorization, orthonormal_columns
 from .sampling import build_product_plan, materialize_product_samples
 from .waltmin import waltmin
 
@@ -71,23 +71,20 @@ def lowrank_covariance(
     """Rank-r approximation of Y @ Y.T via the direct product method.
 
     The two factors are updated independently, so the output is not exactly
-    symmetric; ``symmetrize`` re-extracts the top-r part of the symmetrized
-    operator (u v^T + v u^T) / 2 as a post-processing step.
+    symmetric; ``symmetrize`` replaces it with the exact top-r truncation of
+    S = (u v^T + v u^T) / 2.  S lies in the span of Q = orth([u v]), so that
+    truncation is Q times the top-r part of the 2r x 2r core Q^T S Q.
     """
     Yt = DenseMatrix(Y.data.T)
     task = ProductTask(a=Y, b=Yt, rank=r, m=m, iterations=iterations, seed=seed)
     F = lowrank_product(task)
     if not symmetrize:
         return F
-    n = Y.n_rows
-    u, v = F.u, F.v
-
-    def mv(x):
-        return 0.5 * (u @ (v.T @ x) + v @ (u.T @ x))
-
-    op = LinearOperator(n, n, mv, mv)
-    dec = topk_svd(op, r, iters=50, seed=rng.derive_seed(seed, rng.TAG_SVD_INIT))
-    return Factorization(dec.u_star * dec.sigma_star, dec.v_star)
+    Q = orthonormal_columns(np.hstack([F.u, F.v]))
+    qu, qv = Q.T @ F.u, Q.T @ F.v
+    core = 0.5 * (qu @ qv.T + qv @ qu.T)
+    w, s, zt = np.linalg.svd(core)
+    return Factorization(Q @ (w[:, :r] * s[:r]), Q @ zt[:r].T)
 
 
 def stagewise_product_baseline(

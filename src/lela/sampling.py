@@ -36,7 +36,7 @@ import scipy.sparse
 
 from . import rng
 from .errors import DegenerateInputError, ParameterError
-from .linalg import DenseMatrix, Grouping, LinearOperator, MatrixStats, compute_stats
+from .linalg import DenseMatrix, Grouping, MatrixStats, compute_stats
 
 # Cells per block of the row-blocked samplers (a block holds one row at least).
 # 2^18 raised the benchmark's distpca-s4 peak RSS from 159.9 to 161.4 MB.
@@ -49,7 +49,7 @@ class SampleSet:
     Entries are kept sorted by (row, col); duplicates are rejected.  Weights
     are the reciprocal inclusion probabilities and must be positive.  The
     by-row and by-column layouts of the half steps are built on first use and
-    kept; the reweighted sampled matrix and its transpose are their matrices.
+    kept; the reweighted sampled matrix is the by-row layout's matrix.
     """
 
     def __init__(self, n, d, rows, cols, vals, weights):
@@ -89,7 +89,8 @@ class SampleSet:
         return int(self.rows.size)
 
     def observed_cols(self) -> np.ndarray:
-        return np.unique(self.cols)
+        """The sorted distinct columns of the entries."""
+        return np.flatnonzero(np.bincount(self.cols, minlength=self.d))
 
     def by_row(self) -> Grouping:
         """The entries grouped by row: the layout of the row half step."""
@@ -107,13 +108,6 @@ class SampleSet:
         """Sparse matrix of weight * value at the sampled cells, 0 elsewhere."""
         rows = self.by_row()
         return rows.matrix(rows.wy)
-
-    def weighted_operator(self) -> LinearOperator:
-        """Operator view of the reweighted sampled matrix."""
-        csr = self.weighted_csr()
-        cols = self.by_col()
-        csc = cols.matrix(cols.wy)
-        return LinearOperator(self.n, self.d, lambda x: csr @ x, lambda y: csc @ y)
 
 
 @dataclass(frozen=True)
@@ -204,7 +198,7 @@ def _row_blocks(count: int, d: int):
         yield start, min(start + step, count)
 
 
-def draw_bernoulli_rows(n, d, row_ids, prob_block, value_cells, seed, tag) -> SampleSet:
+def draw_bernoulli_rows(d, row_ids, prob_block, value_cells, seed, tag) -> SampleSet:
     """The Bernoulli kernel every exact sampler shares, over blocks of rows.
 
     Row ``row_ids[k]`` draws d uniforms from the stream (seed, tag, row_ids[k])
@@ -213,10 +207,12 @@ def draw_bernoulli_rows(n, d, row_ids, prob_block, value_cells, seed, tag) -> Sa
     draws it.  ``prob_block(a, b)`` returns the inclusion probabilities of the
     rows row_ids[a:b] as a (b - a, d) array and ``value_cells(ks, js)`` the
     values of the kept cells (row_ids[ks], js), ks ascending.  Only the
-    streams are read row by row.
+    streams are read row by row.  The result has len(row_ids) rows: the
+    entries of row row_ids[k] are stored in row k.
     """
+    n = len(row_ids)
     parts = []
-    for a, b in _row_blocks(len(row_ids), d):
+    for a, b in _row_blocks(n, d):
         P = prob_block(a, b)
         U = np.empty((b - a, d))
         for t, i in enumerate(row_ids[a:b].tolist()):
@@ -224,7 +220,7 @@ def draw_bernoulli_rows(n, d, row_ids, prob_block, value_cells, seed, tag) -> Sa
         ks, js = np.nonzero(U < P)
         weights = 1.0 / P[ks, js]
         ks += a
-        parts.append((row_ids[ks], js, value_cells(ks, js), weights))
+        parts.append((ks, js, value_cells(ks, js), weights))
     if not parts:
         return SampleSet(n, d, [], [], [], [])
     return SampleSet(n, d, *(np.concatenate(arrays) for arrays in zip(*parts)))
@@ -240,7 +236,7 @@ def draw_bernoulli(plan: SamplingPlan, seed: int = 0) -> SampleSet:
     """
     M = plan.matrix
     S = draw_bernoulli_rows(
-        plan.n, plan.d, np.arange(plan.n), plan.inclusion_probabilities,
+        plan.d, np.arange(plan.n), plan.inclusion_probabilities,
         lambda ks, js: M.data[ks, js], seed, rng.TAG_BERNOULLI,
     )
     M.note_pass()
@@ -379,6 +375,6 @@ def materialize_product_samples(plan: ProductSamplingPlan, seed: int = 0) -> Sam
         return vals
 
     return draw_bernoulli_rows(
-        plan.n1, plan.n2, np.arange(plan.n1), plan.inclusion_probabilities,
+        plan.n2, np.arange(plan.n1), plan.inclusion_probabilities,
         dot_products, seed, rng.TAG_PRODUCT,
     )

@@ -66,7 +66,7 @@ def initialize(
     """
     if S0.size == 0:
         raise DegenerateInputError("initialization requires a nonempty sample set")
-    dec = topk_svd(S0.weighted_operator(), r, iters=init_svd_iters, seed=seed)
+    dec = topk_svd(S0.weighted_csr(), r, iters=init_svd_iters, seed=seed)
     u0 = dec.u_star.copy()
     row_norms = np.linalg.norm(u0, axis=1)
     trimmed = np.flatnonzero(row_norms >= TRIM_FACTOR * trim_scores)

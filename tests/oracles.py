@@ -250,14 +250,15 @@ def centralized_sample(M, m, seed=0):
     return SampleSet(n, d, rows, cols, vals, wts)
 
 
-def draw_bernoulli_rows(n, d, row_ids, prob_row, value_row, seed, tag):
+def draw_bernoulli_rows(d, row_ids, prob_row, value_row, seed, tag):
     """The per-row Bernoulli kernel every exact sampler shares.
 
     Row ``row_ids[k]`` draws d uniforms from the stream (seed, tag, row_ids[k])
-    and keeps column j when u_j < p_j, storing weight 1 / p_j; the outcome
-    depends on the row id only, never on the position k or on who draws it.
-    ``prob_row(k)`` returns the row's inclusion probabilities and
-    ``value_row(k, js)`` the values of its kept columns.
+    and keeps column j when u_j < p_j, storing weight 1 / p_j in row k of a
+    set over len(row_ids) rows; the outcome depends on the row id only, never
+    on the position k or on who draws it.  ``prob_row(k)`` returns the row's
+    inclusion probabilities and ``value_row(k, js)`` the values of its kept
+    columns.
     """
     rows_acc, cols_acc, vals_acc, wts_acc = [], [], [], []
     for k, i in enumerate(row_ids):
@@ -265,11 +266,11 @@ def draw_bernoulli_rows(n, d, row_ids, prob_row, value_row, seed, tag):
         u = lrng.stream(seed, tag, int(i)).random(d)
         js = np.flatnonzero(u < p)
         if js.size:
-            rows_acc.append(np.full(js.size, i, dtype=np.int64))
+            rows_acc.append(np.full(js.size, k, dtype=np.int64))
             cols_acc.append(js)
             vals_acc.append(value_row(k, js))
             wts_acc.append(1.0 / p[js])
-    return _concat_samples(n, d, rows_acc, cols_acc, vals_acc, wts_acc)
+    return _concat_samples(len(row_ids), d, rows_acc, cols_acc, vals_acc, wts_acc)
 
 
 def _concat_samples(n, d, *blocks):
@@ -288,7 +289,7 @@ def draw_bernoulli(plan, seed=0):
     """Row-at-a-time ``lela.sampling.draw_bernoulli``."""
     M = plan.matrix
     S = draw_bernoulli_rows(
-        plan.n, plan.d, np.arange(plan.n), _row_probabilities(plan),
+        plan.d, np.arange(plan.n), _row_probabilities(plan),
         lambda i, js: M.row(i)[js], seed, lrng.TAG_BERNOULLI,
     )
     M.note_pass()
@@ -322,7 +323,7 @@ def materialize_product_samples(plan, seed=0):
     """Row-at-a-time ``lela.sampling.materialize_product_samples``."""
     A, B = plan.a, plan.b
     return draw_bernoulli_rows(
-        plan.n1, plan.n2, np.arange(plan.n1), _row_probabilities(plan),
+        plan.n2, np.arange(plan.n1), _row_probabilities(plan),
         lambda i, js: A.row(i) @ B.data[:, js], seed, lrng.TAG_PRODUCT,
     )
 
@@ -359,11 +360,12 @@ def dist_sample(shards, m, ledger, seed=0):
             q = m * ((row_sq[k] + col_sq) / (2.0 * n * fro_sq) + np.abs(rows[k]) / l11)
             return np.minimum(q, 1.0)
 
-        sh.hold(draw_bernoulli_rows(
-            n, d, sh.row_set, prob_row, lambda k, js: rows[k, js], seed, lrng.TAG_DIST_SAMPLE
-        ))
-        if sh.touched_cols.size:
-            ledger.record(round_no, DIR_UP, KIND_COL_LISTS, int(sh.touched_cols.size))
+        sh.local_samples = draw_bernoulli_rows(
+            d, sh.row_set, prob_row, lambda k, js: rows[k, js], seed, lrng.TAG_DIST_SAMPLE
+        )
+        touched = np.unique(sh.local_samples.cols).size
+        if touched:
+            ledger.record(round_no, DIR_UP, KIND_COL_LISTS, touched)
 
 
 def centralized_reference(M, r, m, iterations, init_rounds=10, seed=0):

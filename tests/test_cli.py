@@ -182,18 +182,6 @@ def test_product_requires_second_matrix(tmp_path):
     assert code == cli.EXIT_PARAMETER
 
 
-def test_budget_from_projection_dimension(capsys):
-    code = main(["lela", "--n", "20", "--d", "20", "--rank", "2", "--l", "10",
-                 "--iters", "2", "--seed", "1"])
-    assert code == 0
-    out = capsys.readouterr().out
-    assert "samples:" in out
-    # inconsistent pairing is a parameter error
-    code = main(["lela", "--n", "20", "--d", "20", "--rank", "2",
-                 "--m", "100", "--l", "9", "--iters", "2"])
-    assert code == cli.EXIT_PARAMETER
-
-
 @pytest.mark.parametrize(
     "argv",
     [
@@ -279,6 +267,7 @@ def test_empty_array_header_is_parameter_error(tmp_path, shape):
         ["bench", "--m", "100"],
         ["bench", "--l", "10"],
         ["bench", "--noise", "0.1"],
+        ["lela", "--l", "10"],
     ],
 )
 def test_flag_a_subcommand_ignores_is_refused(monkeypatch, argv):

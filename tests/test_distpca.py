@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import lela.distpca as lela_distpca
 import lela.sampling as lela_sampling
 from lela import (
     CommLedger,
@@ -87,7 +86,7 @@ def test_dist_sample_single_server_matches_centralized_law():
     shards, _ = sampled_shards(M, 1, 60, seed=9)
     S = centralized_sample(M, 60, seed=9)
     local = shards[0].local_samples
-    assert np.array_equal(local.rows, S.rows)
+    assert np.array_equal(shards[0].row_set[local.rows], S.rows)
     assert np.array_equal(local.cols, S.cols)
     assert np.array_equal(local.vals, S.vals)
     # weights agree to rounding (the shard computes its stats on a row copy)
@@ -101,9 +100,9 @@ def test_dist_sample_identical_omega_across_server_counts():
     omegas = []
     for s in (1, 2, 4):
         shards, _ = sampled_shards(M, s, 80, seed=4)
-        parts = [
+        parts = [np.concatenate([sh.row_set[sh.local_samples.rows] for sh in shards])] + [
             np.concatenate([getattr(sh.local_samples, f) for sh in shards])
-            for f in ("rows", "cols", "vals", "weights")
+            for f in ("cols", "vals", "weights")
         ]
         order = np.lexsort((parts[1], parts[0]))
         omegas.append([a[order] for a in parts])
@@ -138,11 +137,12 @@ def test_dist_sample_disjoint_across_shards():
     shards, _ = sampled_shards(M, 3, 50, seed=2)
     seen = set()
     for sh in shards:
-        for i, j in zip(sh.local_samples.rows, sh.local_samples.cols):
+        local = sh.local_samples
+        assert local.n == sh.n_local
+        for i, j in zip(sh.row_set[local.rows], local.cols):
             assert (i, j) not in seen
             seen.add((i, j))
-        assert set(sh.local_samples.rows.tolist()) <= set(sh.row_set.tolist())
-        assert sorted(set(sh.local_samples.cols.tolist())) == sh.touched_cols.tolist()
+        assert sorted(set(local.cols.tolist())) == local.observed_cols().tolist()
 
 
 def test_dist_sample_all_zero_matrix_degenerate():
@@ -183,7 +183,7 @@ def test_dist_init_ledger_per_round():
     before = len(ledger.messages)
     dist_init(shards, r, rounds, ledger, seed=7)
     msgs = ledger.messages[before:]
-    expected_per_round = sum(sh.touched_cols.size for sh in shards) * r
+    expected_per_round = sum(sh.local_samples.observed_cols().size for sh in shards) * r
     init_rounds = sorted({m.round for m in msgs})
     first = init_rounds[0]
     # initial broadcast round carries only down blocks
@@ -206,7 +206,7 @@ def test_dist_round_z_and_b_payload_counts():
     dist_waltmin_round(shards, V, ledger)
     msgs = ledger.messages[before:]
     for sh in shards:
-        expected = sh.touched_cols.size * (r + r * r)
+        expected = sh.local_samples.observed_cols().size * (r + r * r)
         got = [
             m.payload_reals
             for m in msgs
@@ -214,7 +214,7 @@ def test_dist_round_z_and_b_payload_counts():
         ]
         assert got, f"missing z-and-B message for server {sh.server_id}"
     v_down = sum(m.payload_reals for m in msgs if m.kind == KIND_V_ROWS_BLOCK)
-    assert v_down == sum(sh.touched_cols.size for sh in shards) * r
+    assert v_down == sum(sh.local_samples.observed_cols().size for sh in shards) * r
 
 
 def test_dist_round_single_server_matches_centralized():
@@ -225,7 +225,7 @@ def test_dist_round_single_server_matches_centralized():
     assert np.abs(F.v - C.v).max() <= 1e-10
 
 
-def test_rounds_build_no_layout_after_hold(monkeypatch):
+def test_two_layouts_per_shard_over_a_run(monkeypatch):
     M = make_matrix(24, 13, 24)
     shards = partition_rows(M, 3)
     ledger = CommLedger()
@@ -235,14 +235,20 @@ def test_rounds_build_no_layout_after_hold(monkeypatch):
         built.append(out_dim)
         return Grouping(group, other, w, y, out_dim, n_other)
 
-    for module in (lela_distpca, lela_sampling):
-        monkeypatch.setattr(module, "Grouping", counted_grouping)
+    monkeypatch.setattr(lela_sampling, "Grouping", counted_grouping)
     dist_sample(shards, 120, ledger, seed=4)
-    assert sorted(built) == sorted([13] * 3 + [sh.n_local for sh in shards])
     V = dist_init(shards, 2, 3, ledger, seed=4)
     for _ in range(3):
         _, V = dist_waltmin_round(shards, V, ledger)
-    assert len(built) == 2 * len(shards)
+    assert sorted(built) == sorted([13] * 3 + [sh.n_local for sh in shards])
+
+
+def test_stages_refuse_unsampled_shards():
+    shards = partition_rows(make_matrix(8, 5, 28), 2)
+    with pytest.raises(ParameterError, match="dist_sample must run before dist_init"):
+        dist_init(shards, 2, 1, CommLedger())
+    with pytest.raises(ParameterError, match="dist_sample must run before dist_waltmin_round"):
+        dist_waltmin_round(shards, np.eye(5, 2), CommLedger())
 
 
 def test_disjoint_touched_columns_aggregation_is_copy():
@@ -252,10 +258,13 @@ def test_disjoint_touched_columns_aggregation_is_copy():
     arr = np.random.default_rng(14).standard_normal((n, d))
     M = DenseMatrix(arr)
     shards = partition_rows(M, 2, policy="contiguous")
-    s0 = SampleSet(n, d, [0, 1, 2, 0], [0, 1, 2, 1], arr[[0, 1, 2, 0], [0, 1, 2, 1]], np.ones(4))
-    s1 = SampleSet(n, d, [3, 4, 5, 4], [3, 4, 5, 5], arr[[3, 4, 5, 4], [3, 4, 5, 5]], np.ones(4))
-    shards[0].hold(s0)
-    shards[1].hold(s1)
+    # rows are local: shard 0 holds rows 0-2 and shard 1 rows 3-5
+    shards[0].local_samples = SampleSet(
+        3, d, [0, 1, 2, 0], [0, 1, 2, 1], arr[[0, 1, 2, 0], [0, 1, 2, 1]], np.ones(4)
+    )
+    shards[1].local_samples = SampleSet(
+        3, d, [0, 1, 2, 1], [3, 4, 5, 5], arr[[3, 4, 5, 4], [3, 4, 5, 5]], np.ones(4)
+    )
     ledger = CommLedger()
     V0 = orthonormal_columns(np.random.default_rng(1).standard_normal((d, r)))
     _, V_new = dist_waltmin_round([shards[0], shards[1]], V0, ledger)
@@ -340,4 +349,4 @@ def test_col_lists_payload_matches_touched_columns():
     col_list_total = sum(
         msg.payload_reals for msg in ledger.messages if msg.kind == KIND_COL_LISTS
     )
-    assert col_list_total == sum(sh.touched_cols.size for sh in shards)
+    assert col_list_total == sum(sh.local_samples.observed_cols().size for sh in shards)

@@ -102,6 +102,16 @@ def test_covariance_symmetrize_flag():
     assert np.abs(dense - dense.T).max() <= 1e-9 * max(np.abs(dense).max(), 1.0)
 
 
+def test_covariance_symmetrize_is_the_top_r_part_of_the_symmetrized_output():
+    for n, seed in ((18, 6), (40, 7)):
+        Y = DenseMatrix(np.random.default_rng(seed).standard_normal((n, 6)))
+        P = lowrank_covariance(Y, 3, 15 * n, iterations=5, seed=seed).dense()
+        F = lowrank_covariance(Y, 3, 15 * n, iterations=5, seed=seed, symmetrize=True)
+        u, s, vt = np.linalg.svd(0.5 * (P + P.T))
+        ref = (u[:, :3] * s[:3]) @ vt[:3]
+        assert np.abs(F.dense() - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
 def test_covariance_deterministic():
     Y = DenseMatrix(np.random.default_rng(5).standard_normal((14, 5)))
     F1 = lowrank_covariance(Y, 2, 700, iterations=4, seed=6)

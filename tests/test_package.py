@@ -1,3 +1,6 @@
+import ast
+import pathlib
+import re
 import types
 
 import lela
@@ -39,3 +42,45 @@ def test_package_exports_only_the_documented_surface():
         assert getattr(lela, name) is not None
     # no exported function shadows the solver's submodule
     assert isinstance(lela.waltmin, types.ModuleType)
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "lela"
+
+
+def _entry_points():
+    """(module, function) of each console script in pyproject.toml."""
+    text = (ROOT / "pyproject.toml").read_text()
+    scripts = text.split("[project.scripts]", 1)[1].split("\n[", 1)[0]
+    return set(re.findall(r'"lela\.(\w+):(\w+)"', scripts))
+
+
+def test_every_top_level_definition_has_a_caller_in_the_package():
+    # A top-level function or class of src/lela is exported, a console
+    # script, or referenced from another statement of the package; one that
+    # only tests use belongs in tests/.
+    defined = []
+    referenced = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for stmt in tree.body:
+            own = None
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                own = (path.stem, stmt.name)
+                defined.append(own)
+            for node in ast.walk(stmt):
+                name = None
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                if name is not None and (own is None or name != own[1]):
+                    referenced.add(name)
+    entry = _entry_points()
+    assert entry == {("cli", "main")}
+    unused = [
+        f"{module}.{name}"
+        for module, name in defined
+        if name not in lela.__all__ and (module, name) not in entry and name not in referenced
+    ]
+    assert defined and unused == []

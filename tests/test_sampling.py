@@ -291,16 +291,34 @@ def test_sampleset_sorts_unsorted_input(rows, cols):
     assert S.weights.tolist() == [2.0, 4.0, 11.0, 22.0]
 
 
-def test_weighted_operator_bitwise_equal_to_coo_matrix():
+def test_weighted_csr_bitwise_equal_to_coo_matrix():
     g = np.random.default_rng(17)
     M = DenseMatrix(g.standard_normal((23, 17)))
     S = draw_bernoulli(build_plan(M, 150), seed=3)
     ref = oracles.weighted_coo_csr(S)
-    op = S.weighted_operator()
+    csr = S.weighted_csr()
     x = np.asfortranarray(g.standard_normal((17, 3)))
     y = g.standard_normal((23, 3))
-    assert np.array_equal(op.mv(x).view(np.int64), (ref @ x).view(np.int64))
-    assert np.array_equal(op.rmv(y).view(np.int64), (ref.T @ y).view(np.int64))
+    assert np.array_equal((csr @ x).view(np.int64), (ref @ x).view(np.int64))
+    assert np.array_equal((csr.T @ y).view(np.int64), (ref.T @ y).view(np.int64))
+    # the transpose sums each column in the by-column layout's order
+    by_col = S.by_col()
+    assert np.array_equal((csr.T @ y).view(np.int64), (by_col.matrix(by_col.wy) @ y).view(np.int64))
+
+
+def test_observed_cols_are_the_distinct_columns():
+    g = np.random.default_rng(18)
+    rows = np.repeat(np.arange(30), 4)
+    cols = np.concatenate([g.choice(40, 4, replace=False) for _ in range(30)])
+    sets = [
+        SampleSet(3, 5, [], [], [], []),
+        SampleSet(3, 5, [0, 2], [4, 4], [1.0, 2.0], [1.0, 1.0]),
+        SampleSet(30, 40, rows, cols, g.standard_normal(120), 1.0 + g.random(120)),
+    ]
+    for S in sets:
+        got = S.observed_cols()
+        expected = np.unique(S.cols)
+        assert got.dtype == expected.dtype and np.array_equal(got, expected)
 
 
 def test_sampleset_rejects_bad_weight():

@@ -69,7 +69,7 @@ def test_initialize_trims_row_with_tiny_score():
     init = initialize(S, scores, 2, init_svd_iters=80, seed=1)
     assert 0 in init.trimmed_rows.tolist()
     # hand check of the rule on the untrimmed factor of the same operator
-    dec = topk_svd(S.weighted_operator(), 2, iters=80, seed=1)
+    dec = topk_svd(S.weighted_csr(), 2, iters=80, seed=1)
     assert np.linalg.norm(dec.u_star[0]) >= TRIM_FACTOR * scores[0]
     # trimmed rows are exactly zero before QR; QR leaves only rounding noise
     assert np.abs(init.u0[init.trimmed_rows]).max() <= 1e-12
