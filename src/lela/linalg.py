@@ -1,9 +1,9 @@
 """Dense-matrix container and the small numerical kernels everything else uses.
 
 Covers matrix statistics, top-r SVD of a dense or sparse matrix via blocked
-subspace iteration, QR orthonormalization, batched weighted normal equations
-and their r-by-r solves, and power-iteration estimates of spectral residual
-norms.
+subspace iteration that stops when its subspace stops moving, QR
+orthonormalization, batched weighted normal equations and their r-by-r
+solves, and power-iteration estimates of spectral residual norms.
 """
 from __future__ import annotations
 
@@ -166,26 +166,48 @@ def qr_orthonormalize(X: np.ndarray) -> np.ndarray:
     return q
 
 
-def topk_svd(A, r: int, iters: int = 100, seed: int = 0) -> OracleDecomposition:
+# The cap on topk_svd's subspace iterations: no input runs more.
+SVD_MAX_ITERS = 100
+
+# topk_svd stops once an iteration moves its right basis V by at most this.
+# The step ||V' - V V^T V'||_F bounds the sine of the largest angle between
+# consecutive bases.  Subspace iteration shrinks the angle to the top-r right
+# subspace by rho = (s_{r+1}/s_r)^2 per iteration, so at a stop the basis lies
+# within step/(1 - rho) of that subspace, and its Ritz values are off by the
+# square of that, relatively.  WAltMin needs its init only within a constant
+# angle, which its rounds then contract; 1e-6 puts the init six orders inside
+# that and its Ritz values near 1e-12/(1 - rho)^2.  Where rho is near 1 the
+# bound loosens, but the top-r subspace is then ill-determined itself: a
+# perturbation E of the input moves it by up to ||E||/(s_r - s_{r+1})
+# (Davis-Kahan), while the rank-r approximation converges without a gap
+# (Musco & Musco 2015).  There the cap bounds the work.
+SVD_STEP_TOL = 1e-6
+
+
+def topk_svd(A, r: int, seed: int = 0) -> OracleDecomposition:
     """Approximate top-r singular triplets of a real matrix.
 
     ``A`` is any (n, d) matrix with ``A @ X`` and ``A.T @ Y``, such as a
     numpy array or a scipy sparse matrix; its transpose is taken once.
-    Blocked subspace iteration with per-step QR re-orthonormalization; a final
-    thin SVD of the projected block aligns the factors and orders the singular
-    values.  Deterministic given the seed.
+    Blocked subspace iteration with per-step QR re-orthonormalization runs
+    until one iteration moves the right basis V by at most ``SVD_STEP_TOL``
+    (the step ||V' - V V^T V'||_F), and never more than ``SVD_MAX_ITERS``
+    times; a final thin SVD of the projected block aligns the factors and
+    orders the singular values.  Deterministic given the seed.
     """
     n, d = A.shape
     if r < 1 or r > min(n, d):
         raise ParameterError(f"rank {r} outside [1, min(n, d) = {min(n, d)}]")
-    if iters < 1:
-        raise ParameterError("iteration count must be at least 1")
     At = A.T
     g = rng.stream(seed, rng.TAG_SVD_INIT)
     V = orthonormal_columns(g.standard_normal((d, r)))
-    for _ in range(iters):
+    for _ in range(SVD_MAX_ITERS):
         U = orthonormal_columns(A @ V)
-        V = orthonormal_columns(At @ U)
+        V_next = orthonormal_columns(At @ U)
+        step = np.linalg.norm(V_next - V @ (V.T @ V_next))
+        V = V_next
+        if step <= SVD_STEP_TOL:
+            break
     B = A @ V
     Ub, s, Wt = np.linalg.svd(B, full_matrices=False)
     V = V @ Wt.T

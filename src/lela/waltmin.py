@@ -2,7 +2,9 @@
 
 The solver minimizes  sum_{(i,j) in Omega} w_ij (M_ij - (U V^T)_ij)^2  by
 block coordinate descent: initialize U from a top-r SVD of the reweighted
-sampled matrix (with heavy rows trimmed), then alternate exact weighted
+sampled matrix (with heavy rows trimmed), whose subspace iteration stops once
+its basis stops moving (``linalg.SVD_STEP_TOL``) because the alternating
+rounds contract what error is left, then alternate exact weighted
 least-squares updates of V and U.  Updated factors are QR-orthonormalized
 between half steps for numerical stability; the fixed points are unchanged
 because the dropped triangular scale is re-fit by the next solve.
@@ -37,9 +39,6 @@ TRIM_FACTOR = 4.0
 UPDATE_V = "update-V"
 UPDATE_U = "update-U"
 
-# Subspace iterations of the initial top-r SVD.
-INIT_SVD_ITERS = 100
-
 # Absolute eigenvalue floor of the normal matrices in waltmin's half steps.
 LS_EIG_FLOOR = 0.07
 
@@ -56,17 +55,17 @@ def initialize(
     S0: SampleSet,
     trim_scores: np.ndarray,
     r: int,
-    init_svd_iters: int = INIT_SVD_ITERS,
     seed: int = 0,
 ) -> InitResult:
     """Top-r left factor of the reweighted sampled matrix, trimmed then QR'd.
 
+    The factor is ``linalg.topk_svd``'s, with its convergence stop and cap.
     Row i of the factor is zeroed when its norm reaches TRIM_FACTOR *
     ``trim_scores[i]``; the plans supply the scores (``row_trim_scores()``).
     """
     if S0.size == 0:
         raise DegenerateInputError("initialization requires a nonempty sample set")
-    dec = topk_svd(S0.weighted_csr(), r, iters=init_svd_iters, seed=seed)
+    dec = topk_svd(S0.weighted_csr(), r, seed=seed)
     u0 = dec.u_star.copy()
     row_norms = np.linalg.norm(u0, axis=1)
     trimmed = np.flatnonzero(row_norms >= TRIM_FACTOR * trim_scores)

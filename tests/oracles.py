@@ -2,7 +2,9 @@
 
 These deliberately avoid the code paths under test: statistics by explicit
 double loops, SVD via cyclic Jacobi on the Gram matrix, orthonormalization by
-modified Gram-Schmidt, 2x2 solves by the closed-form inverse, least-squares
+modified Gram-Schmidt, the init SVD by the fixed-iteration subspace
+iteration the convergence stop replaced (bitwise equal to the library's with
+the stop disabled), 2x2 solves by the closed-form inverse, least-squares
 rows by one eigendecomposition each, the weighted normal equations by a
 per-observation loop, the per-cell sampling intensity by the law's formula,
 the weighted sampled matrix by scipy's COO conversion, the distributed
@@ -28,6 +30,7 @@ from lela.distpca import (
     KIND_STATS_BROADCAST,
 )
 from lela.linalg import (
+    OracleDecomposition,
     compute_stats,
     orthonormal_columns,
     pseudo_solve_spd_batch,
@@ -88,6 +91,31 @@ def jacobi_svd(arr):
         if sigma[k] > 1e-12 * (sigma[0] if sigma.size else 1.0):
             U[:, k] = (arr @ V[:, k]) / sigma[k]
     return U, sigma, V
+
+
+def topk_svd_fixed(A, r, iters, seed):
+    """Top-r singular triplets by exactly ``iters`` subspace iterations."""
+    n, d = A.shape
+    if r < 1 or r > min(n, d):
+        raise ParameterError(f"rank {r} outside [1, min(n, d) = {min(n, d)}]")
+    if iters < 1:
+        raise ParameterError("iteration count must be at least 1")
+    At = A.T
+    g = lrng.stream(seed, lrng.TAG_SVD_INIT)
+    V = orthonormal_columns(g.standard_normal((d, r)))
+    for _ in range(iters):
+        U = orthonormal_columns(A @ V)
+        V = orthonormal_columns(At @ U)
+    B = A @ V
+    Ub, s, Wt = np.linalg.svd(B, full_matrices=False)
+    V = V @ Wt.T
+    # Fix signs so the largest-magnitude entry of each left vector is positive.
+    anchor = np.argmax(np.abs(Ub), axis=0)
+    flips = np.sign(Ub[anchor, np.arange(r)])
+    flips[flips == 0] = 1.0
+    Ub = Ub * flips
+    V = V * flips
+    return OracleDecomposition(u_star=Ub, sigma_star=s, v_star=V)
 
 
 def modified_gram_schmidt(X):

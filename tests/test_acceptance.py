@@ -206,7 +206,7 @@ def test_criterion_06_objective_monotonicity():
         plan = build_plan(M, 6 * max(n, d) * r)
         S = draw_bernoulli(plan, seed=inst)
         try:
-            init = initialize(S, plan.row_trim_scores(), r, init_svd_iters=40, seed=inst)
+            init = initialize(S, plan.row_trim_scores(), r, seed=inst)
         except Exception:
             continue
         u_hat = init.u0

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
+import lela.linalg as lela_linalg
 import oracles
 from lela import DegenerateInputError, DenseMatrix, Factorization, ParameterError
 from lela.linalg import (
@@ -63,7 +65,7 @@ def test_stats_cross_sums_agree():
 
 
 def test_topk_svd_diagonal():
-    dec = topk_svd(np.diag([3.0, 2.0, 1.0]), 2, iters=60, seed=0)
+    dec = topk_svd(np.diag([3.0, 2.0, 1.0]), 2, seed=0)
     assert np.allclose(dec.sigma_star, [3.0, 2.0], atol=1e-10)
     assert abs(dec.sigma_star[0] / dec.sigma_star[-1] - 1.5) < 1e-9
 
@@ -72,7 +74,7 @@ def test_topk_svd_rank_one():
     g = np.random.default_rng(1)
     u = g.standard_normal(8)
     v = g.standard_normal(6)
-    dec = topk_svd(np.outer(u, v), 1, iters=60, seed=0)
+    dec = topk_svd(np.outer(u, v), 1, seed=0)
     sigma = np.linalg.norm(u) * np.linalg.norm(v)
     assert abs(dec.sigma_star[0] - sigma) <= 1e-10 * sigma
     uu = u / np.linalg.norm(u)
@@ -83,14 +85,14 @@ def test_topk_svd_rank_one():
 
 def test_topk_svd_matches_jacobi_oracle():
     arr = np.random.default_rng(3).standard_normal((20, 15))
-    dec = topk_svd(arr, 4, iters=200, seed=1)
+    dec = topk_svd(arr, 4, seed=1)
     _, sigma, _ = oracles.jacobi_svd(arr)
     assert np.all(np.abs(dec.sigma_star - sigma[:4]) <= 1e-6 * sigma[:4])
 
 
 def test_topk_svd_ordered_and_orthonormal():
     arr = np.random.default_rng(4).standard_normal((15, 12))
-    dec = topk_svd(arr, 5, iters=150, seed=2)
+    dec = topk_svd(arr, 5, seed=2)
     assert np.all(np.diff(dec.sigma_star) <= 1e-12)
     assert np.allclose(dec.u_star.T @ dec.u_star, np.eye(5), atol=1e-10)
     assert np.allclose(dec.v_star.T @ dec.v_star, np.eye(5), atol=1e-10)
@@ -104,7 +106,7 @@ def test_topk_svd_weyl_under_perturbation():
     E = g.standard_normal((30, 20))
     E *= (1e-3 * sigma[-1]) / oracles.spectral_norm_dense(E)
     arr = U @ np.diag(sigma) @ V.T + E
-    dec = topk_svd(arr, 3, iters=200, seed=0)
+    dec = topk_svd(arr, 3, seed=0)
     norm_e = oracles.spectral_norm_dense(E)
     assert np.all(np.abs(dec.sigma_star - sigma) <= norm_e + 1e-9)
 
@@ -118,11 +120,58 @@ def test_topk_svd_rejects_bad_rank():
 
 def test_topk_svd_deterministic():
     arr = np.random.default_rng(6).standard_normal((12, 9))
-    a = topk_svd(arr, 3, iters=40, seed=9)
-    b = topk_svd(arr, 3, iters=40, seed=9)
+    a = topk_svd(arr, 3, seed=9)
+    b = topk_svd(arr, 3, seed=9)
     assert np.array_equal(a.u_star, b.u_star)
     assert np.array_equal(a.sigma_star, b.sigma_star)
     assert np.array_equal(a.v_star, b.v_star)
+
+
+def subspace_sine(V, W):
+    """Sine of the largest principal angle between range(V) and range(W)."""
+    return np.linalg.norm(W - V @ (V.T @ W), 2)
+
+
+def low_rank_plus_noise(seed, sigma, n=60, d=40):
+    """U diag(sigma) V^T plus Gaussian noise of spectral norm 1."""
+    g = np.random.default_rng(seed)
+    U = oracles.modified_gram_schmidt(g.standard_normal((n, len(sigma))))
+    V = oracles.modified_gram_schmidt(g.standard_normal((d, len(sigma))))
+    E = g.standard_normal((n, d))
+    E *= 1.0 / oracles.spectral_norm_dense(E)
+    return U @ np.diag(sigma) @ V.T + E
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+def test_topk_svd_without_stop_is_the_fixed_iteration_kernel(monkeypatch, svd_iterations, sparse):
+    arr = low_rank_plus_noise(10, [6.0, 5.0, 4.0])
+    A = scipy.sparse.csr_matrix(arr * (np.abs(arr) > 0.1)) if sparse else arr
+    monkeypatch.setattr(lela_linalg, "SVD_STEP_TOL", 0.0)
+    dec = topk_svd(A, 3, seed=3)
+    assert svd_iterations() == lela_linalg.SVD_MAX_ITERS
+    ref = oracles.topk_svd_fixed(A, 3, 100, seed=3)
+    assert np.array_equal(dec.u_star, ref.u_star)
+    assert np.array_equal(dec.sigma_star, ref.sigma_star)
+    assert np.array_equal(dec.v_star, ref.v_star)
+
+
+def test_topk_svd_stops_early_on_gapped_matrix(svd_iterations):
+    r = 3
+    arr = low_rank_plus_noise(11, [6.0, 5.0, 4.0])
+    dec = topk_svd(arr, r, seed=0)
+    assert svd_iterations() <= lela_linalg.SVD_MAX_ITERS // 4
+    _, s, Wt = np.linalg.svd(arr)
+    rho = (s[r] / s[r - 1]) ** 2
+    assert subspace_sine(dec.v_star, Wt[:r].T) <= lela_linalg.SVD_STEP_TOL / (1.0 - rho)
+
+
+def test_topk_svd_runs_the_cap_without_a_gap(svd_iterations):
+    g = np.random.default_rng(12)
+    U = oracles.modified_gram_schmidt(g.standard_normal((30, 6)))
+    V = oracles.modified_gram_schmidt(g.standard_normal((20, 6)))
+    sigma = np.array([3.0, 2.0, 1.98, 1.0, 0.5, 0.25])  # s_3 / s_2 = 0.99
+    topk_svd(U @ np.diag(sigma) @ V.T, 2, seed=0)
+    assert svd_iterations() == lela_linalg.SVD_MAX_ITERS
 
 
 def test_qr_orthonormal_input_unchanged_up_to_sign():

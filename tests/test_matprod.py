@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 import tracemalloc
 
+import lela.linalg as lela_linalg
+import lela.waltmin as lela_waltmin
 import oracles
 from lela import (
     DenseMatrix,
@@ -62,6 +64,25 @@ def test_product_deterministic():
     F1, F2 = lowrank_product(task), lowrank_product(task)
     assert np.array_equal(F1.u, F2.u)
     assert np.array_equal(F1.v, F2.v)
+
+
+def test_product_with_init_stop_matches_fixed_iteration_init(monkeypatch, svd_iterations):
+    g = np.random.default_rng(40)
+    A = DenseMatrix(
+        g.standard_normal((80, 5)) @ g.standard_normal((5, 30)) + 0.1 * g.standard_normal((80, 30))
+    )
+    B = DenseMatrix(
+        g.standard_normal((30, 5)) @ g.standard_normal((5, 70)) + 0.1 * g.standard_normal((30, 70))
+    )
+    task = ProductTask(a=A, b=B, rank=3, m=16 * 80 * 3, iterations=10, seed=0)
+    F = lowrank_product(task)
+    assert svd_iterations() < lela_linalg.SVD_MAX_ITERS  # the stop fired
+    monkeypatch.setattr(
+        lela_waltmin, "topk_svd", lambda S, r, seed: oracles.topk_svd_fixed(S, r, 100, seed)
+    )
+    G = lowrank_product(task)
+    zero = Factorization(np.zeros_like(G.u), np.zeros_like(G.v))
+    assert low_rank_diff_spectral_norm(F, G) <= 1e-6 * low_rank_diff_spectral_norm(G, zero)
 
 
 def test_product_task_validation():

@@ -43,7 +43,7 @@ def test_initialize_fully_observed_rank_one():
     u = g.standard_normal(12)
     v = g.standard_normal(9)
     arr = np.outer(u, v)
-    init = initialize(full_sample_set(arr), trim_scores(arr), 1, init_svd_iters=80, seed=0)
+    init = initialize(full_sample_set(arr), trim_scores(arr), 1, seed=0)
     assert init.trimmed_rows.size == 0
     uu = u / np.linalg.norm(u)
     assert abs(abs(uu @ init.u0[:, 0]) - 1.0) <= 1e-10
@@ -66,10 +66,10 @@ def _heavy_row_setup(seed):
 def test_initialize_trims_row_with_tiny_score():
     arr, scores, S = _heavy_row_setup(4)
     assert TRIM_FACTOR * scores[0] < 1.0  # the bar is reachable
-    init = initialize(S, scores, 2, init_svd_iters=80, seed=1)
+    init = initialize(S, scores, 2, seed=1)
     assert 0 in init.trimmed_rows.tolist()
     # hand check of the rule on the untrimmed factor of the same operator
-    dec = topk_svd(S.weighted_csr(), 2, iters=80, seed=1)
+    dec = topk_svd(S.weighted_csr(), 2, seed=1)
     assert np.linalg.norm(dec.u_star[0]) >= TRIM_FACTOR * scores[0]
     # trimmed rows are exactly zero before QR; QR leaves only rounding noise
     assert np.abs(init.u0[init.trimmed_rows]).max() <= 1e-12
@@ -77,7 +77,7 @@ def test_initialize_trims_row_with_tiny_score():
 
 def test_initialize_trimming_idempotent():
     arr, scores, S = _heavy_row_setup(5)
-    init = initialize(S, scores, 2, init_svd_iters=80, seed=2)
+    init = initialize(S, scores, 2, seed=2)
     assert init.trimmed_rows.size > 0
     trimmed_again = init.u0.copy()
     norms = np.linalg.norm(trimmed_again, axis=1)
@@ -89,8 +89,8 @@ def test_initialize_deterministic():
     arr = np.random.default_rng(6).standard_normal((7, 7))
     scores = trim_scores(arr)
     S = full_sample_set(arr)
-    a = initialize(S, scores, 3, init_svd_iters=50, seed=5)
-    b = initialize(S, scores, 3, init_svd_iters=50, seed=5)
+    a = initialize(S, scores, 3, seed=5)
+    b = initialize(S, scores, 3, seed=5)
     assert np.array_equal(a.u0, b.u0)
     assert np.array_equal(a.trimmed_rows, b.trimmed_rows)
 
@@ -272,7 +272,7 @@ def test_initialization_quality_on_sampled_rank_r():
         M = DenseMatrix(arr)
         plan = build_plan(M, m)
         S = draw_bernoulli(plan, seed=seed)
-        init = initialize(S, plan.row_trim_scores(), r, init_svd_iters=100, seed=seed)
+        init = initialize(S, plan.row_trim_scores(), r, seed=seed)
         u_perp = np.eye(n) - U @ U.T
         dist = oracles.spectral_norm_dense(u_perp @ init.u0)
         good += dist <= 0.5
