@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -40,21 +40,6 @@ ALGORITHMS = (
     "covariance-stagewise",
     "distpca",
 )
-
-CSV_HEADER = (
-    "algorithm",
-    "alpha",
-    "noise",
-    "m",
-    "l",
-    "trial",
-    "seed",
-    "spectral_err",
-    "spectral_err_vs_input",
-    "wall_time",
-    "status",
-)
-
 
 def gen_powerlaw(
     n: int, d: int, r: int, alpha: float, seed: int = 0
@@ -196,23 +181,21 @@ class ExperimentRow:
     wall_time: float
     status: str
 
-    def as_csv(self) -> list:
-        def fmt(x):
-            return "" if x is None else repr(x) if isinstance(x, float) else str(x)
+    def as_csv(self) -> list[str]:
+        """The fields in order: None empty, a float field as repr(float), the rest str."""
+        cells = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value is None:
+                cells.append("")
+            elif f.type.startswith("float"):  # annotations are strings here
+                cells.append(repr(float(value)))
+            else:
+                cells.append(str(value))
+        return cells
 
-        return [
-            self.algorithm,
-            repr(float(self.alpha)),
-            repr(float(self.noise)),
-            str(self.m),
-            "" if self.l is None else str(self.l),
-            str(self.trial),
-            str(self.seed),
-            fmt(self.spectral_err),
-            fmt(self.spectral_err_vs_input),
-            repr(float(self.wall_time)),
-            self.status,
-        ]
+
+CSV_HEADER = tuple(f.name for f in fields(ExperimentRow))
 
 
 class _InstanceCache:
@@ -262,24 +245,6 @@ class _InstanceCache:
 
 def _run_one(cfg, cache, algorithm, noise_idx, m, l, trial, alg_seed):
     """Dispatch one cell of the grid; returns (err_vs_target, err_vs_input)."""
-    if algorithm == "lela":
-        M, truth = cache.plain(noise_idx, trial)
-        F = lela(M, cfg.r, m, cfg.iterations, mode=cfg.sampler_mode, seed=alg_seed).factorization
-        err_in = spectral_error(M, F, iters=200, seed=rng.derive_seed(alg_seed, rng.TAG_SPECTRAL))
-        return low_rank_diff_spectral_norm(truth, F), err_in
-    if algorithm == "gaussian-projection":
-        M, truth = cache.plain(noise_idx, trial)
-        F = gaussian_projection_baseline(M, cfg.r, l, seed=alg_seed)
-        err_in = spectral_error(M, F, iters=200, seed=alg_seed)
-        return low_rank_diff_spectral_norm(truth, F), err_in
-    if algorithm == "distpca":
-        M, truth = cache.plain(noise_idx, trial)
-        F, _ = run_distpca(
-            M, cfg.servers, cfg.r, m, cfg.iterations,
-            init_rounds=cfg.init_rounds, seed=alg_seed,
-        )
-        err_in = spectral_error(M, F, iters=200, seed=alg_seed)
-        return low_rank_diff_spectral_norm(truth, F), err_in
     if algorithm in ("product-direct", "product-stagewise"):
         A, B, truth = cache.product(trial)
         if algorithm == "product-direct":
@@ -297,10 +262,22 @@ def _run_one(cfg, cache, algorithm, noise_idx, m, l, trial, alg_seed):
         else:
             Yt = DenseMatrix(Y.data.T)
             F = stagewise_product_baseline(Y, Yt, cfg.r, m, cfg.iterations, seed=alg_seed)
-        gram = DenseMatrix(Y.data @ Y.data.T)
-        err_in = spectral_error(gram, F, iters=200, seed=alg_seed)
+        # Y Y^T - u v^T = [Y, -u] [Y, v]^T: its norm is exact without the n x n Gram
+        err_in = low_rank_diff_spectral_norm(Factorization(Y.data, Y.data), F)
         return low_rank_diff_spectral_norm(truth, F), err_in
-    raise ParameterError(f"unknown algorithm {algorithm!r}")
+    M, truth = cache.plain(noise_idx, trial)
+    if algorithm == "lela":
+        F = lela(M, cfg.r, m, cfg.iterations, mode=cfg.sampler_mode, seed=alg_seed).factorization
+    elif algorithm == "gaussian-projection":
+        F = gaussian_projection_baseline(M, cfg.r, l, seed=alg_seed)
+    elif algorithm == "distpca":
+        F, _ = run_distpca(
+            M, cfg.servers, cfg.r, m, cfg.iterations,
+            init_rounds=cfg.init_rounds, seed=alg_seed,
+        )
+    else:
+        raise ParameterError(f"unknown algorithm {algorithm!r}")
+    return low_rank_diff_spectral_norm(truth, F), spectral_error(M, F, seed=alg_seed)
 
 
 def run_experiment(cfg: ExperimentConfig, out_path=None) -> list[ExperimentRow]:

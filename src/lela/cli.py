@@ -11,7 +11,7 @@ import argparse
 import os
 import sys
 
-from . import __version__, rng
+from . import __version__
 from .bench import (
     ALGORITHMS,
     ExperimentConfig,
@@ -20,7 +20,7 @@ from .bench import (
     make_adversarial_product,
     run_experiment,
 )
-from .distpca import PARTITION_POLICIES, run_distpca
+from .distpca import KIND_COL_LISTS, PARTITION_POLICIES, run_distpca
 from .driver import evaluate, lela, require_oracle_size
 from .errors import DegenerateInputError, ParameterError
 from .linalg import Factorization, low_rank_diff_spectral_norm
@@ -101,11 +101,11 @@ def _load_or_generate(args):
     return add_noise(M_r, args.noise, seed=seed)
 
 
-def _resolve_budget(args, n, default_mult=8):
-    """Sample budget from --m, or a default multiple of n r."""
+def _resolve_budget(args, n):
+    """Sample budget from --m, or 8 n r."""
     if args.m is not None:
         return args.m
-    return default_mult * n * args.rank
+    return 8 * n * args.rank
 
 
 def _cmd_lela(args) -> int:
@@ -114,13 +114,7 @@ def _cmd_lela(args) -> int:
         require_oracle_size(M.shape)
     m = _resolve_budget(args, M.n_rows)
     report = lela(M, args.rank, m, args.iters, mode=args.mode, seed=args.seed)
-    bundle = evaluate(
-        M,
-        report.factorization,
-        args.rank,
-        seed=rng.derive_seed(args.seed, rng.TAG_SPECTRAL),
-        want_oracle=args.oracle,
-    )
+    bundle = evaluate(M, report.factorization, args.rank, seed=args.seed, want_oracle=args.oracle)
     print(f"samples: {report.sample_count}")
     print(f"passes over M: {report.passes_over_M}")
     print(f"spectral error: {bundle.spectral_err:.6g}")
@@ -136,17 +130,17 @@ def _cmd_lela(args) -> int:
         )
         print(f"factors written to {args.save_factors}.{{u,v}}.mtx")
     if args.out:
-        _write_single_row_csv(args.out, "lela", args, m, bundle.spectral_err, bundle.fro_err)
+        _write_single_row_csv(args.out, args, m, bundle.spectral_err, bundle.fro_err)
     return EXIT_OK
 
 
-def _write_single_row_csv(path, algorithm, args, m, spectral, fro) -> None:
+def _write_single_row_csv(path, args, m, spectral, fro) -> None:
     import csv
 
     with open(path, "w", newline="", encoding="ascii") as fh:
         writer = csv.writer(fh)
         writer.writerow(["algorithm", "rank", "m", "iters", "seed", "spectral_err", "fro_err"])
-        writer.writerow([algorithm, args.rank, m, args.iters, args.seed, repr(spectral), repr(fro)])
+        writer.writerow(["lela", args.rank, m, args.iters, args.seed, repr(spectral), repr(fro)])
 
 
 def _cmd_product(args) -> int:
@@ -251,9 +245,7 @@ def _cmd_distpca(args) -> int:
         policy=args.partition,
     )
     bundle = evaluate(M, F, args.rank, seed=args.seed, want_oracle=args.oracle)
-    omega = sum(
-        msg.payload_reals for msg in ledger.messages if msg.kind == "col-lists"
-    )
+    omega = ledger.totals_by_kind.get(KIND_COL_LISTS, 0)
     print(f"servers: {args.servers}  partition: {args.partition}")
     print(f"total communication (reals): {ledger.grand_total()}")
     print(f"touched-column list entries: {omega}")

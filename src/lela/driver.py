@@ -4,7 +4,8 @@ The driver enforces the two-pass discipline over the input matrix (one pass
 for statistics, one for drawing and filling the samples) and returns the
 factors without scoring them.  ``evaluate`` is the separate, opt-in step that
 computes their errors, optionally against the dense-SVD oracle when the
-problem is small enough to afford one.
+problem is small enough to afford one; its spectral error is the top singular
+value of the residual, read by the same subspace iteration as the init SVD.
 """
 from __future__ import annotations
 
@@ -91,13 +92,14 @@ def evaluate(
 ) -> ErrorBundle:
     """Spectral and Frobenius errors of F against M, plus oracle gaps on request.
 
-    The spectral error is the estimate of 200 power iterations.
+    The spectral error is ``spectral_error(M, F, seed)``: pass the seed of the
+    run that produced F.
     """
     osp = ofro = None
     if want_oracle:
-        # first, so that the size guard refuses before the power iterations run
+        # first, so that the size guard refuses before the residual is scored
         osp, ofro = oracle_gaps(M, r)
-    sp = spectral_error(M, F, iters=200, seed=seed)
+    sp = spectral_error(M, F, seed=seed)
     fro = streaming_fro_error(M, F)
     return ErrorBundle(sp, fro, osp, ofro)
 
@@ -117,8 +119,7 @@ def lela(
     only m entries but builds the within-row CDF of every row it touches (see
     ``lela.sampling`` for measured costs).  The solver reuses the whole sample
     set in every half step.  The factors are not scored here: call
-    ``evaluate(M, report.factorization, r, seed=rng.derive_seed(seed,
-    rng.TAG_SPECTRAL))`` for their errors.
+    ``evaluate(M, report.factorization, r, seed=seed)`` for their errors.
     """
     if r < 1 or r > min(M.shape):
         raise ParameterError("rank must lie in [1, min(n, d)]")

@@ -12,9 +12,11 @@ from lela import (
     add_noise,
     gaussian_projection_baseline,
     gen_powerlaw,
+    lowrank_covariance,
     run_experiment,
+    stagewise_product_baseline,
 )
-from lela.bench import CSV_HEADER, write_rows_csv
+from lela.bench import CSV_HEADER, ExperimentRow, write_rows_csv
 
 
 @pytest.fixture
@@ -172,6 +174,33 @@ def test_experiment_covers_product_and_covariance_families(fixed_clock):
     assert all(r.status == "ok" for r in rows)
     direct, staged = rows[0].spectral_err, rows[1].spectral_err
     assert direct < staged  # the adversarial instance defeats the stagewise path
+
+
+def test_covariance_error_vs_input_is_the_gram_residual_norm(fixed_clock):
+    cfg = ExperimentConfig(
+        n=30, d=20, r=2, alpha=0.5, noise_levels=[0.05], m_grid=[30 * 2 * 8],
+        trials=1, iterations=3, seed=13,
+        algorithms=["covariance-direct", "covariance-stagewise"],
+    )
+    rows = run_experiment(cfg)
+    Y, _ = lela_bench._InstanceCache(cfg).covariance(0, 0)
+    gram = Y.data @ Y.data.T
+    direct, staged = rows
+    F = lowrank_covariance(Y, cfg.r, cfg.m_grid[0], cfg.iterations, seed=direct.seed)
+    G = stagewise_product_baseline(
+        Y, DenseMatrix(Y.data.T), cfg.r, cfg.m_grid[0], cfg.iterations, seed=staged.seed
+    )
+    for row, fact in ((direct, F), (staged, G)):
+        truth = oracles.spectral_norm_dense(gram - fact.dense())
+        assert abs(row.spectral_err_vs_input - truth) <= 1e-10 * truth
+
+
+def test_csv_prints_float_fields_given_as_ints():
+    row = ExperimentRow(
+        algorithm="lela", alpha=0, noise=1, m=40, l=None, trial=0, seed=3,
+        spectral_err=None, spectral_err_vs_input=0.5, wall_time=0, status="ok",
+    )
+    assert row.as_csv() == ["lela", "0.0", "1.0", "40", "", "0", "3", "", "0.5", "0.0", "ok"]
 
 
 def test_experiment_distpca_algorithm_runs(fixed_clock):

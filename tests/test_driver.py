@@ -11,7 +11,6 @@ from lela import (
     gen_powerlaw,
 )
 from lela import lela as run_lela
-from lela import rng as lrng
 from lela.driver import oracle_gaps, streaming_fro_error
 from oracles import saturating_sample_count
 
@@ -26,11 +25,8 @@ def gapped_instance(n, d, r, seed, tail=0.2):
 
 
 def scored(M, r, report, seed, want_oracle=False):
-    """The errors a caller gets for a report, under the documented seed."""
-    return evaluate(
-        M, report.factorization, r, seed=lrng.derive_seed(seed, lrng.TAG_SPECTRAL),
-        want_oracle=want_oracle,
-    )
+    """The errors a caller gets for a report, scored with the run's own seed."""
+    return evaluate(M, report.factorization, r, seed=seed, want_oracle=want_oracle)
 
 
 def test_pipeline_takes_exactly_two_passes(monkeypatch):
@@ -113,7 +109,7 @@ def test_oracle_guard_refuses_large_input(monkeypatch):
     with pytest.raises(ParameterError):
         oracle_gaps(M, 2)
 
-    # evaluate() refuses before it spends the power iterations
+    # evaluate() refuses before it scores the residual
     def refuse(*args, **kwargs):
         raise AssertionError("evaluate() scored before checking the oracle size")
 

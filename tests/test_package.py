@@ -1,6 +1,11 @@
 import ast
+import importlib
+import importlib.util
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import types
 
 import lela
@@ -84,3 +89,32 @@ def test_every_top_level_definition_has_a_caller_in_the_package():
         if name not in lela.__all__ and (module, name) not in entry and name not in referenced
     ]
     assert defined and unused == []
+
+
+def _tracing():
+    """perfbench/tracing.py, loaded from its file (perfbench is not a package)."""
+    spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_site_resolves_to_a_callable():
+    # the benchmark traces these module attributes; one that is gone would
+    # only show up as a missing span in its report
+    sites = _tracing().SITES
+    assert sites
+    for module_name, attr, _ in sites:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), (
+            f"{module_name}.{attr}"
+        )
+
+
+def test_import_leaves_scipy_sparse_linalg_unloaded():
+    # the benchmark's setup time counts `import lela`
+    probe = "import sys, lela; print('scipy.sparse.linalg' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(SRC.parent)},
+    )
+    assert out.stdout.strip() == "False"
