@@ -158,6 +158,8 @@ class ExperimentConfig:
             raise ParameterError("trial count must be at least 1")
         if not self.m_grid:
             raise ParameterError("m grid must be nonempty")
+        if not self.algorithms:
+            raise ParameterError("algorithm list must be nonempty")
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ParameterError(f"unknown algorithm {name!r}")

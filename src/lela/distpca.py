@@ -112,19 +112,14 @@ def communication_bound(d: int, s: int, omega: int, r: int, init_rounds: int) ->
 class ServerShard:
     """One server's state: its rows and, once drawn, its samples.
 
-    ``local_samples`` holds the samples of the rows ``row_set`` with row k
-    standing for ``row_set[k]``; its cached by-row and by-column layouts
-    serve every round.
+    A server's id is its position in the shard list.  ``local_samples`` holds
+    the samples of the rows ``row_set`` with row k standing for
+    ``row_set[k]``; its cached by-row and by-column layouts serve every round.
     """
 
-    server_id: int
     row_set: np.ndarray
     local_rows: np.ndarray
     local_samples: SampleSet | None = None
-
-    @property
-    def n_local(self) -> int:
-        return int(self.row_set.size)
 
 
 def partition_rows(
@@ -143,10 +138,7 @@ def partition_rows(
     else:
         perm = rng.stream(seed, rng.TAG_PARTITION).permutation(n)
         groups = [np.sort(g) for g in np.array_split(perm, s)]
-    return [
-        ServerShard(server_id=k, row_set=g.astype(np.int64), local_rows=M.data[g, :])
-        for k, g in enumerate(groups)
-    ]
+    return [ServerShard(row_set=g.astype(np.int64), local_rows=M.data[g, :]) for g in groups]
 
 
 def dist_sample(shards: list[ServerShard], m: int, ledger: CommLedger, seed: int = 0) -> None:
@@ -158,21 +150,16 @@ def dist_sample(shards: list[ServerShard], m: int, ledger: CommLedger, seed: int
     """
     if m < 1:
         raise ParameterError("sample budget m must be at least 1")
-    n = sum(sh.n_local for sh in shards)
+    n = sum(sh.row_set.size for sh in shards)
     d = shards[0].local_rows.shape[1]
     round_no = ledger.advance_round()
-    local_col_sq = []
-    local_l1 = []
-    for sh in shards:
-        local_col_sq.append(np.einsum("ij,ij->j", sh.local_rows, sh.local_rows))
-        local_l1.append(float(np.abs(sh.local_rows).sum()))
-        ledger.record(round_no, DIR_UP, KIND_COL_NORMS, d)
-        ledger.record(round_no, DIR_UP, KIND_STATS_BROADCAST, 1)
     col_sq = np.zeros(d)
     l11 = 0.0
-    for sh_col, sh_l1 in zip(local_col_sq, local_l1):  # fixed ascending server id
-        col_sq = col_sq + sh_col
-        l11 += sh_l1
+    for sh in shards:  # fixed ascending server id
+        col_sq = col_sq + np.einsum("ij,ij->j", sh.local_rows, sh.local_rows)
+        l11 += float(np.abs(sh.local_rows).sum())
+        ledger.record(round_no, DIR_UP, KIND_COL_NORMS, d)
+        ledger.record(round_no, DIR_UP, KIND_STATS_BROADCAST, 1)
     fro_sq = float(col_sq.sum())
     if l11 <= 0.0 or fro_sq <= 0.0:
         raise DegenerateInputError("all-zero matrix has no sampling distribution")
@@ -221,17 +208,14 @@ def dist_init(
             ledger.record(round_no, DIR_DOWN, KIND_INIT_Y_BLOCK, t * r)
     for _ in range(rounds):
         round_no = ledger.advance_round()
-        partials = []
-        for sh, t in zip(shards, touched):
+        folded = np.zeros((d, r))
+        for sh, t in zip(shards, touched):  # fixed ascending server id
             csr = sh.local_samples.weighted_csr()
             # the product touches only the server's own Y block: csr has
             # support exactly on (row_set x touched columns)
-            partials.append(csr.T @ (csr @ Y))
+            folded = folded + csr.T @ (csr @ Y)
             if t:
                 ledger.record(round_no, DIR_UP, KIND_INIT_Y_PARTIAL, t * r)
-        folded = np.zeros((d, r))
-        for z in partials:  # fixed ascending server id
-            folded = folded + z
         Y = orthonormal_columns(folded)
         for t in touched:
             if t:
@@ -296,7 +280,6 @@ def run_distpca(
     ledger = CommLedger()
     dist_sample(shards, m, ledger, seed=seed)
     V = dist_init(shards, r, init_rounds, ledger, seed=seed)
-    u_blocks: list[np.ndarray] = []
     for _ in range(iterations):
         u_blocks, V = dist_waltmin_round(shards, V, ledger)
     U = np.zeros((M.n_rows, r))

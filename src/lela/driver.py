@@ -136,7 +136,7 @@ def lela(
     # pass 2 happened inside the draw (probabilities plus value fill)
     F = waltmin(
         samples, plan.row_trim_scores(), r, iterations,
-        seed=rng.derive_seed(seed, rng.TAG_SPLIT),
+        seed=rng.derive_seed(seed, rng.TAG_SOLVER),
     )
     return LelaReport(
         factorization=F,

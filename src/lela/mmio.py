@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +17,11 @@ def read_matrix(path) -> DenseMatrix:
     """Read a MatrixMarket file (coordinate or array format) as a dense matrix.
 
     A file that cannot be opened or parsed is a parameter error, and so is one
-    whose header declares no rows or columns or a complex field.  The header is
-    checked first because ``scipy.io.mmread`` crashes the process on an empty
-    array-format file and drops the imaginary part of a complex one.
+    whose header declares no rows or columns, a complex field, or a dense size
+    (8 n d bytes) beyond the machine's physical memory.  The header is checked
+    first because ``scipy.io.mmread`` crashes the process on an empty
+    array-format file and drops the imaginary part of a complex one, and the
+    dense copy of a huge shape cannot be allocated.
     """
     try:
         n, d, _, _, field, _ = scipy.io.mminfo(path)
@@ -26,6 +29,10 @@ def read_matrix(path) -> DenseMatrix:
             raise ParameterError(f"matrix {str(path)!r} declares shape {n}x{d}")
         if field == "complex":
             raise ParameterError(f"matrix {str(path)!r} has complex entries")
+        if 8 * n * d > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+            raise ParameterError(
+                f"matrix {str(path)!r} declares shape {n}x{d}, too large to hold densely"
+            )
         mat = scipy.io.mmread(path)
     except (OSError, ValueError) as exc:
         raise ParameterError(f"cannot read matrix {str(path)!r}: {exc}") from exc

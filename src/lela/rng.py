@@ -22,7 +22,7 @@ TAG_BERNOULLI = 3
 TAG_ROW_COUNTS = 4
 TAG_ROW_DRAWS = 5
 TAG_PRODUCT = 6
-TAG_SPLIT = 7
+TAG_SOLVER = 7
 TAG_DIST_SAMPLE = 8
 TAG_DIST_INIT = 9
 TAG_NOISE = 10

@@ -20,10 +20,9 @@ block at once, with the same bits as a row-at-a-time loop.  On dense input
 both sweep the n d cells: the multinomial sampler builds the within-row CDF
 of every touched row and searches it once per draw.  On a dense 2000 x 2000
 instance with m = 40,000 (one BLAS thread, 2-vCPU Xeon VM, best of 5) the
-multinomial draw takes 0.12 s and the Bernoulli draw 0.13-0.16 s, against
-0.24 s and 0.16-0.18 s row at a time; creating the 2,000 row streams is
-0.04-0.06 s of either.  The intensity that sets a kept cell's weight is
-evaluated at the kept cells only.
+multinomial draw takes 0.12 s and the Bernoulli draw 0.13-0.16 s; creating
+the 2,000 row streams is 0.04-0.06 s of either.  The intensity that sets a
+kept cell's weight is evaluated at the kept cells only.
 
 Every sampler reads the matrix (or the product factors) from its plan.
 """
@@ -112,26 +111,18 @@ class SampleSet:
 
 @dataclass(frozen=True)
 class SamplingPlan:
-    """Precomputed element-sampling law for one matrix.
-
-    ``row_marginal`` is the multinomial row law; ``within_row_base`` the
-    column-norm part of the within-row law (the per-row |M_ij| correction is
-    applied lazily when a row is actually sampled).
-    """
+    """Element-sampling law for one matrix: the budget, the stats and the matrix."""
 
     m: int
     stats: MatrixStats
-    n: int
-    d: int
     matrix: DenseMatrix
-    row_marginal: np.ndarray
-    within_row_base: np.ndarray
 
     def _clipped(self, row_sq, col_sq, vals) -> np.ndarray:
         """min(q, 1) from the rows' and columns' squared norms and the cells' values."""
         s = self.stats
+        n, d = self.matrix.shape
         return clipped_intensity(
-            self.m, row_sq, col_sq, 2.0 * (self.n + self.d) * s.fro_sq, vals, 2.0 * s.l11
+            self.m, row_sq, col_sq, 2.0 * (n + d) * s.fro_sq, vals, 2.0 * s.l11
         )
 
     def inclusion_probabilities(self, start: int, stop: int) -> np.ndarray:
@@ -154,26 +145,13 @@ class SamplingPlan:
 
 
 def build_plan(M: DenseMatrix, m: int) -> SamplingPlan:
-    """Build the element-sampling plan; one stats pass plus O(n + d) setup."""
+    """Build the element-sampling plan: one stats pass."""
     if m < 1:
         raise ParameterError("sample budget m must be at least 1")
     stats = compute_stats(M)
     if stats.l11 <= 0.0 or stats.fro_sq <= 0.0:
         raise DegenerateInputError("all-zero matrix has no sampling distribution")
-    n, d = M.shape
-    row_marginal = 0.5 * (
-        d * stats.row_sq_norms / ((n + d) * stats.fro_sq) + 1.0 / (n + d)
-    ) + 0.5 * stats.row_l1 / stats.l11
-    within_row_base = 0.5 * stats.col_sq_norms / stats.fro_sq
-    return SamplingPlan(
-        m=int(m),
-        stats=stats,
-        n=n,
-        d=d,
-        matrix=M,
-        row_marginal=row_marginal,
-        within_row_base=within_row_base,
-    )
+    return SamplingPlan(int(m), stats, M)
 
 
 def clipped_intensity(m, row_sq, col_sq, norm_scale, vals, l1_scale) -> np.ndarray:
@@ -236,7 +214,7 @@ def draw_bernoulli(plan: SamplingPlan, seed: int = 0) -> SampleSet:
     """
     M = plan.matrix
     S = draw_bernoulli_rows(
-        plan.d, np.arange(plan.n), plan.inclusion_probabilities,
+        M.n_cols, np.arange(M.n_rows), plan.inclusion_probabilities,
         lambda ks, js: M.data[ks, js], seed, rng.TAG_BERNOULLI,
     )
     M.note_pass()
@@ -273,9 +251,14 @@ def draw_multinomial(plan: SamplingPlan, seed: int = 0) -> SampleSet:
     their laws and CDFs together, O(d) work per touched row, so O(n d) on
     dense input, plus a binary search per draw.
     """
-    M = plan.matrix
-    n, d = plan.n, plan.d
-    counts = rng.stream(seed, rng.TAG_ROW_COUNTS).multinomial(plan.m, plan.row_marginal)
+    M, stats = plan.matrix, plan.stats
+    n, d = M.shape
+    # the row law, and the column-norm part of the within-row law
+    row_marginal = 0.5 * (
+        d * stats.row_sq_norms / ((n + d) * stats.fro_sq) + 1.0 / (n + d)
+    ) + 0.5 * stats.row_l1 / stats.l11
+    within_row_base = 0.5 * stats.col_sq_norms / stats.fro_sq
+    counts = rng.stream(seed, rng.TAG_ROW_COUNTS).multinomial(plan.m, row_marginal)
     touched = np.flatnonzero(counts)
     cells = []
     for a, b in _row_blocks(touched.size, d):
@@ -284,8 +267,8 @@ def draw_multinomial(plan: SamplingPlan, seed: int = 0) -> SampleSet:
         # in place, rounded as within_row_base + 0.5 * |M^i| / l11
         np.abs(law, out=law)
         law *= 0.5
-        law /= plan.stats.l11
-        law += plan.within_row_base
+        law /= stats.l11
+        law += within_row_base
         law /= law.sum(axis=1, keepdims=True)
         cdf = np.cumsum(law, axis=1)
         cdf /= cdf[:, -1:].copy()
@@ -308,8 +291,6 @@ class ProductSamplingPlan:
     """Sampling law for entries of A @ B without forming the product."""
 
     m: int
-    n1: int
-    n2: int
     row_sq_norms_a: np.ndarray
     col_sq_norms_b: np.ndarray
     fro_sq_a: float
@@ -320,8 +301,8 @@ class ProductSamplingPlan:
     def inclusion_probabilities(self, start: int, stop: int) -> np.ndarray:
         """min(q, 1) over rows start..stop-1 of A @ B, a (stop - start, n2) block."""
         q = np.add(
-            self.row_sq_norms_a[start:stop, None] / (self.n2 * self.fro_sq_a),
-            self.col_sq_norms_b / (self.n1 * self.fro_sq_b),
+            self.row_sq_norms_a[start:stop, None] / (self.b.n_cols * self.fro_sq_a),
+            self.col_sq_norms_b / (self.a.n_rows * self.fro_sq_b),
         )
         q *= self.m
         return np.minimum(q, 1.0, out=q)
@@ -350,8 +331,6 @@ def build_product_plan(A: DenseMatrix, B: DenseMatrix, m: int) -> ProductSamplin
         raise DegenerateInputError("zero factor matrix has no sampling distribution")
     return ProductSamplingPlan(
         m=int(m),
-        n1=A.n_rows,
-        n2=B.n_cols,
         row_sq_norms_a=row_sq_a,
         col_sq_norms_b=col_sq_b,
         fro_sq_a=fro_a,
@@ -375,6 +354,6 @@ def materialize_product_samples(plan: ProductSamplingPlan, seed: int = 0) -> Sam
         return vals
 
     return draw_bernoulli_rows(
-        plan.n2, np.arange(plan.n1), plan.inclusion_probabilities,
+        B.n_cols, np.arange(A.n_rows), plan.inclusion_probabilities,
         dot_products, seed, rng.TAG_PRODUCT,
     )

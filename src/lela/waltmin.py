@@ -18,8 +18,6 @@ solver drops eigendirections below an absolute information floor
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import DegenerateInputError, ParameterError
@@ -43,20 +41,12 @@ UPDATE_U = "update-U"
 LS_EIG_FLOOR = 0.07
 
 
-@dataclass(frozen=True)
-class InitResult:
-    """Initial orthonormal left factor with the trimming audit trail."""
-
-    u0: np.ndarray
-    trimmed_rows: np.ndarray
-
-
 def initialize(
     S0: SampleSet,
     trim_scores: np.ndarray,
     r: int,
     seed: int = 0,
-) -> InitResult:
+) -> np.ndarray:
     """Top-r left factor of the reweighted sampled matrix, trimmed then QR'd.
 
     The factor is ``linalg.topk_svd``'s, with its convergence stop and cap.
@@ -72,8 +62,7 @@ def initialize(
     u0[trimmed] = 0.0
     if not np.any(u0):
         raise DegenerateInputError("trimming removed every row of the initial factor")
-    u0 = qr_orthonormalize(u0)
-    return InitResult(u0=u0, trimmed_rows=trimmed)
+    return qr_orthonormalize(u0)
 
 
 def als_half_step(
@@ -114,10 +103,7 @@ def waltmin(
         raise ParameterError("rank must be at least 1")
     if iterations < 1:
         raise ParameterError("iteration count must be at least 1")
-    init = initialize(S, trim_scores, rank, seed=seed)
-    u_hat = init.u0
-    v_hat = np.zeros((S.d, rank))
-    u_raw = np.zeros((S.n, rank))
+    u_hat = initialize(S, trim_scores, rank, seed=seed)
     for _ in range(iterations):
         v_raw = als_half_step(u_hat, S, UPDATE_V, eig_floor=LS_EIG_FLOOR)
         v_hat = orthonormal_columns(v_raw)

@@ -158,10 +158,11 @@ def intensity(plan, i, j):
     """
     if isinstance(plan, ProductSamplingPlan):
         return plan.m * (
-            plan.row_sq_norms_a[i] / (plan.n2 * plan.fro_sq_a)
-            + plan.col_sq_norms_b[j] / (plan.n1 * plan.fro_sq_b)
+            plan.row_sq_norms_a[i] / (plan.b.n_cols * plan.fro_sq_a)
+            + plan.col_sq_norms_b[j] / (plan.a.n_rows * plan.fro_sq_b)
         )
-    s, n, d = plan.stats, plan.n, plan.d
+    s = plan.stats
+    n, d = plan.matrix.shape
     norm_term = (s.row_sq_norms[i] + s.col_sq_norms[j]) / (2.0 * (n + d) * s.fro_sq)
     return plan.m * (norm_term + abs(plan.matrix.data[i, j]) / (2.0 * s.l11))
 
@@ -317,22 +318,35 @@ def draw_bernoulli(plan, seed=0):
     """Row-at-a-time ``lela.sampling.draw_bernoulli``."""
     M = plan.matrix
     S = draw_bernoulli_rows(
-        plan.d, np.arange(plan.n), _row_probabilities(plan),
+        M.n_cols, np.arange(M.n_rows), _row_probabilities(plan),
         lambda i, js: M.row(i)[js], seed, lrng.TAG_BERNOULLI,
     )
     M.note_pass()
     return S
 
 
+def multinomial_tables(plan):
+    """The multinomial sampler's row law and the column-norm part of its
+    within-row law (the per-row |M_ij| part is added row by row)."""
+    s = plan.stats
+    n, d = plan.matrix.shape
+    row_marginal = 0.5 * (
+        d * s.row_sq_norms / ((n + d) * s.fro_sq) + 1.0 / (n + d)
+    ) + 0.5 * s.row_l1 / s.l11
+    within_row_base = 0.5 * s.col_sq_norms / s.fro_sq
+    return row_marginal, within_row_base
+
+
 def draw_multinomial(plan, seed=0):
     """Row-at-a-time ``lela.sampling.draw_multinomial``, drawing with ``choice``."""
     M = plan.matrix
-    n, d = plan.n, plan.d
-    counts = lrng.stream(seed, lrng.TAG_ROW_COUNTS).multinomial(plan.m, plan.row_marginal)
+    n, d = M.shape
+    row_marginal, within_row_base = multinomial_tables(plan)
+    counts = lrng.stream(seed, lrng.TAG_ROW_COUNTS).multinomial(plan.m, row_marginal)
     rows_acc, cols_acc, vals_acc, wts_acc = [], [], [], []
     for i in np.flatnonzero(counts):
         row = M.row(i)
-        weights_in_row = plan.within_row_base + 0.5 * np.abs(row) / plan.stats.l11
+        weights_in_row = within_row_base + 0.5 * np.abs(row) / plan.stats.l11
         weights_in_row = weights_in_row / weights_in_row.sum()
         draws = lrng.stream(seed, lrng.TAG_ROW_DRAWS, i).choice(
             d, size=int(counts[i]), replace=True, p=weights_in_row
@@ -351,7 +365,7 @@ def materialize_product_samples(plan, seed=0):
     """Row-at-a-time ``lela.sampling.materialize_product_samples``."""
     A, B = plan.a, plan.b
     return draw_bernoulli_rows(
-        plan.n2, np.arange(plan.n1), _row_probabilities(plan),
+        B.n_cols, np.arange(A.n_rows), _row_probabilities(plan),
         lambda i, js: A.row(i) @ B.data[:, js], seed, lrng.TAG_PRODUCT,
     )
 
@@ -360,7 +374,7 @@ def dist_sample(shards, m, ledger, seed=0):
     """Row-at-a-time ``lela.distpca.dist_sample``: the same exchange and ledger."""
     if m < 1:
         raise ParameterError("sample budget m must be at least 1")
-    n = sum(sh.n_local for sh in shards)
+    n = sum(sh.row_set.size for sh in shards)
     d = shards[0].local_rows.shape[1]
     round_no = ledger.advance_round()
     local_col_sq = []

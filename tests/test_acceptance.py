@@ -206,10 +206,9 @@ def test_criterion_06_objective_monotonicity():
         plan = build_plan(M, 6 * max(n, d) * r)
         S = draw_bernoulli(plan, seed=inst)
         try:
-            init = initialize(S, plan.row_trim_scores(), r, seed=inst)
+            u_hat = initialize(S, plan.row_trim_scores(), r, seed=inst)
         except Exception:
             continue
-        u_hat = init.u0
         prev = objective(S, Factorization(u_hat, np.zeros((d, r))))
         scale = max(prev, 1.0)
         for t in range(4):

@@ -233,6 +233,9 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         ExperimentConfig(n=10, d=10, r=2, alpha=0.0, noise_levels=[0.1], m_grid=[40],
                          trials=1, algorithms=["nope"])
+    with pytest.raises(ParameterError):
+        ExperimentConfig(n=10, d=10, r=2, alpha=0.0, noise_levels=[0.1], m_grid=[40],
+                         trials=1, algorithms=[])
 
 
 def test_write_rows_csv_empty(tmp_path):

@@ -211,6 +211,13 @@ def test_product_requires_second_matrix(tmp_path):
         ["lela", "--matrix", "{tmp}/complex.mtx", "--rank", "1"],
         # the adversarial product needs n >= 2r
         ["product", "--n", "3", "--rank", "2"],
+        # no algorithm left after the commas are split off
+        ["bench", "--algorithms", ","],
+        # a dense 10^6 x 10^6 copy cannot be allocated; refused from the header
+        ["lela", "--matrix", "{tmp}/huge.mtx", "--rank", "1"],
+        ["covariance", "--matrix", "{tmp}/huge.mtx", "--rank", "1"],
+        ["lela", "--matrix", "{tmp}/huge_array.mtx", "--rank", "1"],
+        ["distpca", "--matrix", "{tmp}/huge_array.mtx", "--rank", "1"],
     ],
 )
 def test_malformed_outside_input_is_parameter_error(tmp_path, capsys, monkeypatch, argv):
@@ -233,6 +240,12 @@ def test_malformed_outside_input_is_parameter_error(tmp_path, capsys, monkeypatc
     )
     (tmp_path / "complex.mtx").write_text(
         "%%MatrixMarket matrix coordinate complex general\n2 2 2\n1 1 1.0 2.0\n2 2 3.0 -1.0\n"
+    )
+    (tmp_path / "huge.mtx").write_text(
+        "%%MatrixMarket matrix coordinate real general\n1000000 1000000 1\n1 1 1.0\n"
+    )
+    (tmp_path / "huge_array.mtx").write_text(
+        "%%MatrixMarket matrix array real general\n1000000 1000000\n1.0\n"
     )
     code = main([a.format(tmp=tmp_path) for a in argv])
     assert code == cli.EXIT_PARAMETER

@@ -138,7 +138,7 @@ def test_dist_sample_disjoint_across_shards():
     seen = set()
     for sh in shards:
         local = sh.local_samples
-        assert local.n == sh.n_local
+        assert local.n == sh.row_set.size
         for i, j in zip(sh.row_set[local.rows], local.cols):
             assert (i, j) not in seen
             seen.add((i, j))
@@ -205,14 +205,14 @@ def test_dist_round_z_and_b_payload_counts():
     before = len(ledger.messages)
     dist_waltmin_round(shards, V, ledger)
     msgs = ledger.messages[before:]
-    for sh in shards:
+    for k, sh in enumerate(shards):
         expected = sh.local_samples.observed_cols().size * (r + r * r)
         got = [
             m.payload_reals
             for m in msgs
             if m.kind == KIND_Z_AND_B and m.payload_reals == expected
         ]
-        assert got, f"missing z-and-B message for server {sh.server_id}"
+        assert got, f"missing z-and-B message for server {k}"
     v_down = sum(m.payload_reals for m in msgs if m.kind == KIND_V_ROWS_BLOCK)
     assert v_down == sum(sh.local_samples.observed_cols().size for sh in shards) * r
 
@@ -240,7 +240,7 @@ def test_two_layouts_per_shard_over_a_run(monkeypatch):
     V = dist_init(shards, 2, 3, ledger, seed=4)
     for _ in range(3):
         _, V = dist_waltmin_round(shards, V, ledger)
-    assert sorted(built) == sorted([13] * 3 + [sh.n_local for sh in shards])
+    assert sorted(built) == sorted([13] * 3 + [sh.row_set.size for sh in shards])
 
 
 def test_stages_refuse_unsampled_shards():

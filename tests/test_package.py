@@ -118,3 +118,41 @@ def test_import_leaves_scipy_sparse_linalg_unloaded():
         env={**os.environ, "PYTHONPATH": str(SRC.parent)},
     )
     assert out.stdout.strip() == "False"
+
+
+def _reads_fields(cls):
+    """Whether a class's own code reads its fields through ``dataclasses.fields``."""
+    for node in ast.walk(cls):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+            if name == "fields":
+                return True
+    return False
+
+
+def test_every_class_member_is_read():
+    # A method or annotated field of a non-exported class of src/lela is read
+    # as an attribute somewhere in src/lela or perfbench/; state that nothing
+    # reads is not kept.  Dunder methods are called by the language.
+    members = []
+    read = set()
+    for path in sorted(SRC.glob("*.py")) + sorted((ROOT / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+        if path.parent != SRC:
+            continue
+        for cls in tree.body:
+            if not isinstance(cls, ast.ClassDef) or cls.name in lela.__all__:
+                continue
+            if _reads_fields(cls):
+                continue
+            for stmt in cls.body:
+                if isinstance(stmt, ast.FunctionDef) and not stmt.name.startswith("__"):
+                    members.append((path.stem, cls.name, stmt.name))
+                elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
+                    members.append((path.stem, cls.name, stmt.target.id))
+    unread = [f"{module}.{cls}.{name}" for module, cls, name in members if name not in read]
+    assert members and unread == []

@@ -30,6 +30,12 @@ def trim_scores(arr):
     return build_plan(DenseMatrix(arr), 1).row_trim_scores()
 
 
+def trimmed_rows(S, scores, r, seed):
+    """The rows the trimming rule zeroes in ``topk_svd``'s untrimmed factor."""
+    dec = topk_svd(S.weighted_csr(), r, seed=seed)
+    return np.flatnonzero(np.linalg.norm(dec.u_star, axis=1) >= TRIM_FACTOR * scores)
+
+
 def gapped_matrix(n, d, r, seed, tail=0.05):
     g = np.random.default_rng(seed)
     U = oracles.modified_gram_schmidt(g.standard_normal((n, min(n, d))))
@@ -43,10 +49,11 @@ def test_initialize_fully_observed_rank_one():
     u = g.standard_normal(12)
     v = g.standard_normal(9)
     arr = np.outer(u, v)
-    init = initialize(full_sample_set(arr), trim_scores(arr), 1, seed=0)
-    assert init.trimmed_rows.size == 0
+    S, scores = full_sample_set(arr), trim_scores(arr)
+    u0 = initialize(S, scores, 1, seed=0)
+    assert trimmed_rows(S, scores, 1, seed=0).size == 0
     uu = u / np.linalg.norm(u)
-    assert abs(abs(uu @ init.u0[:, 0]) - 1.0) <= 1e-10
+    assert abs(abs(uu @ u0[:, 0]) - 1.0) <= 1e-10
 
 
 def _heavy_row_setup(seed):
@@ -66,23 +73,24 @@ def _heavy_row_setup(seed):
 def test_initialize_trims_row_with_tiny_score():
     arr, scores, S = _heavy_row_setup(4)
     assert TRIM_FACTOR * scores[0] < 1.0  # the bar is reachable
-    init = initialize(S, scores, 2, seed=1)
-    assert 0 in init.trimmed_rows.tolist()
+    u0 = initialize(S, scores, 2, seed=1)
+    trimmed = trimmed_rows(S, scores, 2, seed=1)
+    assert 0 in trimmed.tolist()
     # hand check of the rule on the untrimmed factor of the same operator
     dec = topk_svd(S.weighted_csr(), 2, seed=1)
     assert np.linalg.norm(dec.u_star[0]) >= TRIM_FACTOR * scores[0]
     # trimmed rows are exactly zero before QR; QR leaves only rounding noise
-    assert np.abs(init.u0[init.trimmed_rows]).max() <= 1e-12
+    assert np.abs(u0[trimmed]).max() <= 1e-12
 
 
 def test_initialize_trimming_idempotent():
     arr, scores, S = _heavy_row_setup(5)
-    init = initialize(S, scores, 2, seed=2)
-    assert init.trimmed_rows.size > 0
-    trimmed_again = init.u0.copy()
+    u0 = initialize(S, scores, 2, seed=2)
+    assert trimmed_rows(S, scores, 2, seed=2).size > 0
+    trimmed_again = u0.copy()
     norms = np.linalg.norm(trimmed_again, axis=1)
     trimmed_again[norms >= TRIM_FACTOR * scores] = 0.0
-    assert np.array_equal(trimmed_again, init.u0)
+    assert np.array_equal(trimmed_again, u0)
 
 
 def test_initialize_deterministic():
@@ -91,8 +99,7 @@ def test_initialize_deterministic():
     S = full_sample_set(arr)
     a = initialize(S, scores, 3, seed=5)
     b = initialize(S, scores, 3, seed=5)
-    assert np.array_equal(a.u0, b.u0)
-    assert np.array_equal(a.trimmed_rows, b.trimmed_rows)
+    assert np.array_equal(a, b)
 
 
 def test_initialize_all_rows_trimmed_is_degenerate():
@@ -272,9 +279,9 @@ def test_initialization_quality_on_sampled_rank_r():
         M = DenseMatrix(arr)
         plan = build_plan(M, m)
         S = draw_bernoulli(plan, seed=seed)
-        init = initialize(S, plan.row_trim_scores(), r, seed=seed)
+        u0 = initialize(S, plan.row_trim_scores(), r, seed=seed)
         u_perp = np.eye(n) - U @ U.T
-        dist = oracles.spectral_norm_dense(u_perp @ init.u0)
+        dist = oracles.spectral_norm_dense(u_perp @ u0)
         good += dist <= 0.5
     assert good >= 0.9 * trials
 
