@@ -47,8 +47,8 @@ def gen_powerlaw(
     """Power-law rank-r matrix with all nonzero singular values equal to 1."""
     if r < 1 or r > min(n, d):
         raise ParameterError("rank must lie in [1, min(n, d)]")
-    if alpha < 0:
-        raise ParameterError("power-law exponent must be nonnegative")
+    if not 0 <= alpha < np.inf:  # NaN fails too
+        raise ParameterError("power-law exponent must be finite and nonnegative")
     if min(n, d) > GENERATOR_SIZE_GUARD:
         raise ParameterError(
             f"generator refused: min(n, d) > {GENERATOR_SIZE_GUARD} (dense materialization)"
@@ -154,6 +154,8 @@ class ExperimentConfig:
     sampler_mode: str = "multinomial"
 
     def __post_init__(self):
+        if not 0 <= self.alpha < np.inf:  # refused here: run_experiment records cell errors
+            raise ParameterError("power-law exponent must be finite and nonnegative")
         if self.trials < 1:
             raise ParameterError("trial count must be at least 1")
         if not self.m_grid:

@@ -7,6 +7,7 @@ solves, and spectral norms of residuals read off that same SVD.
 """
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -14,6 +15,11 @@ import scipy.sparse
 
 from . import rng
 from .errors import DegenerateInputError, ParameterError
+
+
+def physical_memory() -> int:
+    """Bytes of physical memory: no array larger than this can be held."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 class DenseMatrix:
@@ -221,65 +227,56 @@ def topk_svd(A, r: int, seed: int = 0) -> OracleDecomposition:
 
 
 class Grouping:
-    """Weighted observations grouped by output index, in CSR form.
+    """Weighted observations grouped by output index, as two CSR matrices.
 
     Observation k regresses y_k, with weight w_k, on the row fixed[other_k]
-    of a fixed factor and belongs to output group_k.  The layout keeps the
-    observations in group order (sample order within a group): the CSR row
-    pointer ``indptr`` and column index ``other``, stored in the index dtype
-    scipy keeps so no product re-checks or converts them, with ``w`` and
-    ``wy`` = w * y beside them.  Groups already in order are taken as given;
-    others are placed by one linear counting pass.  It is built once per
-    sample set and side and serves every half step over that set.
+    of a fixed factor and belongs to output group_k.  ``w`` is E(w), the
+    (out_dim, n_other) CSR matrix holding w_k at (group_k, other_k), and
+    ``wy`` is E(w y), holding w_k y_k there; the two share one row pointer
+    and column index, in the index dtype scipy keeps so no product re-checks
+    or converts them.  Each row lists its group's observations in sample
+    order.  Groups already in order are taken as given; others are placed by
+    one linear counting pass.  It is built once per sample set and side and
+    serves every half step over that set.
     """
 
-    __slots__ = ("out_dim", "n_other", "indptr", "other", "w", "wy")
+    __slots__ = ("w", "wy")
 
     def __init__(self, group, other, w, y, out_dim, n_other):
-        self.out_dim = int(out_dim)
-        self.n_other = int(n_other)
-        idx = scipy.sparse.get_index_dtype(maxval=max(self.out_dim, self.n_other, group.size))
-        self.indptr = np.zeros(self.out_dim + 1, dtype=idx)
-        np.cumsum(np.bincount(group, minlength=self.out_dim), out=self.indptr[1:])
+        idx = scipy.sparse.get_index_dtype(maxval=max(out_dim, n_other, group.size))
+        indptr = np.zeros(out_dim + 1, dtype=idx)
+        np.cumsum(np.bincount(group, minlength=out_dim), out=indptr[1:])
         wy = w * y
         if np.any(group[1:] < group[:-1]):
             # The CSC form of the matrix with one entry (k, group_k) per sample
             # lists each group's samples in sample order, placed in linear time.
             incidence = scipy.sparse.csr_matrix(
                 (np.ones(group.size, dtype=np.int8), group, np.arange(group.size + 1)),
-                shape=(group.size, self.out_dim),
+                shape=(group.size, out_dim),
             )
             order = incidence.tocsc().indices
             other, w, wy = other[order], w[order], wy[order]
-        self.other = other.astype(idx)
-        self.w = w
-        self.wy = wy
-
-    def matrix(self, values: np.ndarray) -> scipy.sparse.csr_matrix:
-        """The (out_dim, n_other) CSR matrix holding ``values`` in layout order."""
-        return scipy.sparse.csr_matrix(
-            (values, self.other, self.indptr), shape=(self.out_dim, self.n_other)
-        )
+        other = other.astype(idx)
+        self.w = scipy.sparse.csr_matrix((w, other, indptr), shape=(out_dim, n_other))
+        self.wy = scipy.sparse.csr_matrix((wy, other, indptr), shape=(out_dim, n_other))
 
     def normal_equations(self, fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Stacked weighted normal systems B: (out_dim, r, r), z: (out_dim, r).
 
         Observation k adds w_k g_k g_k^T to B[group_k] and w_k y_k g_k to
         z[group_k], with g_k = fixed[other_k]; a group with no observations
-        gets zeros.  Row a of the packed upper triangle is one sparse product
-        E(w g_a) @ fixed[:, a:], mirrored below it, and z = E(w y) @ fixed.
-        Each product adds (w g_a) g_b into a zeroed output in layout order,
-        so every entry is summed in sample order within its group.
+        gets zeros.  B's packed upper triangle is E(w) @ P, where P's column
+        (a, b) is fixed[:, a] * fixed[:, b] for a <= b, mirrored below, and
+        z = E(w y) @ fixed.  Each product adds w_k (g_a g_b), or (w_k y_k) g_a,
+        into a zeroed output in layout order: sample order within each group.
         """
         r = fixed.shape[1]
-        G = np.take(fixed.T, self.other, axis=1)
-        B = np.empty((self.out_dim, r, r))
-        z = self.matrix(self.wy) @ fixed
-        for a in range(r):
-            acc = self.matrix(self.w * G[a]) @ fixed[:, a:]
-            B[:, a, a:] = acc
-            B[:, a:, a] = acc
-        return B, z
+        ia, ib = np.triu_indices(r)
+        packed = self.w @ (fixed[:, ia] * fixed[:, ib])
+        B = np.empty((self.w.shape[0], r, r))
+        B[:, ia, ib] = packed
+        B[:, ib, ia] = packed
+        return B, self.wy @ fixed
 
 
 def _clears_shifted_cholesky(C: np.ndarray, shift: np.ndarray) -> np.ndarray:

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-import os
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +9,7 @@ import scipy.io
 import scipy.sparse
 
 from .errors import ParameterError
-from .linalg import DenseMatrix, Factorization
+from .linalg import DenseMatrix, Factorization, physical_memory
 
 
 def read_matrix(path) -> DenseMatrix:
@@ -29,7 +28,7 @@ def read_matrix(path) -> DenseMatrix:
             raise ParameterError(f"matrix {str(path)!r} declares shape {n}x{d}")
         if field == "complex":
             raise ParameterError(f"matrix {str(path)!r} has complex entries")
-        if 8 * n * d > os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"):
+        if 8 * n * d > physical_memory():
             raise ParameterError(
                 f"matrix {str(path)!r} declares shape {n}x{d}, too large to hold densely"
             )

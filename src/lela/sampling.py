@@ -35,7 +35,7 @@ import scipy.sparse
 
 from . import rng
 from .errors import DegenerateInputError, ParameterError
-from .linalg import DenseMatrix, Grouping, MatrixStats, compute_stats
+from .linalg import DenseMatrix, Grouping, MatrixStats, compute_stats, physical_memory
 
 # Cells per block of the row-blocked samplers (a block holds one row at least).
 # 2^18 raised the benchmark's distpca-s4 peak RSS from 159.9 to 161.4 MB.
@@ -48,7 +48,7 @@ class SampleSet:
     Entries are kept sorted by (row, col); duplicates are rejected.  Weights
     are the reciprocal inclusion probabilities and must be positive.  The
     by-row and by-column layouts of the half steps are built on first use and
-    kept; the reweighted sampled matrix is the by-row layout's matrix.
+    kept; the reweighted sampled matrix is the by-row layout's E(w y).
     """
 
     def __init__(self, n, d, rows, cols, vals, weights):
@@ -104,9 +104,8 @@ class SampleSet:
         return self._by_col
 
     def weighted_csr(self) -> scipy.sparse.csr_matrix:
-        """Sparse matrix of weight * value at the sampled cells, 0 elsewhere."""
-        rows = self.by_row()
-        return rows.matrix(rows.wy)
+        """Weight * value at the sampled cells, 0 elsewhere: the by-row layout's E(w y)."""
+        return self.by_row().wy
 
 
 @dataclass(frozen=True)
@@ -251,6 +250,8 @@ def draw_multinomial(plan: SamplingPlan, seed: int = 0) -> SampleSet:
     their laws and CDFs together, O(d) work per touched row, so O(n d) on
     dense input, plus a binary search per draw.
     """
+    if 8 * plan.m > physical_memory():  # checked before the m draws are allocated
+        raise ParameterError(f"budget m = {plan.m} draws cannot be held in memory")
     M, stats = plan.matrix, plan.stats
     n, d = M.shape
     # the row law, and the column-norm part of the within-row law

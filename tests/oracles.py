@@ -197,7 +197,7 @@ def pseudo_solve_spd(B, z, eig_floor=0.0):
 def normal_equations_loop(group, fixed, other, w, y, out_dim):
     """Per-observation loop over the weighted normal systems, in sample order.
 
-    Observation k adds (w_k g_a) g_b to B[group_k, a, b] for a <= b and
+    Observation k adds w_k (g_a g_b) to B[group_k, a, b] for a <= b and
     (w_k y_k) g_a to z[group_k, a], with g = fixed[other_k]; the upper
     triangle is mirrored below at the end.
     """
@@ -209,9 +209,8 @@ def normal_equations_loop(group, fixed, other, w, y, out_dim):
         wy = w[k] * y[k]
         for a in range(r):
             z[i, a] += wy * g[a]
-            wg = w[k] * g[a]
             for b in range(a, r):
-                B[i, a, b] += wg * g[b]
+                B[i, a, b] += w[k] * (g[a] * g[b])
     for a in range(r):
         for b in range(a + 1, r):
             B[:, b, a] = B[:, a, b]

@@ -58,8 +58,9 @@ def test_gen_powerlaw_deterministic_and_guarded():
     assert np.array_equal(a.data, b.data)
     with pytest.raises(ParameterError):
         gen_powerlaw(2001, 2001, 2, 0.0, seed=0)
-    with pytest.raises(ParameterError):
-        gen_powerlaw(10, 10, 2, -0.5, seed=0)
+    for alpha in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(ParameterError):
+            gen_powerlaw(10, 10, 2, alpha, seed=0)
 
 
 def test_add_noise_zero_target_is_identity():
@@ -236,6 +237,10 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         ExperimentConfig(n=10, d=10, r=2, alpha=0.0, noise_levels=[0.1], m_grid=[40],
                          trials=1, algorithms=[])
+    # refused up front: run_experiment would record every cell as an error
+    with pytest.raises(ParameterError):
+        ExperimentConfig(n=10, d=10, r=2, alpha=float("nan"), noise_levels=[0.1],
+                         m_grid=[40], trials=1, algorithms=["lela"])
 
 
 def test_write_rows_csv_empty(tmp_path):

@@ -218,6 +218,10 @@ def test_product_requires_second_matrix(tmp_path):
         ["covariance", "--matrix", "{tmp}/huge.mtx", "--rank", "1"],
         ["lela", "--matrix", "{tmp}/huge_array.mtx", "--rank", "1"],
         ["distpca", "--matrix", "{tmp}/huge_array.mtx", "--rank", "1"],
+        # NaN passes a "< 0" check; gen_powerlaw's SVD then fails to converge
+        ["lela", "--n", "50", "--d", "40", "--rank", "3", "--m", "500", "--alpha", "nan"],
+        ["lela", "--n", "50", "--d", "40", "--rank", "3", "--m", "500", "--alpha", "inf"],
+        ["bench", "--n", "40", "--d", "30", "--rank", "2", "--alpha", "nan"],
     ],
 )
 def test_malformed_outside_input_is_parameter_error(tmp_path, capsys, monkeypatch, argv):
@@ -251,6 +255,27 @@ def test_malformed_outside_input_is_parameter_error(tmp_path, capsys, monkeypatc
     assert code == cli.EXIT_PARAMETER
     assert capsys.readouterr().err.startswith("parameter error: ")
     assert not (tmp_path / "missing").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        # the default multinomial sampler would allocate the m draws
+        (["lela", "--n", "50", "--d", "40", "--rank", "3", "--m", "99999999999999999999"],
+         cli.EXIT_PARAMETER),
+        (["lela", "--n", "50", "--d", "40", "--rank", "3", "--m", "9223372036854775807"],
+         cli.EXIT_PARAMETER),
+        # the Bernoulli-law paths saturate every cell instead
+        (["lela", "--n", "50", "--d", "40", "--rank", "3", "--m", "99999999999999999999",
+          "--mode", "bernoulli"], 0),
+        (["product", "--n", "20", "--rank", "2", "--m", "99999999999999999999"], 0),
+        (["distpca", "--n", "50", "--d", "40", "--rank", "3", "--m", "99999999999999999999"], 0),
+    ],
+)
+def test_huge_budget_is_refused_or_saturates(capsys, argv, code):
+    assert main(argv + ["--iters", "2"]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("parameter error: ") if code else err == ""
 
 
 @pytest.mark.parametrize("shape", ["0 0", "0 3"])

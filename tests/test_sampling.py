@@ -303,8 +303,7 @@ def test_weighted_csr_bitwise_equal_to_coo_matrix():
     assert np.array_equal((csr @ x).view(np.int64), (ref @ x).view(np.int64))
     assert np.array_equal((csr.T @ y).view(np.int64), (ref.T @ y).view(np.int64))
     # the transpose sums each column in the by-column layout's order
-    by_col = S.by_col()
-    assert np.array_equal((csr.T @ y).view(np.int64), (by_col.matrix(by_col.wy) @ y).view(np.int64))
+    assert np.array_equal((csr.T @ y).view(np.int64), (S.by_col().wy @ y).view(np.int64))
 
 
 def test_observed_cols_are_the_distinct_columns():

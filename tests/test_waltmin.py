@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse
 
 import lela.sampling as lela_sampling
 import lela.waltmin as lela_waltmin
@@ -243,6 +244,28 @@ def test_waltmin_reuse_builds_one_layout_per_side(monkeypatch):
     monkeypatch.setattr(lela_sampling, "Grouping", counted_grouping)
     waltmin(S, plan.row_trim_scores(), 2, 4, seed=1)
     assert sorted(built) == [11, 14]
+
+
+def test_half_steps_build_no_sparse_matrix(monkeypatch):
+    arr = np.random.default_rng(19).standard_normal((20, 16))
+    plan = build_plan(DenseMatrix(arr), 200)
+    real_csr = scipy.sparse.csr_matrix
+    built = []
+
+    def counted_csr(*args, **kwargs):
+        built.append(1)
+        return real_csr(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse, "csr_matrix", counted_csr)
+    counts = []
+    for iterations in (1, 3):
+        S = draw_bernoulli(plan, seed=2)
+        built.clear()
+        waltmin(S, plan.row_trim_scores(), 5, iterations, seed=1)
+        counts.append(len(built))
+    # the layouts are built on first use; every later half step reuses them
+    assert counts[0] == counts[1]
+    assert S.weighted_csr() is S.weighted_csr()
 
 
 def test_waltmin_exact_recovery_bernoulli():
