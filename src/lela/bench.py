@@ -25,6 +25,7 @@ from .linalg import (
     OracleDecomposition,
     low_rank_diff_spectral_norm,
     orthonormal_columns,
+    physical_memory,
     spectral_error,
 )
 from .matprod import ProductTask, lowrank_covariance, lowrank_product, stagewise_product_baseline
@@ -154,19 +155,25 @@ class ExperimentConfig:
     sampler_mode: str = "multinomial"
 
     def __post_init__(self):
-        if not 0 <= self.alpha < np.inf:  # refused here: run_experiment records cell errors
+        # refused here, since run_experiment records a failed cell and goes on
+        for name in ("n", "d", "trials", "iterations", "servers"):
+            if getattr(self, name) < 1:
+                raise ParameterError(f"{name} must be at least 1")
+        for name in ("noise_levels", "m_grid", "algorithms"):
+            if not getattr(self, name):
+                raise ParameterError(f"{name} must be nonempty")
+        if not 1 <= self.r <= min(self.n, self.d):
+            raise ParameterError("rank must lie in [1, min(n, d)]")
+        if not 0 <= self.alpha < np.inf:
             raise ParameterError("power-law exponent must be finite and nonnegative")
-        if self.trials < 1:
-            raise ParameterError("trial count must be at least 1")
-        if not self.m_grid:
-            raise ParameterError("m grid must be nonempty")
-        if not self.algorithms:
-            raise ParameterError("algorithm list must be nonempty")
+        if not all(0 <= x < np.inf for x in self.noise_levels):
+            raise ParameterError("noise levels must be finite and nonnegative")
+        for m in self.m_grid:
+            if not 1 <= m <= physical_memory() // 8:  # draw_multinomial's rule
+                raise ParameterError(f"budget m = {m} must be at least 1 and fit in memory")
         for name in self.algorithms:
             if name not in ALGORITHMS:
                 raise ParameterError(f"unknown algorithm {name!r}")
-        if not self.noise_levels:
-            raise ParameterError("noise level list must be nonempty")
         if self.sampler_mode not in ("multinomial", "bernoulli"):
             raise ParameterError("sampler_mode must be 'multinomial' or 'bernoulli'")
 

@@ -114,7 +114,7 @@ class ServerShard:
 
     A server's id is its position in the shard list.  ``local_samples`` holds
     the samples of the rows ``row_set`` with row k standing for
-    ``row_set[k]``; its cached by-row and by-column layouts serve every round.
+    ``row_set[k]``; its one layout, by row and transposed, serves every round.
     """
 
     row_set: np.ndarray

@@ -2,8 +2,8 @@
 
 Covers matrix statistics, top-r SVD of a dense or sparse matrix via blocked
 subspace iteration that stops when its subspace stops moving, QR
-orthonormalization, batched weighted normal equations and their r-by-r
-solves, and spectral norms of residuals read off that same SVD.
+orthonormalization, weighted normal equations over a layout of the samples or
+its transpose and their r-by-r solves, and residual spectral norms from the SVD.
 """
 from __future__ import annotations
 
@@ -11,7 +11,6 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse
 
 from . import rng
 from .errors import DegenerateInputError, ParameterError
@@ -227,38 +226,23 @@ def topk_svd(A, r: int, seed: int = 0) -> OracleDecomposition:
 
 
 class Grouping:
-    """Weighted observations grouped by output index, as two CSR matrices.
+    """Weighted observations grouped by output index, as two sparse matrices.
 
     Observation k regresses y_k, with weight w_k, on the row fixed[other_k]
     of a fixed factor and belongs to output group_k.  ``w`` is E(w), the
-    (out_dim, n_other) CSR matrix holding w_k at (group_k, other_k), and
-    ``wy`` is E(w y), holding w_k y_k there; the two share one row pointer
-    and column index, in the index dtype scipy keeps so no product re-checks
-    or converts them.  Each row lists its group's observations in sample
-    order.  Groups already in order are taken as given; others are placed by
-    one linear counting pass.  It is built once per sample set and side and
-    serves every half step over that set.
+    (out_dim, n_other) matrix holding w_k at (group_k, other_k), and ``wy``
+    is E(w y), holding w_k y_k there; the two share one structure.  Either
+    both are CSR, each row listing its group's observations in sample order,
+    or both are the CSC transposes of such a pair grouped by row over
+    samples sorted by row: a CSC product walks the columns, the rows of the
+    samples, in order, so it too adds each group's observations in sample
+    order.  ``SampleSet`` builds the one by-row pair of its samples.
     """
 
     __slots__ = ("w", "wy")
 
-    def __init__(self, group, other, w, y, out_dim, n_other):
-        idx = scipy.sparse.get_index_dtype(maxval=max(out_dim, n_other, group.size))
-        indptr = np.zeros(out_dim + 1, dtype=idx)
-        np.cumsum(np.bincount(group, minlength=out_dim), out=indptr[1:])
-        wy = w * y
-        if np.any(group[1:] < group[:-1]):
-            # The CSC form of the matrix with one entry (k, group_k) per sample
-            # lists each group's samples in sample order, placed in linear time.
-            incidence = scipy.sparse.csr_matrix(
-                (np.ones(group.size, dtype=np.int8), group, np.arange(group.size + 1)),
-                shape=(group.size, out_dim),
-            )
-            order = incidence.tocsc().indices
-            other, w, wy = other[order], w[order], wy[order]
-        other = other.astype(idx)
-        self.w = scipy.sparse.csr_matrix((w, other, indptr), shape=(out_dim, n_other))
-        self.wy = scipy.sparse.csr_matrix((wy, other, indptr), shape=(out_dim, n_other))
+    def __init__(self, w, wy):
+        self.w, self.wy = w, wy
 
     def normal_equations(self, fixed: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Stacked weighted normal systems B: (out_dim, r, r), z: (out_dim, r).
@@ -268,7 +252,7 @@ class Grouping:
         gets zeros.  B's packed upper triangle is E(w) @ P, where P's column
         (a, b) is fixed[:, a] * fixed[:, b] for a <= b, mirrored below, and
         z = E(w y) @ fixed.  Each product adds w_k (g_a g_b), or (w_k y_k) g_a,
-        into a zeroed output in layout order: sample order within each group.
+        into a zeroed output in sample order within each group.
         """
         r = fixed.shape[1]
         ia, ib = np.triu_indices(r)

@@ -46,9 +46,9 @@ class SampleSet:
     """Observed entries (i, j, value, weight).
 
     Entries are kept sorted by (row, col); duplicates are rejected.  Weights
-    are the reciprocal inclusion probabilities and must be positive.  The
-    by-row and by-column layouts of the half steps are built on first use and
-    kept; the reweighted sampled matrix is the by-row layout's E(w y).
+    are the reciprocal inclusion probabilities and must be positive.  One
+    layout, by row, is built on first use and kept; the by-column layout is
+    its transpose, and the reweighted sampled matrix its E(w y).
     """
 
     def __init__(self, n, d, rows, cols, vals, weights):
@@ -81,7 +81,6 @@ class SampleSet:
         self.vals = vals
         self.weights = weights
         self._by_row = None
-        self._by_col = None
 
     @property
     def size(self) -> int:
@@ -92,16 +91,23 @@ class SampleSet:
         return np.flatnonzero(np.bincount(self.cols, minlength=self.d))
 
     def by_row(self) -> Grouping:
-        """The entries grouped by row: the layout of the row half step."""
+        """The entries grouped by row: the one layout, built on first use."""
         if self._by_row is None:
-            self._by_row = Grouping(self.rows, self.cols, self.weights, self.vals, self.n, self.d)
+            # the index dtype scipy keeps, so no product or transpose re-checks it
+            idx = scipy.sparse.get_index_dtype(maxval=max(self.n, self.d, self.size))
+            indptr = np.searchsorted(self.rows, np.arange(self.n + 1)).astype(idx)
+            cols = self.cols.astype(idx)
+            shape = (self.n, self.d)
+            self._by_row = Grouping(
+                scipy.sparse.csr_matrix((self.weights, cols, indptr), shape=shape),
+                scipy.sparse.csr_matrix((self.weights * self.vals, cols, indptr), shape=shape),
+            )
         return self._by_row
 
     def by_col(self) -> Grouping:
-        """The entries grouped by column: the layout of the column half step."""
-        if self._by_col is None:
-            self._by_col = Grouping(self.cols, self.rows, self.weights, self.vals, self.d, self.n)
-        return self._by_col
+        """The entries grouped by column: CSC views of the by-row layout's transposes."""
+        by_row = self.by_row()
+        return Grouping(by_row.w.T, by_row.wy.T)
 
     def weighted_csr(self) -> scipy.sparse.csr_matrix:
         """Weight * value at the sampled cells, 0 elsewhere: the by-row layout's E(w y)."""

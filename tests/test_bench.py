@@ -243,6 +243,21 @@ def test_config_validation():
                          m_grid=[40], trials=1, algorithms=["lela"])
 
 
+@pytest.mark.parametrize(
+    "change",
+    [
+        dict(n=0), dict(d=0), dict(r=0), dict(r=11), dict(iterations=0), dict(servers=0),
+        dict(noise_levels=[0.1, float("nan")]), dict(noise_levels=[float("inf")]),
+        dict(noise_levels=[-0.1]), dict(m_grid=[40, 0]), dict(m_grid=[10**20]),
+    ],
+)
+def test_config_refuses_settings_that_fail_in_every_cell(change):
+    base = dict(n=10, d=12, r=2, alpha=0.0, noise_levels=[0.1], m_grid=[40], trials=1)
+    ExperimentConfig(**base)
+    with pytest.raises(ParameterError):
+        ExperimentConfig(**{**base, **change})
+
+
 def test_write_rows_csv_empty(tmp_path):
     path = tmp_path / "empty.csv"
     write_rows_csv(path, [])

@@ -222,6 +222,18 @@ def test_product_requires_second_matrix(tmp_path):
         ["lela", "--n", "50", "--d", "40", "--rank", "3", "--m", "500", "--alpha", "nan"],
         ["lela", "--n", "50", "--d", "40", "--rank", "3", "--m", "500", "--alpha", "inf"],
         ["bench", "--n", "40", "--d", "30", "--rank", "2", "--alpha", "nan"],
+        # grid settings that fail in every cell, refused before any work
+        ["bench", "--n", "0"],
+        ["bench", "--n", "40", "--d", "30", "--rank", "2", "--noise-list", "nan"],
+        ["bench", "--n", "40", "--d", "30", "--rank", "2", "--noise-list", "inf"],
+        ["bench", "--n", "40", "--d", "30", "--rank", "2", "--noise-list", "-0.1"],
+        ["bench", "--n", "40", "--d", "30", "--rank", "2", "--m-list", "0"],
+        ["bench", "--n", "40", "--d", "30", "--rank", "2", "--m-list", "99999999999999999999"],
+        ["bench", "--n", "40", "--d", "30", "--rank", "0"],
+        ["bench", "--n", "40", "--d", "30", "--rank", "31"],
+        ["bench", "--n", "40", "--d", "30", "--rank", "2", "--iters", "0"],
+        ["bench", "--n", "40", "--d", "30", "--rank", "2", "--servers", "0",
+         "--algorithms", "distpca"],
     ],
 )
 def test_malformed_outside_input_is_parameter_error(tmp_path, capsys, monkeypatch, argv):

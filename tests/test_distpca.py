@@ -225,22 +225,25 @@ def test_dist_round_single_server_matches_centralized():
     assert np.abs(F.v - C.v).max() <= 1e-10
 
 
-def test_two_layouts_per_shard_over_a_run(monkeypatch):
+def test_one_layout_per_shard_over_a_run(monkeypatch):
     M = make_matrix(24, 13, 24)
     shards = partition_rows(M, 3)
     ledger = CommLedger()
     built = []
 
-    def counted_grouping(group, other, w, y, out_dim, n_other):
-        built.append(out_dim)
-        return Grouping(group, other, w, y, out_dim, n_other)
+    def counted_grouping(w, wy):
+        built.append((w.format, w.shape))
+        return Grouping(w, wy)
 
     monkeypatch.setattr(lela_sampling, "Grouping", counted_grouping)
     dist_sample(shards, 120, ledger, seed=4)
     V = dist_init(shards, 2, 3, ledger, seed=4)
     for _ in range(3):
         _, V = dist_waltmin_round(shards, V, ledger)
-    assert sorted(built) == sorted([13] * 3 + [sh.row_set.size for sh in shards])
+    # one by-row CSR pair per shard; each column upload wraps its CSC transposes
+    shapes = [(sh.row_set.size, 13) for sh in shards]
+    assert sorted(s for f, s in built if f == "csr") == sorted(shapes)
+    assert sorted(s for f, s in built if f == "csc") == sorted([s[::-1] for s in shapes] * 3)
 
 
 def test_stages_refuse_unsampled_shards():

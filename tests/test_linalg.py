@@ -6,7 +6,6 @@ import lela.linalg as lela_linalg
 import oracles
 from lela import DegenerateInputError, DenseMatrix, Factorization, ParameterError
 from lela.linalg import (
-    Grouping,
     compute_stats,
     low_rank_diff_spectral_norm,
     pseudo_solve_spd_batch,
@@ -14,6 +13,7 @@ from lela.linalg import (
     spectral_error,
     topk_svd,
 )
+from lela.sampling import SampleSet
 
 
 def test_dense_matrix_rejects_nonfinite():
@@ -258,20 +258,31 @@ def test_pseudo_solve_batch_matches_single():
 @pytest.mark.parametrize("r", [1, 3, 5])
 def test_normal_equations_bitwise_equal_to_loop(r):
     g = np.random.default_rng(20 + r)
-    n, out_dim, m = 9, 7, 60
-    fixed = g.standard_normal((n, r))
-    fixed[4, 0] = -0.0
-    other = g.integers(0, n, m)
-    other[:3] = 4
-    group = g.integers(0, out_dim, m)
-    group[group == 5] = 6  # group 5 gets no observations
-    w = 1.0 / g.uniform(0.05, 1.0, m)
-    y = g.standard_normal(m)
-    B, z = Grouping(group, other, w, y, out_dim, n).normal_equations(fixed)
-    B_ref, z_ref = oracles.normal_equations_loop(group, fixed, other, w, y, out_dim)
-    assert np.array_equal(B.view(np.int64), B_ref.view(np.int64))
-    assert np.array_equal(z.view(np.int64), z_ref.view(np.int64))
-    assert not B[5].any() and not z[5].any()
+    n, d = 9, 7
+    observed = g.random((n, d)) < 0.6
+    observed[5, :] = False  # row 5 gets no observations
+    observed[:, 5] = False  # and so does column 5
+    observed[4, :3] = observed[:3, 4] = True
+    rows, cols = np.nonzero(observed)
+    order = g.permutation(rows.size)  # SampleSet sorts them back
+    w = 1.0 / g.uniform(0.05, 1.0, rows.size)
+    y = g.standard_normal(rows.size)
+    S = SampleSet(n, d, rows[order], cols[order], y[order], w[order])
+    u = g.standard_normal((n, r))
+    v = g.standard_normal((d, r))
+    u[4, 0] = v[4, 0] = -0.0
+    # the oracle adds each group's observations in sample order
+    for layout, fixed, group, other, out_dim in (
+        (S.by_row(), v, S.rows, S.cols, n),
+        (S.by_col(), u, S.cols, S.rows, d),
+    ):
+        B, z = layout.normal_equations(fixed)
+        B_ref, z_ref = oracles.normal_equations_loop(
+            group, fixed, other, S.weights, S.vals, out_dim
+        )
+        assert np.array_equal(B.view(np.int64), B_ref.view(np.int64))
+        assert np.array_equal(z.view(np.int64), z_ref.view(np.int64))
+        assert not B[5].any() and not z[5].any()
 
 
 def _spd_with_spectrum(g, lam):

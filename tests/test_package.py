@@ -91,6 +91,19 @@ def test_every_top_level_definition_has_a_caller_in_the_package():
     assert defined and unused == []
 
 
+def test_grouping_is_constructed_only_in_sampling():
+    # SampleSet builds the one layout of its samples and wraps its transposes
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name == "Grouping":
+                    callers.add(path.stem)
+    assert callers == {"sampling"}
+
+
 def _tracing():
     """perfbench/tracing.py, loaded from its file (perfbench is not a package)."""
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")

@@ -302,8 +302,17 @@ def test_weighted_csr_bitwise_equal_to_coo_matrix():
     y = g.standard_normal((23, 3))
     assert np.array_equal((csr @ x).view(np.int64), (ref @ x).view(np.int64))
     assert np.array_equal((csr.T @ y).view(np.int64), (ref.T @ y).view(np.int64))
-    # the transpose sums each column in the by-column layout's order
-    assert np.array_equal((csr.T @ y).view(np.int64), (S.by_col().wy @ y).view(np.int64))
+
+
+def test_by_col_is_a_view_of_the_by_row_layout():
+    M = DenseMatrix(np.random.default_rng(17).standard_normal((23, 17)))
+    S = draw_bernoulli(build_plan(M, 150), seed=3)
+    by_row, by_col = S.by_row(), S.by_col()
+    for built, view in ((by_row.w, by_col.w), (by_row.wy, by_col.wy)):
+        assert (built.format, view.format) == ("csr", "csc")
+        assert view.shape == (17, 23)
+        for part in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(built, part), getattr(view, part))
 
 
 def test_observed_cols_are_the_distinct_columns():

@@ -231,19 +231,20 @@ def test_waltmin_objective_trace_nonincreasing_reuse(monkeypatch):
     assert all(b <= a + 1e-12 * scale for a, b in zip(trace, trace[1:]))
 
 
-def test_waltmin_reuse_builds_one_layout_per_side(monkeypatch):
+def test_waltmin_reuse_builds_one_layout(monkeypatch):
     arr = np.random.default_rng(18).standard_normal((14, 11))
     plan = build_plan(DenseMatrix(arr), 120)
     S = draw_bernoulli(plan, seed=2)
     built = []
 
-    def counted_grouping(group, other, w, y, out_dim, n_other):
-        built.append(out_dim)
-        return Grouping(group, other, w, y, out_dim, n_other)
+    def counted_grouping(w, wy):
+        built.append((w.format, w.shape))
+        return Grouping(w, wy)
 
     monkeypatch.setattr(lela_sampling, "Grouping", counted_grouping)
     waltmin(S, plan.row_trim_scores(), 2, 4, seed=1)
-    assert sorted(built) == [11, 14]
+    # one by-row CSR pair; each of the 4 column half steps wraps its CSC transposes
+    assert built == [("csr", (14, 11))] + [("csc", (11, 14))] * 4
 
 
 def test_half_steps_build_no_sparse_matrix(monkeypatch):
