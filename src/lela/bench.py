@@ -151,7 +151,6 @@ class ExperimentConfig:
     seed: int = 0
     algorithms: list[str] = field(default_factory=lambda: ["lela", "gaussian-projection"])
     servers: int = 4
-    init_rounds: int = 10
     sampler_mode: str = "multinomial"
 
     def __post_init__(self):
@@ -164,6 +163,8 @@ class ExperimentConfig:
                 raise ParameterError(f"{name} must be nonempty")
         if not 1 <= self.r <= min(self.n, self.d):
             raise ParameterError("rank must lie in [1, min(n, d)]")
+        if "distpca" in self.algorithms and self.servers > self.n:
+            raise ParameterError(f"servers = {self.servers} exceeds n = {self.n} rows to split")
         if not 0 <= self.alpha < np.inf:
             raise ParameterError("power-law exponent must be finite and nonnegative")
         if not all(0 <= x < np.inf for x in self.noise_levels):
@@ -282,10 +283,7 @@ def _run_one(cfg, cache, algorithm, noise_idx, m, l, trial, alg_seed):
     elif algorithm == "gaussian-projection":
         F = gaussian_projection_baseline(M, cfg.r, l, seed=alg_seed)
     elif algorithm == "distpca":
-        F, _ = run_distpca(
-            M, cfg.servers, cfg.r, m, cfg.iterations,
-            init_rounds=cfg.init_rounds, seed=alg_seed,
-        )
+        F, _ = run_distpca(M, cfg.servers, cfg.r, m, cfg.iterations, seed=alg_seed)
     else:
         raise ParameterError(f"unknown algorithm {algorithm!r}")
     return low_rank_diff_spectral_norm(truth, F), spectral_error(M, F, seed=alg_seed)

@@ -57,7 +57,6 @@ _SHARED_FLAGS = {
     "--oracle": dict(action="store_true", help="also compute dense-SVD gaps"),
     "--save-factors": dict(default=None, help="prefix for factor output files"),
     "--servers": dict(type=int, default=4),
-    "--init-rounds": dict(type=int, default=10),
 }
 
 
@@ -194,7 +193,7 @@ def _number(text: str, convert, source: str):
 # Scenario-file keys of the distributed run, each with the flag it sets.
 _SCENARIO_KEYS = {
     "n": "n", "d": "d", "s": "servers", "r": "rank", "m": "m", "T": "iters",
-    "init_rounds": "init_rounds", "seed": "seed", "partition": "partition",
+    "seed": "seed", "partition": "partition",
 }
 
 
@@ -240,7 +239,6 @@ def _cmd_distpca(args) -> int:
         args.rank,
         m,
         args.iters,
-        init_rounds=args.init_rounds,
         seed=args.seed,
         policy=args.partition,
     )
@@ -278,7 +276,6 @@ def _cmd_bench(args) -> int:
         seed=args.seed,
         algorithms=algorithms,
         servers=args.servers,
-        init_rounds=args.init_rounds,
         sampler_mode=args.mode,
     )
     rows = run_experiment(cfg, out_path=args.out)
@@ -317,7 +314,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(
         sub, "distpca", "simulated distributed run with a communication ledger", _cmd_distpca,
         "--n", "--d", "--rank", "--alpha", "--noise", "--m", "--iters", "--seed",
-        "--matrix", "--oracle", "--servers", "--init-rounds",
+        "--matrix", "--oracle", "--servers",
     )
     p.add_argument(
         "--partition",
@@ -330,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = _subcommand(
         sub, "bench", "experiment grid with CSV output", _cmd_bench,
         "--n", "--d", "--rank", "--alpha", "--iters", "--seed", "--out", "--mode",
-        "--servers", "--init-rounds",
+        "--servers",
     )
     p.add_argument(
         "--algorithms",

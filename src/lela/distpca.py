@@ -28,8 +28,11 @@ import numpy as np
 
 from . import rng
 from .errors import DegenerateInputError, ParameterError
-from .linalg import DenseMatrix, Factorization, orthonormal_columns, pseudo_solve_spd_batch
+from .linalg import (
+    DenseMatrix, Factorization, orthonormal_columns, pseudo_solve_spd_batch, subspace_iteration
+)
 from .sampling import SampleSet, clipped_intensity, draw_bernoulli_rows
+from .waltmin import UPDATE_U, als_half_step
 
 KIND_COL_NORMS = "col-norms"
 KIND_STATS_BROADCAST = "stats-broadcast"
@@ -43,11 +46,6 @@ DIR_UP = "server->CP"
 DIR_DOWN = "CP->server"
 
 PARTITION_POLICIES = ("contiguous", "round-robin", "seeded-random")
-
-# Every solve of the protocol is exact (no eigenvalue floor): the distributed
-# run must match its centralized reference to 1e-10, and a floor would let
-# fold-order rounding near the threshold keep a direction on one side only.
-LS_EIG_FLOOR = 0.0
 
 
 @dataclass(frozen=True)
@@ -188,39 +186,39 @@ def _require_samples(shards: list[ServerShard], stage: str) -> None:
 def dist_init(
     shards: list[ServerShard], r: int, rounds: int, ledger: CommLedger, seed: int = 0
 ) -> np.ndarray:
-    """Distributed power iteration for the top-r right factor.
+    """Distributed subspace iteration for the top-r right factor.
 
     The CP seeds a random d x r iterate, QR-normalizes it, and broadcasts each
     server its touched-column block; every round each server returns the block
     of R^T R applied to the iterate and the CP folds the partial sums in
-    ascending server id, re-normalizes, and broadcasts again.  ``rounds`` 0
-    returns the seeded iterate after QR.
+    ascending server id, re-normalizes, and broadcasts again.  The CP holds
+    both iterates, so it stops by ``linalg.subspace_iteration``'s rule at no
+    message cost; ``rounds`` is the cap, and 0 returns the seeded iterate.
     """
     if rounds < 0:
         raise ParameterError("init round count must be nonnegative")
     d = shards[0].local_rows.shape[1]
     _require_samples(shards, "dist_init")
-    touched = [sh.local_samples.observed_cols().size for sh in shards]
+    touched = [t for t in (sh.local_samples.observed_cols().size for sh in shards) if t]
     Y = orthonormal_columns(rng.stream(seed, rng.TAG_DIST_INIT).standard_normal((d, r)))
     round_no = ledger.advance_round()
     for t in touched:
-        if t:
-            ledger.record(round_no, DIR_DOWN, KIND_INIT_Y_BLOCK, t * r)
-    for _ in range(rounds):
+        ledger.record(round_no, DIR_DOWN, KIND_INIT_Y_BLOCK, t * r)
+
+    def power_round(Y):
         round_no = ledger.advance_round()
         folded = np.zeros((d, r))
-        for sh, t in zip(shards, touched):  # fixed ascending server id
+        for sh in shards:  # fixed ascending server id
             csr = sh.local_samples.weighted_csr()
             # the product touches only the server's own Y block: csr has
             # support exactly on (row_set x touched columns)
             folded = folded + csr.T @ (csr @ Y)
-            if t:
-                ledger.record(round_no, DIR_UP, KIND_INIT_Y_PARTIAL, t * r)
-        Y = orthonormal_columns(folded)
-        for t in touched:
-            if t:
-                ledger.record(round_no, DIR_DOWN, KIND_INIT_Y_BLOCK, t * r)
-    return Y
+        for direction, kind in ((DIR_UP, KIND_INIT_Y_PARTIAL), (DIR_DOWN, KIND_INIT_Y_BLOCK)):
+            for t in touched:
+                ledger.record(round_no, direction, kind, t * r)
+        return orthonormal_columns(folded)
+
+    return subspace_iteration(power_round, Y, rounds)
 
 
 def dist_waltmin_round(
@@ -233,8 +231,7 @@ def dist_waltmin_round(
     in R^{r x r}, and receives back its block of the new right factor.
     Returns the per-server row factors and the new right factor at the CP.
     """
-    d = V_current.shape[0]
-    r = V_current.shape[1]
+    d, r = V_current.shape
     _require_samples(shards, "dist_waltmin_round")
     touched = [sh.local_samples.observed_cols().size for sh in shards]
     round_no = ledger.advance_round()
@@ -242,15 +239,16 @@ def dist_waltmin_round(
     z_total = np.zeros((d, r))
     b_total = np.zeros((d, r, r))
     for sh, t in zip(shards, touched):  # fixed ascending server id
-        B, z = sh.local_samples.by_row().normal_equations(V_current)
-        u_local = pseudo_solve_spd_batch(B, z, eig_floor=LS_EIG_FLOOR)
+        u_local = als_half_step(V_current, sh.local_samples, UPDATE_U)
         u_blocks.append(u_local)
         b_k, z_k = sh.local_samples.by_col().normal_equations(u_local)
         z_total = z_total + z_k
         b_total = b_total + b_k
         if t:
             ledger.record(round_no, DIR_UP, KIND_Z_AND_B, t * (r + r * r))
-    V_new = pseudo_solve_spd_batch(b_total, z_total, eig_floor=LS_EIG_FLOOR)
+    # Exact, as the row step: the run must match its centralized reference to 1e-10,
+    # and a floor would let fold-order rounding near it keep a direction on one side only.
+    V_new = pseudo_solve_spd_batch(b_total, z_total, eig_floor=0.0)
     for t in touched:
         if t:
             ledger.record(round_no, DIR_DOWN, KIND_V_ROWS_BLOCK, t * r)
@@ -269,8 +267,9 @@ def run_distpca(
 ) -> tuple[Factorization, CommLedger]:
     """Full distributed pipeline; returns the factorization and the ledger.
 
-    The returned left factor is gathered across servers for auditing only;
-    that gather is not a protocol message and is excluded from the ledger.
+    ``init_rounds`` only caps ``dist_init``, which stops once Y settles.  The
+    returned left factor is gathered across servers for auditing only; that
+    gather is not a protocol message and is excluded from the ledger.
     """
     if r < 1 or r > min(M.n_rows, M.n_cols):
         raise ParameterError("rank must lie in [1, min(n, d)]")

@@ -174,7 +174,7 @@ def qr_orthonormalize(X: np.ndarray) -> np.ndarray:
 # The cap on topk_svd's subspace iterations: no input runs more.
 SVD_MAX_ITERS = 100
 
-# topk_svd stops once an iteration moves its right basis V by at most this.
+# subspace_iteration stops once an iteration moves its basis V by at most this.
 # The step ||V' - V V^T V'||_F bounds the sine of the largest angle between
 # consecutive bases.  Subspace iteration shrinks the angle to the top-r right
 # subspace by rho = (s_{r+1}/s_r)^2 per iteration, so at a stop the basis lies
@@ -189,6 +189,18 @@ SVD_MAX_ITERS = 100
 SVD_STEP_TOL = 1e-6
 
 
+def subspace_iteration(step, V: np.ndarray, cap: int) -> np.ndarray:
+    """Replace V by ``step(V)`` until a step moves it by at most SVD_STEP_TOL.
+
+    The move of orthonormal V is ||V' - V V^T V'||_F; at most ``cap`` steps run.
+    """
+    for _ in range(cap):
+        V, V_prev = step(V), V
+        if np.linalg.norm(V - V_prev @ (V_prev.T @ V)) <= SVD_STEP_TOL:
+            break
+    return V
+
+
 def topk_svd(A, r: int, seed: int = 0) -> OracleDecomposition:
     """Approximate top-r singular triplets of a real matrix.
 
@@ -196,7 +208,7 @@ def topk_svd(A, r: int, seed: int = 0) -> OracleDecomposition:
     numpy array or a scipy sparse matrix; its transpose is taken once.
     Blocked subspace iteration with per-step QR re-orthonormalization runs
     until one iteration moves the right basis V by at most ``SVD_STEP_TOL``
-    (the step ||V' - V V^T V'||_F), and never more than ``SVD_MAX_ITERS``
+    (``subspace_iteration``'s rule), and never more than ``SVD_MAX_ITERS``
     times; a final thin SVD of the projected block aligns the factors and
     orders the singular values.  Deterministic given the seed.
     """
@@ -206,13 +218,9 @@ def topk_svd(A, r: int, seed: int = 0) -> OracleDecomposition:
     At = A.T
     g = rng.stream(seed, rng.TAG_SVD_INIT)
     V = orthonormal_columns(g.standard_normal((d, r)))
-    for _ in range(SVD_MAX_ITERS):
-        U = orthonormal_columns(A @ V)
-        V_next = orthonormal_columns(At @ U)
-        step = np.linalg.norm(V_next - V @ (V.T @ V_next))
-        V = V_next
-        if step <= SVD_STEP_TOL:
-            break
+    V = subspace_iteration(
+        lambda V: orthonormal_columns(At @ orthonormal_columns(A @ V)), V, SVD_MAX_ITERS
+    )
     B = A @ V
     Ub, s, Wt = np.linalg.svd(B, full_matrices=False)
     V = V @ Wt.T

@@ -73,14 +73,12 @@ def als_half_step(
     For side "update-V" the left factor is fixed and every column j solves its
     r x r normal system over the samples observed in that column; "update-U"
     is the symmetric row update.  Returns the new factor; an index with no
-    samples gets a zero row.  ``eig_floor`` > 0 drops
-    under-informed directions of the normal matrices (see
+    samples, as every index of an empty set, gets a zero row.  ``eig_floor``
+    > 0 drops under-informed directions of the normal matrices (see
     pseudo_solve_spd_batch); the default keeps the solves exact.
     """
     if side not in (UPDATE_V, UPDATE_U):
         raise ParameterError(f"unknown half-step side {side!r}")
-    if S_t.size == 0:
-        raise DegenerateInputError("half step requires a nonempty sample set")
     layout = S_t.by_col() if side == UPDATE_V else S_t.by_row()
     B, z = layout.normal_equations(fixed)
     return pseudo_solve_spd_batch(B, z, eig_floor=eig_floor)

@@ -8,7 +8,8 @@ the stop disabled), 2x2 solves by the closed-form inverse, least-squares
 rows by one eigendecomposition each, the weighted normal equations by a
 per-observation loop, the per-cell sampling intensity by the law's formula,
 the weighted sampled matrix by scipy's COO conversion, the distributed
-sample by its own per-row loop, and the samplers by the row-at-a-time kernels
+sample by its own per-row loop, the distributed init by its own stopped
+power loop, and the samplers by the row-at-a-time kernels
 the row-blocked ones replaced (the multinomial through ``Generator.choice``),
 whose outputs the blocked kernels reproduce bit for bit.  The last four
 functions are
@@ -20,6 +21,7 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
+import lela.linalg as lela_linalg
 from lela import DegenerateInputError, Factorization, ParameterError
 from lela import rng as lrng
 from lela.distpca import (
@@ -409,21 +411,36 @@ def dist_sample(shards, m, ledger, seed=0):
             ledger.record(round_no, DIR_UP, KIND_COL_LISTS, touched)
 
 
+def centralized_init(samples, r, rounds, seed=0):
+    """Power iteration on R^T R from dist_init's seeded iterate, with its stop.
+
+    A round that moves Y by ||Y' - Y Y^T Y'||_F <= ``linalg.SVD_STEP_TOL`` is
+    the last; at most ``rounds`` run.  Returns Y and the number of rounds run.
+    """
+    csr = samples.weighted_csr()
+    Y = orthonormal_columns(
+        lrng.stream(seed, lrng.TAG_DIST_INIT).standard_normal((samples.d, r))
+    )
+    for k in range(rounds):
+        Y_next = orthonormal_columns(csr.T @ (csr @ Y))
+        moved = np.linalg.norm(Y_next - Y @ (Y.T @ Y_next))
+        Y = Y_next
+        if moved <= lela_linalg.SVD_STEP_TOL:
+            return Y, k + 1
+    return Y, rounds
+
+
 def centralized_reference(M, r, m, iterations, init_rounds=10, seed=0):
     """Single-process run of the exact protocol the simulator distributes.
 
-    Same sampling law and streams, same seeded init, same update order (rows
-    first, then columns) and the same exact solves (eigenvalue floor 0), so
-    the distributed output must match entrywise up to floating-point fold
-    order.
+    Same sampling law and streams, same seeded init with the same stop and
+    cap, same update order (rows first, then columns) and the same exact
+    solves (eigenvalue floor 0), so the distributed output must match
+    entrywise up to floating-point fold order.
     """
     samples = centralized_sample(M, m, seed=seed)
-    n, d = M.shape
-    csr = samples.weighted_csr()
-    Y = orthonormal_columns(lrng.stream(seed, lrng.TAG_DIST_INIT).standard_normal((d, r)))
-    for _ in range(init_rounds):
-        Y = orthonormal_columns(csr.T @ (csr @ Y))
-    V = Y
+    n = M.shape[0]
+    V, _ = centralized_init(samples, r, init_rounds, seed=seed)
     U = np.zeros((n, r))
     for _ in range(iterations):
         U = pseudo_solve_spd_batch(*samples.by_row().normal_equations(V), eig_floor=0.0)

@@ -249,7 +249,7 @@ def test_criterion_07_distributed_equivalence():
         M = DenseMatrix(arr)
         m = 8 * n * r
         T = 3
-        init_rounds = 4
+        init_rounds = 4  # a cap: the init stops sooner once its iterate settles
         F, ledger = run_distpca(M, s, r, m, T, init_rounds=init_rounds, seed=seed)
         C = oracles.centralized_reference(M, r, m, T, init_rounds=init_rounds, seed=seed)
         worst = max(worst, float(np.abs(F.u - C.u).max()), float(np.abs(F.v - C.v).max()))

@@ -207,7 +207,7 @@ def test_csv_prints_float_fields_given_as_ints():
 def test_experiment_distpca_algorithm_runs(fixed_clock):
     cfg = ExperimentConfig(
         n=24, d=24, r=2, alpha=0.0, noise_levels=[0.05], m_grid=[24 * 2 * 8],
-        trials=1, iterations=2, seed=9, algorithms=["distpca"], servers=3, init_rounds=3,
+        trials=1, iterations=2, seed=9, algorithms=["distpca"], servers=3,
     )
     rows = run_experiment(cfg)
     assert rows[0].status == "ok"
@@ -241,6 +241,14 @@ def test_config_validation():
     with pytest.raises(ParameterError):
         ExperimentConfig(n=10, d=10, r=2, alpha=float("nan"), noise_levels=[0.1],
                          m_grid=[40], trials=1, algorithms=["lela"])
+    # more servers than rows fails every distpca cell; the other algorithms ignore it
+    with pytest.raises(ParameterError, match="servers = 11 exceeds n = 10"):
+        ExperimentConfig(n=10, d=10, r=2, alpha=0.0, noise_levels=[0.1], m_grid=[40],
+                         trials=1, algorithms=["lela", "distpca"], servers=11)
+    ExperimentConfig(n=10, d=10, r=2, alpha=0.0, noise_levels=[0.1], m_grid=[40],
+                     trials=1, algorithms=["lela"], servers=11)
+    ExperimentConfig(n=10, d=10, r=2, alpha=0.0, noise_levels=[0.1], m_grid=[40],
+                     trials=1, algorithms=["distpca"], servers=10)
 
 
 @pytest.mark.parametrize(

@@ -151,7 +151,7 @@ def test_covariance_spectral_asymmetry_matches_dense(tmp_path, capsys):
 def test_distpca_subcommand_with_config_and_ledger(tmp_path, capsys):
     conf = tmp_path / "scenario.cfg"
     conf.write_text(
-        "# scenario\nn=24\nd=16\ns=3\nr=2\nm=300\nT=2\ninit_rounds=3\nseed=11\npartition=round-robin\n"
+        "# scenario\nn=24\nd=16\ns=3\nr=2\nm=300\nT=2\nseed=11\npartition=round-robin\n"
     )
     ledger_csv = tmp_path / "ledger.csv"
     code = main(["distpca", "--config", str(conf), "--ledger-csv", str(ledger_csv)])
@@ -160,6 +160,13 @@ def test_distpca_subcommand_with_config_and_ledger(tmp_path, capsys):
     assert "servers: 3" in out
     assert "partition: round-robin" in out
     assert ledger_csv.read_text().splitlines()[0] == "round,direction,kind,reals"
+
+
+def test_scenario_init_rounds_key_is_refused(tmp_path, capsys):
+    conf = tmp_path / "scenario.cfg"
+    conf.write_text("n=24\nd=16\ninit_rounds=3\n")
+    assert main(["distpca", "--config", str(conf)]) == cli.EXIT_PARAMETER
+    assert capsys.readouterr().err.startswith("parameter error: unknown scenario key 'init_rounds'")
 
 
 def test_bench_subcommand_tiny(tmp_path):
@@ -233,6 +240,8 @@ def test_product_requires_second_matrix(tmp_path):
         ["bench", "--n", "40", "--d", "30", "--rank", "31"],
         ["bench", "--n", "40", "--d", "30", "--rank", "2", "--iters", "0"],
         ["bench", "--n", "40", "--d", "30", "--rank", "2", "--servers", "0",
+         "--algorithms", "distpca"],
+        ["bench", "--n", "40", "--d", "30", "--rank", "2", "--trials", "1", "--servers", "100",
          "--algorithms", "distpca"],
     ],
 )
@@ -318,6 +327,10 @@ def test_empty_array_header_is_parameter_error(tmp_path, shape):
         ["bench", "--l", "10"],
         ["bench", "--noise", "0.1"],
         ["lela", "--l", "10"],
+        # the init stops when its iterate settles; no flag sets its round count
+        ["distpca", "--init-rounds", "3"],
+        ["bench", "--n", "40", "--d", "30", "--rank", "2", "--trials", "1", "--init-rounds",
+         "-1", "--algorithms", "distpca"],
     ],
 )
 def test_flag_a_subcommand_ignores_is_refused(monkeypatch, argv):

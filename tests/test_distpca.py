@@ -28,11 +28,16 @@ from lela.distpca import (
 from lela.linalg import Grouping, orthonormal_columns
 from lela.sampling import SampleSet
 from lela import rng as lrng
-from oracles import centralized_reference, centralized_sample, total_samples
+from oracles import centralized_init, centralized_reference, centralized_sample, total_samples
 
 
 def make_matrix(n, d, seed):
     return DenseMatrix(np.random.default_rng(seed).standard_normal((n, d)))
+
+
+def init_rounds_run(ledger, before):
+    """The init rounds whose partial sums the messages after ``before`` carry."""
+    return {m.round for m in ledger.messages[before:] if m.kind == KIND_INIT_Y_PARTIAL}
 
 
 def sampled_shards(M, s, m, seed=0, policy="contiguous"):
@@ -163,15 +168,39 @@ def test_dist_init_zero_rounds_is_seeded_qr():
 
 
 def test_dist_init_matches_centralized_power_iteration():
+    # a Gaussian matrix has no gap at r = 2, so the cap of 5 rounds binds
     M = make_matrix(22, 11, 10)
     for s in (1, 3):
         shards, ledger = sampled_shards(M, s, 90, seed=6)
+        before = len(ledger.messages)
         Y = dist_init(shards, 2, 5, ledger, seed=6)
+        assert len(init_rounds_run(ledger, before)) == 5
         S = centralized_sample(M, 90, seed=6)
         csr = S.weighted_csr()
         Yc = orthonormal_columns(lrng.stream(6, lrng.TAG_DIST_INIT).standard_normal((11, 2)))
         for _ in range(5):
             Yc = orthonormal_columns(csr.T @ (csr @ Yc))
+        assert np.abs(Y - Yc).max() <= 1e-10
+
+
+def test_dist_init_stops_before_its_cap_on_a_gapped_instance():
+    # rank 2 with singular values 2 and 1 plus small noise: Y settles in a
+    # few rounds, and the CP stops there with no further message
+    g = np.random.default_rng(31)
+    P = np.linalg.qr(g.standard_normal((40, 2)))[0]
+    Q = np.linalg.qr(g.standard_normal((20, 2)))[0]
+    M = DenseMatrix(P @ np.diag([2.0, 1.0]) @ Q.T + 0.01 * g.standard_normal((40, 20)) / 40**0.5)
+    cap, r = 50, 2
+    Yc, rounds = centralized_init(centralized_sample(M, 400, seed=5), r, cap, seed=5)
+    assert 1 < rounds < cap
+    for s in (1, 3):
+        shards, ledger = sampled_shards(M, s, 400, seed=5)
+        before = len(ledger.messages)
+        Y = dist_init(shards, r, cap, ledger, seed=5)
+        assert len(init_rounds_run(ledger, before)) == rounds
+        touched = sum(sh.local_samples.observed_cols().size for sh in shards)
+        partial = ledger.totals_by_kind[KIND_INIT_Y_PARTIAL]
+        assert partial == rounds * touched * r
         assert np.abs(Y - Yc).max() <= 1e-10
 
 
@@ -275,6 +304,25 @@ def test_disjoint_touched_columns_aggregation_is_copy():
     _, V_only1 = dist_waltmin_round([shards[1]], V0, CommLedger())
     assert np.allclose(V_new[[0, 1, 2]], V_only0[[0, 1, 2]], atol=1e-14)
     assert np.allclose(V_new[[3, 4, 5]], V_only1[[3, 4, 5]], atol=1e-14)
+
+
+def test_round_gives_a_shard_without_samples_zero_rows():
+    n, d, r = 6, 5, 2
+    arr = np.random.default_rng(15).standard_normal((n, d))
+    shards = partition_rows(DenseMatrix(arr), 2)
+    shards[0].local_samples = SampleSet(3, d, [], [], [], [])
+    rows, cols = [0, 0, 1, 1, 2, 2], [0, 1, 2, 3, 4, 0]
+    shards[1].local_samples = SampleSet(
+        3, d, rows, cols, arr[[3 + i for i in rows], cols], np.full(6, 2.0)
+    )
+    V0 = orthonormal_columns(np.random.default_rng(2).standard_normal((d, r)))
+    ledger = CommLedger()
+    u_blocks, V_new = dist_waltmin_round(shards, V0, ledger)
+    assert u_blocks[0].shape == (3, r) and not u_blocks[0].any()
+    u_only1, V_only1 = dist_waltmin_round(shards[1:], V0, CommLedger())
+    assert np.array_equal(u_blocks[1], u_only1[0])
+    assert np.array_equal(V_new, V_only1)
+    assert len(ledger.messages) == 2  # the empty shard sends and receives nothing
 
 
 def test_run_distpca_matches_centralized_multi_server():

@@ -104,6 +104,19 @@ def test_grouping_is_constructed_only_in_sampling():
     assert callers == {"sampling"}
 
 
+def test_the_subspace_stop_rule_is_read_in_one_function():
+    # topk_svd and the distributed init both stop through one function
+    readers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(stmt):
+                name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+                if name == "SVD_STEP_TOL" and isinstance(node.ctx, ast.Load):
+                    readers.add((path.stem, owner))
+    assert readers == {("linalg", "subspace_iteration")}
+
+
 def _tracing():
     """perfbench/tracing.py, loaded from its file (perfbench is not a package)."""
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
