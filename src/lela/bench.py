@@ -9,6 +9,7 @@ Gaussian matrix rescaled to a target spectral norm.
 from __future__ import annotations
 
 import csv
+import functools
 import statistics
 import time
 from dataclasses import dataclass, field, fields
@@ -28,19 +29,23 @@ from .linalg import (
     physical_memory,
     spectral_error,
 )
-from .matprod import ProductTask, lowrank_covariance, lowrank_product, stagewise_product_baseline
+from .matprod import ProductTask, lowrank_product, stagewise_product_baseline
 
 GENERATOR_SIZE_GUARD = 2000
 
-ALGORITHMS = (
-    "lela",
-    "gaussian-projection",
-    "product-direct",
-    "product-stagewise",
-    "covariance-direct",
-    "covariance-stagewise",
-    "distpca",
-)
+# Each algorithm and its instance: a noisy power-law M, the adversarial pair
+# (A, B), or (Y, Y^T) for a noisy power-law Y; the last two run as one family,
+# A @ B.  A cell's seed keys its algorithm's place in this table.
+ALGORITHMS = {
+    "lela": "matrix",
+    "gaussian-projection": "matrix",
+    "product-direct": "product",
+    "product-stagewise": "product",
+    "covariance-direct": "covariance",
+    "covariance-stagewise": "covariance",
+    "distpca": "matrix",
+}
+
 
 def gen_powerlaw(
     n: int, d: int, r: int, alpha: float, seed: int = 0
@@ -210,83 +215,46 @@ class ExperimentRow:
 CSV_HEADER = tuple(f.name for f in fields(ExperimentRow))
 
 
-class _InstanceCache:
-    """Lazily built instances keyed by (noise index, trial), shared across algorithms."""
+def _build_instance(cfg: ExperimentConfig, kind: str, noise_idx: int, trial: int):
+    """The instance of one kind at (noise index, trial), shared by the algorithms.
 
-    def __init__(self, cfg: ExperimentConfig):
-        self.cfg = cfg
-        self._plain: dict[tuple[int, int], tuple] = {}
-        self._product: dict[int, tuple] = {}
-        self._covariance: dict[tuple[int, int], tuple] = {}
-
-    def plain(self, noise_idx: int, trial: int):
-        """(M, truth factorization of M_r) for the matrix algorithms."""
-        key = (noise_idx, trial)
-        if key not in self._plain:
-            cfg = self.cfg
-            inst_seed = rng.derive_seed(cfg.seed, rng.TAG_TRIAL, noise_idx, trial)
-            M_r, dec = gen_powerlaw(cfg.n, cfg.d, cfg.r, cfg.alpha, seed=inst_seed)
-            M = add_noise(M_r, cfg.noise_levels[noise_idx], seed=inst_seed)
-            truth = Factorization(dec.u_star * dec.sigma_star, dec.v_star)
-            self._plain[key] = (M, truth)
-        return self._plain[key]
-
-    def product(self, trial: int):
-        """(A, B, truth factorization of A @ B) for the product algorithms."""
-        if trial not in self._product:
-            cfg = self.cfg
-            inst_seed = rng.derive_seed(cfg.seed, rng.TAG_TRIAL, 101, trial)
-            self._product[trial] = make_adversarial_product(cfg.n, cfg.r, seed=inst_seed)
-        return self._product[trial]
-
-    def covariance(self, noise_idx: int, trial: int):
-        """(Y, truth factorization of (Y Y^T)_r) for the covariance algorithms."""
-        key = (noise_idx, trial)
-        if key not in self._covariance:
-            cfg = self.cfg
-            inst_seed = rng.derive_seed(cfg.seed, rng.TAG_TRIAL, 202, noise_idx, trial)
-            Y_r, _ = gen_powerlaw(cfg.n, cfg.d, cfg.r, cfg.alpha, seed=inst_seed)
-            Y = add_noise(Y_r, cfg.noise_levels[noise_idx], seed=inst_seed)
-            uy, sy, _ = np.linalg.svd(Y.data, full_matrices=False)
-            top_u = uy[:, : cfg.r]
-            top_s = sy[: cfg.r] ** 2
-            truth = Factorization(top_u * top_s, top_u)
-            self._covariance[key] = (Y, truth)
-        return self._covariance[key]
+    "matrix": (M, truth of M_r).  "product" and "covariance": (A, B, truth,
+    A @ B) with the last two factored, for the adversarial pair (exactly rank
+    r, whatever the noise level) or for (Y, Y^T), whose truth is (Y Y^T)_r.
+    """
+    path = {"product": (101,), "covariance": (202, noise_idx)}.get(kind, (noise_idx,))
+    inst_seed = rng.derive_seed(cfg.seed, rng.TAG_TRIAL, *path, trial)
+    if kind == "product":
+        A, B, truth = make_adversarial_product(cfg.n, cfg.r, seed=inst_seed)
+        return A, B, truth, truth
+    M_r, dec = gen_powerlaw(cfg.n, cfg.d, cfg.r, cfg.alpha, seed=inst_seed)
+    M = add_noise(M_r, cfg.noise_levels[noise_idx], seed=inst_seed)
+    if kind == "matrix":
+        return M, Factorization(dec.u_star * dec.sigma_star, dec.v_star)
+    uy, sy, _ = np.linalg.svd(M.data, full_matrices=False)
+    truth = Factorization(uy[:, : cfg.r] * sy[: cfg.r] ** 2, uy[:, : cfg.r])
+    # Y Y^T - u v^T = [Y, -u] [Y, v]^T: its norm is exact without the n x n Gram
+    return M, DenseMatrix(M.data.T), truth, Factorization(M.data, M.data)
 
 
-def _run_one(cfg, cache, algorithm, noise_idx, m, l, trial, alg_seed):
-    """Dispatch one cell of the grid; returns (err_vs_target, err_vs_input)."""
-    if algorithm in ("product-direct", "product-stagewise"):
-        A, B, truth = cache.product(trial)
-        if algorithm == "product-direct":
-            F = lowrank_product(
-                ProductTask(a=A, b=B, rank=cfg.r, m=m, iterations=cfg.iterations, seed=alg_seed)
-            )
+def _run_one(cfg, algorithm, instance, m, l, seed):
+    """One cell of the grid on its built instance; returns (err_vs_target, err_vs_input)."""
+    if ALGORITHMS[algorithm] == "matrix":
+        M, truth = instance
+        if algorithm == "lela":
+            F = lela(M, cfg.r, m, cfg.iterations, mode=cfg.sampler_mode, seed=seed).factorization
+        elif algorithm == "gaussian-projection":
+            F = gaussian_projection_baseline(M, cfg.r, l, seed=seed)
         else:
-            F = stagewise_product_baseline(A, B, cfg.r, m, cfg.iterations, seed=alg_seed)
-        err = low_rank_diff_spectral_norm(truth, F)
-        return err, err  # the product is exactly rank r, so the two gaps coincide
-    if algorithm in ("covariance-direct", "covariance-stagewise"):
-        Y, truth = cache.covariance(noise_idx, trial)
-        if algorithm == "covariance-direct":
-            F = lowrank_covariance(Y, cfg.r, m, cfg.iterations, seed=alg_seed)
-        else:
-            Yt = DenseMatrix(Y.data.T)
-            F = stagewise_product_baseline(Y, Yt, cfg.r, m, cfg.iterations, seed=alg_seed)
-        # Y Y^T - u v^T = [Y, -u] [Y, v]^T: its norm is exact without the n x n Gram
-        err_in = low_rank_diff_spectral_norm(Factorization(Y.data, Y.data), F)
-        return low_rank_diff_spectral_norm(truth, F), err_in
-    M, truth = cache.plain(noise_idx, trial)
-    if algorithm == "lela":
-        F = lela(M, cfg.r, m, cfg.iterations, mode=cfg.sampler_mode, seed=alg_seed).factorization
-    elif algorithm == "gaussian-projection":
-        F = gaussian_projection_baseline(M, cfg.r, l, seed=alg_seed)
-    elif algorithm == "distpca":
-        F, _ = run_distpca(M, cfg.servers, cfg.r, m, cfg.iterations, seed=alg_seed)
+            F, _ = run_distpca(M, cfg.servers, cfg.r, m, cfg.iterations, seed=seed)
+        return low_rank_diff_spectral_norm(truth, F), spectral_error(M, F, seed=seed)
+    A, B, truth, product = instance
+    if algorithm.endswith("-direct"):
+        task = ProductTask(a=A, b=B, rank=cfg.r, m=m, iterations=cfg.iterations, seed=seed)
+        F = lowrank_product(task)
     else:
-        raise ParameterError(f"unknown algorithm {algorithm!r}")
-    return low_rank_diff_spectral_norm(truth, F), spectral_error(M, F, seed=alg_seed)
+        F = stagewise_product_baseline(A, B, cfg.r, m, cfg.iterations, seed=seed)
+    return low_rank_diff_spectral_norm(truth, F), low_rank_diff_spectral_norm(product, F)
 
 
 def run_experiment(cfg: ExperimentConfig, out_path=None) -> list[ExperimentRow]:
@@ -294,29 +262,31 @@ def run_experiment(cfg: ExperimentConfig, out_path=None) -> list[ExperimentRow]:
 
     Rows are produced in deterministic (algorithm, noise, budget, trial)
     order.  Failures are recorded with an error marker and the run continues.
-    Product algorithms ignore the noise grid (single pseudo-level 0.0).
+    Product algorithms ignore the noise grid (single pseudo-level 0.0).  Each
+    instance is built once, before the first timed call on it, so a row's
+    wall time is its algorithm's call alone, and 0 if the instance fails.
     """
-    cache = _InstanceCache(cfg)
+    instance = functools.cache(functools.partial(_build_instance, cfg))
     rows: list[ExperimentRow] = []
-    for alg_idx, algorithm in enumerate(cfg.algorithms):
-        product_family = algorithm.startswith("product")
-        noise_indices = [0] if product_family else range(len(cfg.noise_levels))
-        for noise_idx in noise_indices:
-            noise = 0.0 if product_family else cfg.noise_levels[noise_idx]
+    for algorithm in cfg.algorithms:
+        kind = ALGORITHMS[algorithm]
+        alg_idx = list(ALGORITHMS).index(algorithm)
+        levels = [0.0] if kind == "product" else cfg.noise_levels
+        for noise_idx, noise in enumerate(levels):
             for m in cfg.m_grid:
                 l = m // cfg.n  # the projection dimension paired with budget m
                 for trial in range(cfg.trials):
                     alg_seed = rng.derive_seed(cfg.seed, alg_idx, noise_idx, m, trial)
-                    start = time.perf_counter()
+                    start = None
                     try:
-                        err, err_in = _run_one(
-                            cfg, cache, algorithm, noise_idx, m, l, trial, alg_seed
-                        )
+                        inst = instance(kind, noise_idx, trial)
+                        start = time.perf_counter()
+                        err, err_in = _run_one(cfg, algorithm, inst, m, l, alg_seed)
                         status = "ok"
                     except LelaError as exc:
                         err = err_in = None
                         status = f"error:{type(exc).__name__}"
-                    elapsed = time.perf_counter() - start
+                    elapsed = 0.0 if start is None else time.perf_counter() - start
                     rows.append(
                         ExperimentRow(
                             algorithm=algorithm,

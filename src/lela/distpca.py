@@ -161,6 +161,8 @@ def dist_sample(shards: list[ServerShard], m: int, ledger: CommLedger, seed: int
     fro_sq = float(col_sq.sum())
     if l11 <= 0.0 or fro_sq <= 0.0:
         raise DegenerateInputError("all-zero matrix has no sampling distribution")
+    if not np.isfinite(2.0 * n * fro_sq):  # as in build_plan
+        raise DegenerateInputError("squared Frobenius norm overflows the sampling law")
     for sh in shards:
         ledger.record(round_no, DIR_DOWN, KIND_STATS_BROADCAST, d + 2)
     for sh in shards:

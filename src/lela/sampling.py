@@ -156,6 +156,9 @@ def build_plan(M: DenseMatrix, m: int) -> SamplingPlan:
     stats = compute_stats(M)
     if stats.l11 <= 0.0 or stats.fro_sq <= 0.0:
         raise DegenerateInputError("all-zero matrix has no sampling distribution")
+    # the law's largest normalizer; |M|_{1,1}^2 <= n d |M|_F^2 keeps l11 finite too
+    if not np.isfinite(2.0 * sum(M.shape) * stats.fro_sq):
+        raise DegenerateInputError("squared Frobenius norm overflows the sampling law")
     return SamplingPlan(int(m), stats, M)
 
 
@@ -336,6 +339,8 @@ def build_product_plan(A: DenseMatrix, B: DenseMatrix, m: int) -> ProductSamplin
     fro_b = float(col_sq_b.sum())
     if fro_a <= 0.0 or fro_b <= 0.0:
         raise DegenerateInputError("zero factor matrix has no sampling distribution")
+    if not np.isfinite(fro_a * fro_b):  # a bound on |A B|_F^2
+        raise DegenerateInputError("|A|_F^2 |B|_F^2, the bound on |A B|_F^2, overflows")
     return ProductSamplingPlan(
         m=int(m),
         row_sq_norms_a=row_sq_a,

@@ -16,7 +16,7 @@ from lela import (
     run_experiment,
     stagewise_product_baseline,
 )
-from lela.bench import CSV_HEADER, ExperimentRow, write_rows_csv
+from lela.bench import ALGORITHMS, CSV_HEADER, ExperimentRow, write_rows_csv
 
 
 @pytest.fixture
@@ -184,7 +184,7 @@ def test_covariance_error_vs_input_is_the_gram_residual_norm(fixed_clock):
         algorithms=["covariance-direct", "covariance-stagewise"],
     )
     rows = run_experiment(cfg)
-    Y, _ = lela_bench._InstanceCache(cfg).covariance(0, 0)
+    Y = lela_bench._build_instance(cfg, "covariance", 0, 0)[0]
     gram = Y.data @ Y.data.T
     direct, staged = rows
     F = lowrank_covariance(Y, cfg.r, cfg.m_grid[0], cfg.iterations, seed=direct.seed)
@@ -194,6 +194,39 @@ def test_covariance_error_vs_input_is_the_gram_residual_norm(fixed_clock):
     for row, fact in ((direct, F), (staged, G)):
         truth = oracles.spectral_norm_dense(gram - fact.dense())
         assert abs(row.spectral_err_vs_input - truth) <= 1e-10 * truth
+
+
+def _grid(**change):
+    base = dict(
+        n=24, d=20, r=2, alpha=0.5, noise_levels=[0.01, 0.1], m_grid=[24 * 2 * 8],
+        trials=2, iterations=2, seed=5, algorithms=list(ALGORITHMS), servers=3,
+    )
+    return ExperimentConfig(**{**base, **change})
+
+
+def test_cell_seed_and_errors_do_not_depend_on_list_position(fixed_clock):
+    together = run_experiment(_grid(algorithms=list(reversed(ALGORITHMS))))
+    for algorithm in ALGORITHMS:
+        alone = run_experiment(_grid(algorithms=[algorithm]))
+        assert alone == [row for row in together if row.algorithm == algorithm]
+
+
+def test_wall_time_excludes_instance_building(monkeypatch):
+    # the clock advances only while an instance is generated
+    now = [0.0]
+    monkeypatch.setattr(lela_bench, "time", SimpleNamespace(perf_counter=lambda: now[0]))
+    for name in ("gen_powerlaw", "add_noise", "make_adversarial_product"):
+        def advancing(*args, _fn=getattr(lela_bench, name), **kwargs):
+            now[0] += 1.0
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(lela_bench, name, advancing)
+    rows = run_experiment(_grid())
+    assert now[0] > 0 and all(r.status == "ok" for r in rows)
+    assert [r.wall_time for r in rows] == [0.0] * len(rows)
+    # a failed build (n < 2r for the adversarial pair) records 0 too
+    rows = run_experiment(_grid(n=3, d=3, algorithms=["product-direct"]))
+    assert [(r.status, r.wall_time) for r in rows] == [("error:ParameterError", 0.0)] * 2
 
 
 def test_csv_prints_float_fields_given_as_ints():

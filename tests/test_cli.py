@@ -61,6 +61,41 @@ def test_degenerate_input_exit_code(tmp_path):
     assert code == cli.EXIT_DEGENERATE
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lela", "--matrix", "{tmp}/big.mtx"],
+        ["lela", "--matrix", "{tmp}/big.mtx", "--mode", "bernoulli"],
+        ["covariance", "--matrix", "{tmp}/big.mtx"],
+        ["distpca", "--matrix", "{tmp}/big.mtx"],
+        # each factor's norm is finite, the bound |A|_F^2 |B|_F^2 on the product's is not
+        ["product", "--matrix", "{tmp}/a.mtx", "--matrix-b", "{tmp}/b.mtx"],
+    ],
+)
+def test_overflowing_squared_norm_is_degenerate_input(tmp_path, capsys, argv):
+    g = np.random.default_rng(4)
+    # finite entries whose squares overflow
+    write_matrix(tmp_path / "big.mtx", DenseMatrix(1e160 * (1.0 + g.random((30, 20)))))
+    write_matrix(tmp_path / "a.mtx", DenseMatrix(1e80 * (1.0 + g.random((30, 20)))))
+    write_matrix(tmp_path / "b.mtx", DenseMatrix(1e80 * (1.0 + g.random((20, 30)))))
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--rank", "2", "--m", "300", "--iters", "2"]
+    assert main(argv) == cli.EXIT_DEGENERATE
+    err = capsys.readouterr().err
+    assert err.startswith("degenerate input: ") and "overflows" in err
+
+
+def test_bench_records_overflowing_noise_as_error_rows(tmp_path, capsys):
+    out = tmp_path / "bench.csv"
+    code = main([
+        "bench", "--n", "40", "--d", "30", "--rank", "2", "--noise-list", "1e300",
+        "--m-list", "640", "--trials", "2", "--iters", "2", "--algorithms", "lela,distpca",
+        "--out", str(out),
+    ])
+    assert code == 0
+    statuses = [line.split(",")[-1] for line in out.read_text().splitlines()[1:]]
+    assert statuses == ["error:DegenerateInputError"] * 4
+
+
 def test_env_var_seed(monkeypatch, capsys):
     monkeypatch.setenv("LELA_SEED", "41")
     code = main(["lela", "--n", "16", "--d", "12", "--rank", "2", "--m", "150", "--iters", "2"])

@@ -140,6 +140,15 @@ def test_covariance_deterministic():
     assert np.array_equal(F1.u, F2.u)
 
 
+def test_covariance_is_the_product_of_y_and_its_transpose():
+    # the experiment grid runs covariance cells as this product
+    Y = DenseMatrix(np.random.default_rng(8).standard_normal((30, 12)))
+    F = lowrank_covariance(Y, 2, 400, iterations=4, seed=9)
+    task = ProductTask(a=Y, b=DenseMatrix(Y.data.T), rank=2, m=400, iterations=4, seed=9)
+    G = lowrank_product(task)
+    assert np.array_equal(F.u, G.u) and np.array_equal(F.v, G.v)
+
+
 def test_stagewise_identity_product():
     n = 6
     A = DenseMatrix(np.eye(n))

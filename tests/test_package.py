@@ -136,6 +136,29 @@ def test_every_traced_site_resolves_to_a_callable():
         )
 
 
+def test_the_benchmark_does_not_build_inputs_with_lela_bench():
+    # perfbench/workloads.py generates its inputs with plain numpy, so a
+    # change to the experiment grid cannot change what the benchmark measures
+    import lela.bench
+
+    generators = {"gen_powerlaw", "add_noise", "make_adversarial_product"}
+    assert all(callable(getattr(lela.bench, name)) for name in generators)
+    banned = generators | {"bench", "lela.bench"}
+    for path in sorted((ROOT / "perfbench").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.ImportFrom):  # from lela import bench, too
+                names = {node.module} | {a.name for a in node.names}
+            elif isinstance(node, ast.Attribute):  # lela.bench, lela.gen_powerlaw
+                names = {node.attr}
+            elif isinstance(node, ast.Constant):  # import_module or getattr by name
+                names = {node.value}
+            else:
+                continue
+            assert not names & banned, f"{path.name}:{node.lineno} reaches {names & banned}"
+
+
 def test_import_leaves_scipy_sparse_linalg_unloaded():
     # the benchmark's setup time counts `import lela`
     probe = "import sys, lela; print('scipy.sparse.linalg' in sys.modules)"
