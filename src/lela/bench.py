@@ -19,7 +19,7 @@ import numpy as np
 from . import rng
 from .distpca import run_distpca
 from .driver import lela
-from .errors import LelaError, ParameterError
+from .errors import DegenerateInputError, LelaError, ParameterError
 from .linalg import (
     DenseMatrix,
     Factorization,
@@ -231,6 +231,9 @@ def _build_instance(cfg: ExperimentConfig, kind: str, noise_idx: int, trial: int
     M = add_noise(M_r, cfg.noise_levels[noise_idx], seed=inst_seed)
     if kind == "matrix":
         return M, Factorization(dec.u_star * dec.sigma_star, dec.v_star)
+    fro_sq = float(np.einsum("ij,ij->", M.data, M.data))
+    if not np.isfinite(fro_sq * fro_sq):  # build_product_plan's rule on (Y, Y^T)
+        raise DegenerateInputError("|Y|_F^4, the bound on |Y Y^T|_F^2, overflows")
     uy, sy, _ = np.linalg.svd(M.data, full_matrices=False)
     truth = Factorization(uy[:, : cfg.r] * sy[: cfg.r] ** 2, uy[:, : cfg.r])
     # Y Y^T - u v^T = [Y, -u] [Y, v]^T: its norm is exact without the n x n Gram

@@ -14,15 +14,16 @@ The exact Bernoulli sampler visits every cell (O(n d), reference behavior).
 The multinomial sampler draws m entries by first drawing per-row counts from
 the row marginal and then drawing columns within each touched row, with
 replacement and duplicates collapsed.  Both run over blocks of at most
-``BLOCK_CELLS`` cells: only each row's random stream is created and read row
-by row; laws, CDFs, searches, masks, values and weights are computed for the
-block at once, with the same bits as a row-at-a-time loop.  On dense input
-both sweep the n d cells: the multinomial sampler builds the within-row CDF
-of every touched row and searches it once per draw.  On a dense 2000 x 2000
-instance with m = 40,000 (one BLAS thread, 2-vCPU Xeon VM, best of 5) the
-multinomial draw takes 0.12 s and the Bernoulli draw 0.13-0.16 s; creating
-the 2,000 row streams is 0.04-0.06 s of either.  The intensity that sets a
-kept cell's weight is evaluated at the kept cells only.
+``BLOCK_CELLS`` cells: only each row's random stream is read row by row, from
+``rng.row_streams`` (all keys hashed up front, one generator reset per row);
+laws, CDFs, searches, masks, values and weights are computed for the block at
+once, with the same bits as a row-at-a-time loop.  On dense input both sweep
+the n d cells: the multinomial sampler builds the within-row CDF of every
+touched row and searches it once per draw.  On a dense 2000 x 2000 instance
+with m = 40,000 (one BLAS thread, 2-vCPU Xeon VM, best of 5) the multinomial
+draw takes 0.09-0.10 s and the Bernoulli draw 0.09-0.11 s; the 2,000 row
+streams are 0.003 s of either.  The intensity that sets a kept cell's weight
+is evaluated at the kept cells only.
 
 Every sampler reads the matrix (or the product factors) from its plan.
 """
@@ -197,12 +198,13 @@ def draw_bernoulli_rows(d, row_ids, prob_block, value_cells, seed, tag) -> Sampl
     entries of row row_ids[k] are stored in row k.
     """
     n = len(row_ids)
+    streams = rng.row_streams(seed, tag, row_ids)
     parts = []
     for a, b in _row_blocks(n, d):
         P = prob_block(a, b)
         U = np.empty((b - a, d))
-        for t, i in enumerate(row_ids[a:b].tolist()):
-            rng.stream(seed, tag, i).random(out=U[t])
+        for u, g in zip(U, streams):  # U first: zip stops before the next row's stream
+            g.random(out=u)
         ks, js = np.nonzero(U < P)
         weights = 1.0 / P[ks, js]
         ks += a
@@ -270,6 +272,7 @@ def draw_multinomial(plan: SamplingPlan, seed: int = 0) -> SampleSet:
     within_row_base = 0.5 * stats.col_sq_norms / stats.fro_sq
     counts = rng.stream(seed, rng.TAG_ROW_COUNTS).multinomial(plan.m, row_marginal)
     touched = np.flatnonzero(counts)
+    streams = rng.row_streams(seed, rng.TAG_ROW_DRAWS, touched)
     cells = []
     for a, b in _row_blocks(touched.size, d):
         rows = touched[a:b]
@@ -282,10 +285,7 @@ def draw_multinomial(plan: SamplingPlan, seed: int = 0) -> SampleSet:
         law /= law.sum(axis=1, keepdims=True)
         cdf = np.cumsum(law, axis=1)
         cdf /= cdf[:, -1:].copy()
-        u = np.concatenate([
-            rng.stream(seed, rng.TAG_ROW_DRAWS, i).random(c)
-            for i, c in zip(rows.tolist(), counts[rows].tolist())
-        ])
+        u = np.concatenate([g.random(c) for c, g in zip(counts[rows].tolist(), streams)])
         t = np.repeat(np.arange(b - a), counts[rows])
         cells.append(rows[t] * d + _search_rows(cdf, t, u))
     cells = np.sort(np.concatenate(cells))  # np.unique's hash path is slower

@@ -96,6 +96,19 @@ def test_bench_records_overflowing_noise_as_error_rows(tmp_path, capsys):
     assert statuses == ["error:DegenerateInputError"] * 4
 
 
+def test_bench_refuses_a_covariance_instance_whose_gram_overflows(tmp_path):
+    # its truth squares Y's singular values, which would overflow under -W error
+    out = tmp_path / "bench.csv"
+    code = main([
+        "bench", "--n", "40", "--d", "30", "--rank", "2", "--trials", "1", "--iters", "2",
+        "--m-list", "640", "--noise-list", "1e300", "--algorithms", "covariance-direct",
+        "--out", str(out),
+    ])
+    assert code == 0
+    rows = out.read_text().splitlines()[1:]
+    assert [line.split(",")[-1] for line in rows] == ["error:DegenerateInputError"]
+
+
 def test_env_var_seed(monkeypatch, capsys):
     monkeypatch.setenv("LELA_SEED", "41")
     code = main(["lela", "--n", "16", "--d", "12", "--rank", "2", "--m", "150", "--iters", "2"])

@@ -110,15 +110,15 @@ class _RandomRecorder:
 def record_row_uniforms(monkeypatch):
     """Log every uniform the multinomial sampler draws for its columns."""
     log = []
-    stream = lrng.stream
+    row_streams = lrng.row_streams
 
-    def recording_stream(seed, *path):
-        gen = stream(seed, *path)
-        if path[0] == lrng.TAG_ROW_DRAWS:
-            return _RandomRecorder(gen, int(path[1]), log)
-        return gen
+    def recording_row_streams(seed, tag, rows):
+        streams = row_streams(seed, tag, rows)
+        if tag == lrng.TAG_ROW_DRAWS:
+            return (_RandomRecorder(g, int(i), log) for i, g in zip(rows, streams))
+        return streams
 
-    monkeypatch.setattr(lrng, "stream", recording_stream)
+    monkeypatch.setattr(lrng, "row_streams", recording_row_streams)
     return log
 
 
