@@ -9,15 +9,10 @@ from per-column (z, B) messages.  Every transfer is recorded in a CommLedger
 as a count of real numbers, which is the quantity the communication bound
 speaks about; no actual networking is involved.
 
-The sampling law used on this path is
-
-    p(i, j) = min( m * ( (|M^i|^2 + |M_j|^2) / (2 n |M|_F^2)
-                         + |M_ij| / |M|_{1,1} ), 1 )
-
-which differs from the single-machine element law (n instead of n + d in the
-norm term, and no 1/2 on the L1 term).  Row i draws from the stream
-(seed, TAG_DIST_SAMPLE, i) whichever server holds it, so the sample set does
-not depend on the partition.
+Each server samples its rows by the distpca row of ``sampling.ElementLaw``'s
+coefficient table, not by the single-machine law.  Row i draws from the
+stream (seed, TAG_DIST_SAMPLE, i) whichever server holds it, so the sample
+set does not depend on the partition.
 """
 from __future__ import annotations
 
@@ -31,7 +26,7 @@ from .errors import DegenerateInputError, ParameterError
 from .linalg import (
     DenseMatrix, Factorization, orthonormal_columns, pseudo_solve_spd_batch, subspace_iteration
 )
-from .sampling import SampleSet, clipped_intensity, draw_bernoulli_rows
+from .sampling import ElementLaw, SampleSet, draw_bernoulli_rows
 from .waltmin import UPDATE_U, als_half_step
 
 KIND_COL_NORMS = "col-norms"
@@ -161,19 +156,16 @@ def dist_sample(shards: list[ServerShard], m: int, ledger: CommLedger, seed: int
     fro_sq = float(col_sq.sum())
     if l11 <= 0.0 or fro_sq <= 0.0:
         raise DegenerateInputError("all-zero matrix has no sampling distribution")
-    if not np.isfinite(2.0 * n * fro_sq):  # as in build_plan
+    norm_scale = 2.0 * n * fro_sq
+    if not np.isfinite(norm_scale):  # as in build_plan
         raise DegenerateInputError("squared Frobenius norm overflows the sampling law")
     for sh in shards:
         ledger.record(round_no, DIR_DOWN, KIND_STATS_BROADCAST, d + 2)
     for sh in shards:
         rows = sh.local_rows
-        row_sq = np.einsum("ij,ij->i", rows, rows)
-
-        def prob_block(a, b):
-            return clipped_intensity(m, row_sq[a:b, None], col_sq, 2.0 * n * fro_sq, rows[a:b], l11)
-
+        law = ElementLaw(m, np.einsum("ij,ij->i", rows, rows), col_sq, norm_scale, rows, l11)
         sh.local_samples = draw_bernoulli_rows(
-            d, sh.row_set, prob_block, lambda ks, js: rows[ks, js], seed, rng.TAG_DIST_SAMPLE
+            law, sh.row_set, lambda ks, js: rows[ks, js], seed, rng.TAG_DIST_SAMPLE
         )
         touched = sh.local_samples.observed_cols().size
         if touched:

@@ -55,7 +55,7 @@ def lowrank_product(task: ProductTask) -> Factorization:
         plan, seed=rng.derive_seed(task.seed, rng.TAG_PRODUCT)
     )
     return waltmin(
-        samples, plan.row_trim_scores(), task.rank, task.iterations,
+        samples, plan.trim_scores, task.rank, task.iterations,
         seed=rng.derive_seed(task.seed, rng.TAG_FACTOR_V),
     )
 

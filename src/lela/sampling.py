@@ -1,14 +1,9 @@
 """Element-sampling distributions and the samplers that draw from them.
 
-Two laws are implemented.  For a single matrix M the per-entry intensity is
-
-    q(i, j) = m * ( (|M^i|^2 + |M_j|^2) / (2 (n + d) |M|_F^2)
-                    + |M_ij| / (2 |M|_{1,1}) )
-
-clipped to the inclusion probability min(q, 1).  For a product A @ B the
-intensity uses only row norms of A and column norms of B:
-
-    q(i, j) = m * ( |A^i|^2 / (n2 |A|_F^2) + |B_j|^2 / (n1 |B|_F^2) ).
+Every path samples one law, ``ElementLaw``: a cell's intensity grows with its
+row's and its column's squared norm and, for a single matrix, with its own
+magnitude.  The class docstring tabulates the coefficients of the single
+matrix, the product A @ B and the distributed run.
 
 The exact Bernoulli sampler visits every cell (O(n d), reference behavior).
 The multinomial sampler draws m entries by first drawing per-row counts from
@@ -116,34 +111,63 @@ class SampleSet:
 
 
 @dataclass(frozen=True)
-class SamplingPlan:
-    """Element-sampling law for one matrix: the budget, the stats and the matrix."""
+class ElementLaw:
+    """The element law q_ij = m ((a_i + b_j) / s + |v_ij| / t), clipped to 1.
+
+    a is ``row_terms``, b ``col_terms``, s ``norm_scale``, v ``values`` and
+    t ``l1_scale``.  The three sampling paths differ only in these:
+
+    =======  ===================  ===================  ===============  ===  =========
+    path     a_i                  b_j                  s                v    t
+    =======  ===================  ===================  ===============  ===  =========
+    M        |M^i|^2              |M_j|^2              2 (n+d) |M|_F^2  M    2 |M|_1,1
+    A @ B    |A^i|^2/(n2|A|_F^2)  |B_j|^2/(n1|B|_F^2)  1                --   --
+    distpca  |M^i|^2              |M_j|^2              2 n |M|_F^2      M    |M|_1,1
+    =======  ===================  ===================  ===============  ===  =========
+
+    M is n x d and A @ B is n1 x n2.  The intensities sum to m for M, to 2m
+    for A @ B and to m (3n + d) / (2n) for distpca, 2m at n = d: distpca puts
+    n in place of n + d and drops the 1/2 on the L1 term.  Each distpca
+    server builds its own law over its rows of M (a and v) from the
+    exchanged column norms, |M|_F^2 and |M|_1,1.
+    """
 
     m: int
+    row_terms: np.ndarray
+    col_terms: np.ndarray
+    norm_scale: float
+    values: np.ndarray | None = None
+    l1_scale: float | None = None
+
+    def _clipped(self, row_terms, col_terms, vals) -> np.ndarray:
+        """min(q, 1), broadcast, in place in a C-ordered result, rounded as written out."""
+        q = np.add(row_terms, col_terms)
+        q /= self.norm_scale
+        if vals is not None:
+            l1 = np.abs(vals, order="C")
+            l1 /= self.l1_scale
+            q += l1
+        q *= self.m
+        return np.minimum(q, 1.0, out=q)
+
+    def block(self, start: int, stop: int) -> np.ndarray:
+        """min(q, 1) over rows start..stop-1, a C-contiguous (stop - start, d) block."""
+        vals = None if self.values is None else self.values[start:stop]
+        return self._clipped(self.row_terms[start:stop, None], self.col_terms, vals)
+
+    def cells(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """min(q, 1) at the cells (rows[k], cols[k])."""
+        vals = None if self.values is None else self.values[rows, cols]
+        return self._clipped(self.row_terms[rows], self.col_terms[cols], vals)
+
+
+@dataclass(frozen=True)
+class SamplingPlan:
+    """Element-sampling plan for one matrix: its law, its stats and the matrix."""
+
+    law: ElementLaw
     stats: MatrixStats
     matrix: DenseMatrix
-
-    def _clipped(self, row_sq, col_sq, vals) -> np.ndarray:
-        """min(q, 1) from the rows' and columns' squared norms and the cells' values."""
-        s = self.stats
-        n, d = self.matrix.shape
-        return clipped_intensity(
-            self.m, row_sq, col_sq, 2.0 * (n + d) * s.fro_sq, vals, 2.0 * s.l11
-        )
-
-    def inclusion_probabilities(self, start: int, stop: int) -> np.ndarray:
-        """min(q, 1) over rows start..stop-1, a C-contiguous (stop - start, d) block."""
-        s = self.stats
-        return self._clipped(
-            s.row_sq_norms[start:stop, None], s.col_sq_norms, self.matrix.data[start:stop]
-        )
-
-    def cell_probabilities(self, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-        """min(q, 1) at the cells (rows[k], cols[k])."""
-        s = self.stats
-        return self._clipped(
-            s.row_sq_norms[rows], s.col_sq_norms[cols], self.matrix.data[rows, cols]
-        )
 
     def row_trim_scores(self) -> np.ndarray:
         """Row scores |M^i| / |M|_F used to trim the initial left factor."""
@@ -157,25 +181,14 @@ def build_plan(M: DenseMatrix, m: int) -> SamplingPlan:
     stats = compute_stats(M)
     if stats.l11 <= 0.0 or stats.fro_sq <= 0.0:
         raise DegenerateInputError("all-zero matrix has no sampling distribution")
+    law = ElementLaw(
+        int(m), stats.row_sq_norms, stats.col_sq_norms, 2.0 * sum(M.shape) * stats.fro_sq,
+        M.data, 2.0 * stats.l11,
+    )
     # the law's largest normalizer; |M|_{1,1}^2 <= n d |M|_F^2 keeps l11 finite too
-    if not np.isfinite(2.0 * sum(M.shape) * stats.fro_sq):
+    if not np.isfinite(law.norm_scale):
         raise DegenerateInputError("squared Frobenius norm overflows the sampling law")
-    return SamplingPlan(int(m), stats, M)
-
-
-def clipped_intensity(m, row_sq, col_sq, norm_scale, vals, l1_scale) -> np.ndarray:
-    """min(m * ((row_sq + col_sq) / norm_scale + |vals| / l1_scale), 1), broadcast.
-
-    Evaluated in place in a C-ordered result, with the same rounding as the
-    expression written out.
-    """
-    q = np.add(row_sq, col_sq)
-    q /= norm_scale
-    l1 = np.abs(vals, order="C")
-    l1 /= l1_scale
-    q += l1
-    q *= m
-    return np.minimum(q, 1.0, out=q)
+    return SamplingPlan(law, stats, M)
 
 
 def _row_blocks(count: int, d: int):
@@ -185,23 +198,23 @@ def _row_blocks(count: int, d: int):
         yield start, min(start + step, count)
 
 
-def draw_bernoulli_rows(d, row_ids, prob_block, value_cells, seed, tag) -> SampleSet:
+def draw_bernoulli_rows(law: ElementLaw, row_ids, value_cells, seed, tag) -> SampleSet:
     """The Bernoulli kernel every exact sampler shares, over blocks of rows.
 
     Row ``row_ids[k]`` draws d uniforms from the stream (seed, tag, row_ids[k])
     and keeps column j when u_j < p_j, storing weight 1 / p_j; the outcome
     depends on the row id only, never on the position k, the block or who
-    draws it.  ``prob_block(a, b)`` returns the inclusion probabilities of the
-    rows row_ids[a:b] as a (b - a, d) array and ``value_cells(ks, js)`` the
-    values of the kept cells (row_ids[ks], js), ks ascending.  Only the
-    streams are read row by row.  The result has len(row_ids) rows: the
-    entries of row row_ids[k] are stored in row k.
+    draws it.  Row k of ``law`` gives row row_ids[k]'s inclusion
+    probabilities, and ``value_cells(ks, js)`` the values of the kept cells
+    (row_ids[ks], js), ks ascending.  Only the streams are read row by row.
+    The result has len(row_ids) rows: the entries of row row_ids[k] are
+    stored in row k.
     """
-    n = len(row_ids)
+    n, d = len(row_ids), law.col_terms.size
     streams = rng.row_streams(seed, tag, row_ids)
     parts = []
     for a, b in _row_blocks(n, d):
-        P = prob_block(a, b)
+        P = law.block(a, b)
         U = np.empty((b - a, d))
         for u, g in zip(U, streams):  # U first: zip stops before the next row's stream
             g.random(out=u)
@@ -224,8 +237,7 @@ def draw_bernoulli(plan: SamplingPlan, seed: int = 0) -> SampleSet:
     """
     M = plan.matrix
     S = draw_bernoulli_rows(
-        M.n_cols, np.arange(M.n_rows), plan.inclusion_probabilities,
-        lambda ks, js: M.data[ks, js], seed, rng.TAG_BERNOULLI,
+        plan.law, np.arange(M.n_rows), lambda ks, js: M.data[ks, js], seed, rng.TAG_BERNOULLI
     )
     M.note_pass()
     return S
@@ -261,16 +273,16 @@ def draw_multinomial(plan: SamplingPlan, seed: int = 0) -> SampleSet:
     their laws and CDFs together, O(d) work per touched row, so O(n d) on
     dense input, plus a binary search per draw.
     """
-    if 8 * plan.m > physical_memory():  # checked before the m draws are allocated
-        raise ParameterError(f"budget m = {plan.m} draws cannot be held in memory")
-    M, stats = plan.matrix, plan.stats
+    M, stats, m = plan.matrix, plan.stats, plan.law.m
+    if 8 * m > physical_memory():  # checked before the m draws are allocated
+        raise ParameterError(f"budget m = {m} draws cannot be held in memory")
     n, d = M.shape
     # the row law, and the column-norm part of the within-row law
     row_marginal = 0.5 * (
         d * stats.row_sq_norms / ((n + d) * stats.fro_sq) + 1.0 / (n + d)
     ) + 0.5 * stats.row_l1 / stats.l11
     within_row_base = 0.5 * stats.col_sq_norms / stats.fro_sq
-    counts = rng.stream(seed, rng.TAG_ROW_COUNTS).multinomial(plan.m, row_marginal)
+    counts = rng.stream(seed, rng.TAG_ROW_COUNTS).multinomial(m, row_marginal)
     touched = np.flatnonzero(counts)
     streams = rng.row_streams(seed, rng.TAG_ROW_DRAWS, touched)
     cells = []
@@ -291,35 +303,23 @@ def draw_multinomial(plan: SamplingPlan, seed: int = 0) -> SampleSet:
     cells = np.sort(np.concatenate(cells))  # np.unique's hash path is slower
     cells = cells[np.concatenate(([True], cells[1:] != cells[:-1]))]
     rows, cols = np.divmod(cells, d)
-    S = SampleSet(n, d, rows, cols, M.data[rows, cols], 1.0 / plan.cell_probabilities(rows, cols))
+    S = SampleSet(n, d, rows, cols, M.data[rows, cols], 1.0 / plan.law.cells(rows, cols))
     M.note_pass()
     return S
 
 
 @dataclass(frozen=True)
 class ProductSamplingPlan:
-    """Sampling law for entries of A @ B without forming the product."""
+    """Sampling plan for entries of A @ B without forming the product.
 
-    m: int
-    row_sq_norms_a: np.ndarray
-    col_sq_norms_b: np.ndarray
-    fro_sq_a: float
-    fro_sq_b: float
+    ``trim_scores`` are the surrogate row scores |A^i| / |A|_F that trim the
+    left factor.
+    """
+
+    law: ElementLaw
+    trim_scores: np.ndarray
     a: DenseMatrix
     b: DenseMatrix
-
-    def inclusion_probabilities(self, start: int, stop: int) -> np.ndarray:
-        """min(q, 1) over rows start..stop-1 of A @ B, a (stop - start, n2) block."""
-        q = np.add(
-            self.row_sq_norms_a[start:stop, None] / (self.b.n_cols * self.fro_sq_a),
-            self.col_sq_norms_b / (self.a.n_rows * self.fro_sq_b),
-        )
-        q *= self.m
-        return np.minimum(q, 1.0, out=q)
-
-    def row_trim_scores(self) -> np.ndarray:
-        """Surrogate row scores |A^i| / |A|_F used to trim the left factor."""
-        return np.sqrt(self.row_sq_norms_a / self.fro_sq_a)
 
 
 def build_product_plan(A: DenseMatrix, B: DenseMatrix, m: int) -> ProductSamplingPlan:
@@ -341,15 +341,8 @@ def build_product_plan(A: DenseMatrix, B: DenseMatrix, m: int) -> ProductSamplin
         raise DegenerateInputError("zero factor matrix has no sampling distribution")
     if not np.isfinite(fro_a * fro_b):  # a bound on |A B|_F^2
         raise DegenerateInputError("|A|_F^2 |B|_F^2, the bound on |A B|_F^2, overflows")
-    return ProductSamplingPlan(
-        m=int(m),
-        row_sq_norms_a=row_sq_a,
-        col_sq_norms_b=col_sq_b,
-        fro_sq_a=fro_a,
-        fro_sq_b=fro_b,
-        a=A,
-        b=B,
-    )
+    law = ElementLaw(int(m), row_sq_a / (B.n_cols * fro_a), col_sq_b / (A.n_rows * fro_b), 1.0)
+    return ProductSamplingPlan(law, np.sqrt(row_sq_a / fro_a), A, B)
 
 
 def materialize_product_samples(plan: ProductSamplingPlan, seed: int = 0) -> SampleSet:
@@ -365,7 +358,4 @@ def materialize_product_samples(plan: ProductSamplingPlan, seed: int = 0) -> Sam
             vals[s:e] = A.row(ks[s]) @ B.data[:, js[s:e]]
         return vals
 
-    return draw_bernoulli_rows(
-        B.n_cols, np.arange(A.n_rows), plan.inclusion_probabilities,
-        dot_products, seed, rng.TAG_PRODUCT,
-    )
+    return draw_bernoulli_rows(plan.law, np.arange(A.n_rows), dot_products, seed, rng.TAG_PRODUCT)

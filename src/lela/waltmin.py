@@ -51,7 +51,8 @@ def initialize(
 
     The factor is ``linalg.topk_svd``'s, with its convergence stop and cap.
     Row i of the factor is zeroed when its norm reaches TRIM_FACTOR *
-    ``trim_scores[i]``; the plans supply the scores (``row_trim_scores()``).
+    ``trim_scores[i]``; the plans supply the scores
+    (``SamplingPlan.row_trim_scores()``, ``ProductSamplingPlan.trim_scores``).
     """
     if S0.size == 0:
         raise DegenerateInputError("initialization requires a nonempty sample set")

@@ -156,17 +156,22 @@ def weighted_ls_2x2(targets):
 def intensity(plan, i, j):
     """Unclipped sampling intensity q(i, j) by the law's formula.
 
-    ``j`` is one column, an index array or a slice of row i.
+    ``j`` is one column, an index array or a slice of row i.  Only the budget
+    is read from the plan's law; the norms come from the plan's inputs.
     """
+    m = plan.law.m
     if isinstance(plan, ProductSamplingPlan):
-        return plan.m * (
-            plan.row_sq_norms_a[i] / (plan.b.n_cols * plan.fro_sq_a)
-            + plan.col_sq_norms_b[j] / (plan.a.n_rows * plan.fro_sq_b)
+        a, b = plan.a.data, plan.b.data
+        row_sq_a = np.einsum("ij,ij->i", a, a)
+        col_sq_b = np.einsum("ij,ij->j", b, b)
+        return m * (
+            row_sq_a[i] / (b.shape[1] * float(row_sq_a.sum()))
+            + col_sq_b[j] / (a.shape[0] * float(col_sq_b.sum()))
         )
     s = plan.stats
     n, d = plan.matrix.shape
     norm_term = (s.row_sq_norms[i] + s.col_sq_norms[j]) / (2.0 * (n + d) * s.fro_sq)
-    return plan.m * (norm_term + abs(plan.matrix.data[i, j]) / (2.0 * s.l11))
+    return m * (norm_term + abs(plan.matrix.data[i, j]) / (2.0 * s.l11))
 
 
 def inclusion_probability(plan, i, j):
@@ -343,7 +348,7 @@ def draw_multinomial(plan, seed=0):
     M = plan.matrix
     n, d = M.shape
     row_marginal, within_row_base = multinomial_tables(plan)
-    counts = lrng.stream(seed, lrng.TAG_ROW_COUNTS).multinomial(plan.m, row_marginal)
+    counts = lrng.stream(seed, lrng.TAG_ROW_COUNTS).multinomial(plan.law.m, row_marginal)
     rows_acc, cols_acc, vals_acc, wts_acc = [], [], [], []
     for i in np.flatnonzero(counts):
         row = M.row(i)

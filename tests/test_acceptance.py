@@ -100,22 +100,25 @@ def _figure_one_medians(alpha, trials=20):
     r = 5
     noise_levels = (0.01, 0.05, 0.1)
     m_grid = [k * n * r for k in (4, 8, 16, 32)]
-    cells = {}
+    errs = {(noise, m): ([], []) for noise in noise_levels for m in m_grid}
     for noise_idx, noise in enumerate(noise_levels):
-        for m in m_grid:
-            l = m // n
-            lela_errs, gauss_errs = [], []
-            for t in range(trials):
-                iseed = lrng.derive_seed(77, int(alpha * 10), noise_idx, t)
-                M_r, dec = gen_powerlaw(n, d, r, alpha, seed=iseed)
-                truth = Factorization(dec.u_star * dec.sigma_star, dec.v_star)
-                M = add_noise(M_r, noise, seed=iseed)
+        for t in range(trials):
+            # one instance per (noise, trial), shared by the budgets: no seed
+            # depends on m and no run mutates the instance
+            iseed = lrng.derive_seed(77, int(alpha * 10), noise_idx, t)
+            M_r, dec = gen_powerlaw(n, d, r, alpha, seed=iseed)
+            truth = Factorization(dec.u_star * dec.sigma_star, dec.v_star)
+            M = add_noise(M_r, noise, seed=iseed)
+            for m in m_grid:
+                lela_errs, gauss_errs = errs[(noise, m)]
                 rep = run_lela(M, r, m, 15, mode="bernoulli", seed=iseed + 1)
                 lela_errs.append(low_rank_diff_spectral_norm(truth, rep.factorization))
-                G = gaussian_projection_baseline(M, r, l, seed=iseed + 2)
+                G = gaussian_projection_baseline(M, r, m // n, seed=iseed + 2)
                 gauss_errs.append(low_rank_diff_spectral_norm(truth, G))
-            cells[(noise, m)] = (float(np.median(lela_errs)), float(np.median(gauss_errs)))
-    return cells
+    return {
+        key: (float(np.median(lela_errs)), float(np.median(gauss_errs)))
+        for key, (lela_errs, gauss_errs) in errs.items()
+    }
 
 
 @pytest.mark.slow
@@ -274,7 +277,7 @@ def test_criterion_08_sampler_fidelity():
     arr = np.random.default_rng(42).standard_normal((20, 20))
     M = DenseMatrix(arr)
     plan = build_plan(M, 100)
-    probs = plan.inclusion_probabilities(0, 20)
+    probs = plan.law.block(0, 20)
     n_draws = 2000
     hits = np.zeros((20, 20))
     for t in range(n_draws):

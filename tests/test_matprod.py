@@ -20,11 +20,8 @@ from lela.sampling import build_product_plan, materialize_product_samples
 
 
 def saturating_product_m(A, B):
-    plan = build_product_plan(A, B, 1)
-    per_cell = np.add.outer(
-        plan.row_sq_norms_a / (plan.b.n_cols * plan.fro_sq_a),
-        plan.col_sq_norms_b / (plan.a.n_rows * plan.fro_sq_b),
-    )
+    law = build_product_plan(A, B, 1).law
+    per_cell = np.add.outer(law.row_terms, law.col_terms) / law.norm_scale
     return int(np.ceil(1.0 / per_cell.min())) + 1
 
 

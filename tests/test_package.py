@@ -117,6 +117,21 @@ def test_the_subspace_stop_rule_is_read_in_one_function():
     assert readers == {("linalg", "subspace_iteration")}
 
 
+def test_the_sampling_law_is_clipped_in_one_class():
+    # every path's min(q, 1) is the one law object's
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    fn = node.func
+                    name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                    if name == "minimum":
+                        callers.add((path.stem, owner))
+    assert callers == {("sampling", "ElementLaw")}
+
+
 def _tracing():
     """perfbench/tracing.py, loaded from its file (perfbench is not a package)."""
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")

@@ -81,7 +81,7 @@ def test_bernoulli_inclusion_frequencies_within_four_stderr():
     arr = np.random.default_rng(4).standard_normal((10, 10))
     M = DenseMatrix(arr)
     plan = build_plan(M, 30)
-    probs = plan.inclusion_probabilities(0, 10)
+    probs = plan.law.block(0, 10)
     n_draws = 800
     hits = np.zeros((10, 10))
     for t in range(n_draws):
@@ -188,7 +188,7 @@ def test_weighted_reconstruction_unbiased():
     arr = np.random.default_rng(10).standard_normal((15, 15))
     M = DenseMatrix(arr)
     plan = build_plan(M, 60)
-    probs = plan.inclusion_probabilities(0, 15)
+    probs = plan.law.block(0, 15)
     n_draws = 2000
     acc = np.zeros((15, 15))
     for t in range(n_draws):
@@ -340,7 +340,7 @@ def test_inclusion_probabilities_in_unit_interval():
     M = DenseMatrix(arr)
     for m in (5, 50, 500):
         plan = build_plan(M, m)
-        p = plan.inclusion_probabilities(0, 9)
+        p = plan.law.block(0, 9)
         assert p.shape == (9, 7)
         assert np.all(p > 0.0) and np.all(p <= 1.0)
 
