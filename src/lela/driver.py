@@ -24,7 +24,7 @@ from .waltmin import waltmin
 # at input-sparsity cost is the whole point of the pipeline.
 ORACLE_SIZE_GUARD = 2000
 
-# Columns per block of the Frobenius error sweep.
+# Rows per block of the Frobenius error sweep.
 FRO_BLOCK = 4096
 
 
@@ -38,7 +38,7 @@ class LelaReport:
 
 
 def streaming_fro_error(M: DenseMatrix, F: Factorization) -> float:
-    """Frobenius error |M - u v^T|_F accumulated over column blocks.
+    """Frobenius error |M - u v^T|_F accumulated over row blocks.
 
     The factored matrix is only ever materialized one block at a time, which
     keeps accuracy when the error is tiny (no cancellation of large norms).
@@ -47,9 +47,9 @@ def streaming_fro_error(M: DenseMatrix, F: Factorization) -> float:
         raise ParameterError("factorization shape does not match the matrix")
     a = M.data
     total = 0.0
-    for start in range(0, M.n_cols, FRO_BLOCK):
-        stop = min(start + FRO_BLOCK, M.n_cols)
-        diff = a[:, start:stop] - F.u @ F.v[start:stop].T
+    for start in range(0, M.n_rows, FRO_BLOCK):
+        stop = min(start + FRO_BLOCK, M.n_rows)
+        diff = a[start:stop] - F.u[start:stop] @ F.v.T
         total += float(np.einsum("ij,ij->", diff, diff))
     return math.sqrt(total)
 

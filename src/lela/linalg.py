@@ -1,9 +1,11 @@
 """Dense-matrix container and the small numerical kernels everything else uses.
 
-Covers matrix statistics, top-r SVD of a dense or sparse matrix via blocked
-subspace iteration that stops when its subspace stops moving, QR
-orthonormalization, weighted normal equations over a layout of the samples or
-its transpose and their r-by-r solves, and residual spectral norms from the SVD.
+``DenseMatrix`` holds M row-major, the layout in which every kernel reads it.
+Covers top-r SVD of a dense or sparse matrix via blocked subspace iteration
+that stops when its subspace stops moving, QR orthonormalization, weighted
+normal equations over a layout of the samples or its transpose and their
+r-by-r solves, and residual spectral norms from the SVD.  The stats pass over
+M is ``sampling.compute_stats``, which reads M by the samplers' row blocks.
 """
 from __future__ import annotations
 
@@ -22,17 +24,20 @@ def physical_memory() -> int:
 
 
 class DenseMatrix:
-    """Column-major dense real matrix.
+    """Row-major dense real matrix.
 
-    Entries must be finite; the underlying array is frozen after construction.
-    ``pass_count`` tracks audited full sweeps over the data (statistics pass,
-    sampling pass) so drivers can assert the two-pass discipline.
+    The constructor copies its input into a C-ordered array and freezes the
+    copy, so each row is contiguous: the stats pass, the samplers, distpca's
+    row shards and the error sweep all read M by rows or blocks of rows.
+    Entries must be finite.  ``pass_count`` tracks audited full sweeps over
+    the data (statistics pass, sampling pass) so drivers can assert the
+    two-pass discipline.
     """
 
     __slots__ = ("data", "pass_count")
 
     def __init__(self, data):
-        arr = np.array(data, dtype=np.float64, order="F")
+        arr = np.array(data, dtype=np.float64, order="C")
         if arr.ndim != 2:
             raise ParameterError("matrix data must be two-dimensional")
         if arr.shape[0] < 1 or arr.shape[1] < 1:
@@ -63,17 +68,6 @@ class DenseMatrix:
 
     def __repr__(self) -> str:
         return f"DenseMatrix({self.n_rows}x{self.n_cols})"
-
-
-@dataclass(frozen=True)
-class MatrixStats:
-    """Row/column norms and global norms gathered in one pass."""
-
-    row_sq_norms: np.ndarray
-    col_sq_norms: np.ndarray
-    row_l1: np.ndarray
-    fro_sq: float
-    l11: float
 
 
 @dataclass(frozen=True)
@@ -113,27 +107,6 @@ class OracleDecomposition:
     u_star: np.ndarray
     sigma_star: np.ndarray
     v_star: np.ndarray
-
-
-def compute_stats(M: DenseMatrix) -> MatrixStats:
-    """Gather row/column squared norms, row L1 norms, and global norms.
-
-    Counts as one audited pass over the matrix.
-    """
-    a = M.data
-    row_sq = np.einsum("ij,ij->i", a, a)
-    col_sq = np.einsum("ij,ij->j", a, a)
-    absa = np.abs(a)
-    row_l1 = absa.sum(axis=1)
-    stats = MatrixStats(
-        row_sq_norms=row_sq,
-        col_sq_norms=col_sq,
-        row_l1=row_l1,
-        fro_sq=float(row_sq.sum()),
-        l11=float(row_l1.sum()),
-    )
-    M.note_pass()
-    return stats
 
 
 def _qr_positive(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -304,14 +277,17 @@ def pseudo_solve_spd_batch(B: np.ndarray, z: np.ndarray, eig_floor: float) -> np
     where each B concentrates near the identity; directions carrying far less
     than unit information are then too noisy to invert and are zeroed instead.
 
-    The rule is applied in two tiers.  A system whose shifted matrix
+    The rule is applied in three tiers.  A system whose shifted matrix
     B_k - (tau_k + 1e-8 * trace(B_k)/r) I has a Cholesky factor has every
     eigenvalue above tau_k by a margin far larger than the rounding of either
     the factorization or ``eigh``, so the rule keeps all of its directions and
-    it is solved directly (LU).  Only the systems that fail this gate are
-    eigendecomposed.  The kept directions are those of the rule on every
-    system; the solved values differ from a full eigendecomposition only by
-    rounding.
+    it is solved directly (LU).  With a positive ``eig_floor``, a system
+    failing that gate whose (tau_k - 1e-8 * trace(B_k)/r) I - B_k has a
+    Cholesky factor has every eigenvalue below tau_k by the same margin, so
+    the rule drops them all and x_k = 0 (at floor 0 that shift is negative
+    and no system passes).  Only the systems left are eigendecomposed.  The
+    kept directions are those of the rule on every system; the solved values
+    differ from a full eigendecomposition only by rounding.
     """
     r = B.shape[1]
     scale = np.einsum("kii->k", B) / r
@@ -322,6 +298,13 @@ def pseudo_solve_spd_batch(B: np.ndarray, z: np.ndarray, eig_floor: float) -> np
     x = np.empty_like(z)
     x[clear] = np.linalg.solve(B[clear], z[clear][..., None])[..., 0]
     rest = ~clear
+    if eig_floor > 0.0:
+        dropped = np.zeros_like(rest)
+        dropped[rest] = _clears_shifted_cholesky(-B[rest], 1e-8 * scale[rest] - tol[rest])
+        x[dropped] = 0.0
+        rest &= ~dropped
+        if not rest.any():
+            return x
     lam, Q = np.linalg.eigh(B[rest])
     keep = lam > tol[rest][:, None]
     inv = np.zeros_like(lam)

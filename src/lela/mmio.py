@@ -37,7 +37,7 @@ def read_matrix(path) -> DenseMatrix:
         raise ParameterError(f"cannot read matrix {str(path)!r}: {exc}") from exc
     if scipy.sparse.issparse(mat):
         mat = mat.toarray()
-    return DenseMatrix(np.asarray(mat, dtype=np.float64))
+    return DenseMatrix(mat)
 
 
 def require_parent_dir(path) -> None:

@@ -15,10 +15,11 @@ laws, CDFs, searches, masks, values and weights are computed for the block at
 once, with the same bits as a row-at-a-time loop.  On dense input both sweep
 the n d cells: the multinomial sampler builds the within-row CDF of every
 touched row and searches it once per draw.  On a dense 2000 x 2000 instance
-with m = 40,000 (one BLAS thread, 2-vCPU Xeon VM, best of 5) the multinomial
-draw takes 0.09-0.10 s and the Bernoulli draw 0.09-0.11 s; the 2,000 row
-streams are 0.003 s of either.  The intensity that sets a kept cell's weight
-is evaluated at the kept cells only.
+with m = 40,000 (one BLAS thread, 2-vCPU Xeon VM, best of 5, two runs) the
+multinomial draw takes 0.055-0.056 s and the Bernoulli draw 0.062-0.063 s;
+the 2,000 row streams are 0.005 s of either.  Both read M's rows, contiguous
+in its row-major layout.  The intensity that sets a kept cell's weight is
+evaluated at the kept cells only.
 
 Every sampler reads the matrix (or the product factors) from its plan.
 """
@@ -31,11 +32,52 @@ import scipy.sparse
 
 from . import rng
 from .errors import DegenerateInputError, ParameterError
-from .linalg import DenseMatrix, Grouping, MatrixStats, compute_stats, physical_memory
+from .linalg import DenseMatrix, Grouping, physical_memory
 
 # Cells per block of the row-blocked samplers (a block holds one row at least).
 # 2^18 raised the benchmark's distpca-s4 peak RSS from 159.9 to 161.4 MB.
 BLOCK_CELLS = 1 << 16
+
+
+def _row_blocks(count: int, d: int):
+    """[start, stop) ranges over ``count`` rows of d cells, one block each."""
+    step = max(1, BLOCK_CELLS // d)
+    for start in range(0, count, step):
+        yield start, min(start + step, count)
+
+
+@dataclass(frozen=True)
+class MatrixStats:
+    """Row/column norms and global norms gathered in one pass."""
+
+    row_sq_norms: np.ndarray
+    col_sq_norms: np.ndarray
+    row_l1: np.ndarray
+    fro_sq: float
+    l11: float
+
+
+def compute_stats(M: DenseMatrix) -> MatrixStats:
+    """Gather row/column squared norms, row L1 norms, and global norms.
+
+    One audited pass over M by the samplers' row blocks: each block writes
+    its rows' sums, bit for bit those of a whole-array pass (``np.vecdot``
+    and ``sum`` reduce each row alone, where ``np.einsum`` splits long rows
+    by its buffer), and adds its column sums to the running totals, so no
+    n x d temporary is formed.
+    """
+    a = M.data
+    n, d = a.shape
+    row_sq, row_l1, col_sq = np.empty(n), np.empty(n), np.zeros(d)
+    # vecdot flags an overflow, which build_plan refuses from the sums' infinity
+    with np.errstate(over="ignore"):
+        for start, stop in _row_blocks(n, d):
+            block = a[start:stop]
+            np.vecdot(block, block, out=row_sq[start:stop])
+            col_sq += np.einsum("ij,ij->j", block, block)
+            np.abs(block).sum(axis=1, out=row_l1[start:stop])
+    M.note_pass()
+    return MatrixStats(row_sq, col_sq, row_l1, float(row_sq.sum()), float(row_l1.sum()))
 
 
 class SampleSet:
@@ -144,7 +186,7 @@ class ElementLaw:
         q = np.add(row_terms, col_terms)
         q /= self.norm_scale
         if vals is not None:
-            l1 = np.abs(vals, order="C")
+            l1 = np.abs(vals)
             l1 /= self.l1_scale
             q += l1
         q *= self.m
@@ -189,13 +231,6 @@ def build_plan(M: DenseMatrix, m: int) -> SamplingPlan:
     if not np.isfinite(law.norm_scale):
         raise DegenerateInputError("squared Frobenius norm overflows the sampling law")
     return SamplingPlan(law, stats, M)
-
-
-def _row_blocks(count: int, d: int):
-    """[start, stop) ranges over ``count`` rows of d cells, one block each."""
-    step = max(1, BLOCK_CELLS // d)
-    for start in range(0, count, step):
-        yield start, min(start + step, count)
 
 
 def draw_bernoulli_rows(law: ElementLaw, row_ids, value_cells, seed, tag) -> SampleSet:
@@ -347,15 +382,17 @@ def build_product_plan(A: DenseMatrix, B: DenseMatrix, m: int) -> ProductSamplin
 
 def materialize_product_samples(plan: ProductSamplingPlan, seed: int = 0) -> SampleSet:
     """Draw cells of ``plan.a @ plan.b`` Bernoulli-style, filled with exact dot products."""
-    A, B = plan.a, plan.b
+    A = plan.a
+    bt = np.ascontiguousarray(plan.b.data.T)  # B's columns as contiguous rows
 
     def dot_products(ks, js):
-        # One A^i @ B[:, js] per kept row; a blocked product would sum in
-        # another order and do the work of every cell of the block's rows.
+        # One B[:, js]^T @ A^i per kept row, a row gather of bt and one dot
+        # product per kept cell; a blocked product would sum in another order
+        # and do the work of every cell of the block's rows.
         vals = np.empty(js.size)
         starts = np.flatnonzero(np.diff(ks, prepend=-1)).tolist()
         for s, e in zip(starts, starts[1:] + [ks.size]):
-            vals[s:e] = A.row(ks[s]) @ B.data[:, js[s:e]]
+            vals[s:e] = bt[js[s:e]] @ A.row(ks[s])
         return vals
 
     return draw_bernoulli_rows(plan.law, np.arange(A.n_rows), dot_products, seed, rng.TAG_PRODUCT)

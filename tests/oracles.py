@@ -31,13 +31,8 @@ from lela.distpca import (
     KIND_COL_NORMS,
     KIND_STATS_BROADCAST,
 )
-from lela.linalg import (
-    OracleDecomposition,
-    compute_stats,
-    orthonormal_columns,
-    pseudo_solve_spd_batch,
-)
-from lela.sampling import ProductSamplingPlan, SampleSet
+from lela.linalg import OracleDecomposition, orthonormal_columns, pseudo_solve_spd_batch
+from lela.sampling import ProductSamplingPlan, SampleSet, compute_stats
 
 
 def naive_stats(arr):

@@ -26,8 +26,8 @@ from lela import lela as run_lela
 from lela import rng as lrng
 from lela.distpca import partition_rows, dist_sample, CommLedger
 from lela.driver import streaming_fro_error
-from lela.linalg import compute_stats, low_rank_diff_spectral_norm, orthonormal_columns
-from lela.sampling import build_plan, draw_bernoulli, draw_multinomial
+from lela.linalg import low_rank_diff_spectral_norm, orthonormal_columns
+from lela.sampling import build_plan, compute_stats, draw_bernoulli, draw_multinomial
 from lela.waltmin import als_half_step, initialize
 from oracles import objective, saturating_sample_count
 

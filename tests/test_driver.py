@@ -88,9 +88,9 @@ def test_evaluate_zero_factor_gives_frobenius_norm():
 
 
 def test_streaming_fro_matches_naive_loop():
-    # 9000 columns span three column blocks, the last one partial
-    n, d = 3, 9000
-    assert 2 * lela_driver.FRO_BLOCK < d < 3 * lela_driver.FRO_BLOCK
+    # 9000 rows span three row blocks, the last one partial
+    n, d = 9000, 3
+    assert 2 * lela_driver.FRO_BLOCK < n < 3 * lela_driver.FRO_BLOCK
     g = np.random.default_rng(9)
     arr = g.standard_normal((n, d))
     M = DenseMatrix(arr)

@@ -3,17 +3,17 @@ import pytest
 import scipy.sparse
 
 import lela.linalg as lela_linalg
+import lela.sampling as sampling
 import oracles
 from lela import DegenerateInputError, DenseMatrix, Factorization, ParameterError
 from lela.linalg import (
-    compute_stats,
     low_rank_diff_spectral_norm,
     pseudo_solve_spd_batch,
     qr_orthonormalize,
     spectral_error,
     topk_svd,
 )
-from lela.sampling import SampleSet
+from lela.sampling import SampleSet, compute_stats
 
 
 def test_dense_matrix_rejects_nonfinite():
@@ -23,11 +23,34 @@ def test_dense_matrix_rejects_nonfinite():
         DenseMatrix([[np.inf], [0.0]])
 
 
-def test_dense_matrix_is_column_major_and_frozen():
-    M = DenseMatrix([[1.0, 2.0], [3.0, 4.0]])
-    assert M.data.flags.f_contiguous
+def test_dense_matrix_is_row_major_and_frozen():
+    M = DenseMatrix(np.asfortranarray([[1.0, 2.0], [3.0, 4.0]]))
+    assert M.data.flags.c_contiguous
     assert not M.data.flags.writeable
     assert M.shape == (2, 2)
+
+
+def test_dense_matrix_copies_its_input():
+    arr = np.arange(6.0).reshape(2, 3)  # already C-ordered float64
+    M = DenseMatrix(arr)
+    arr[1, 2] = -1.0
+    assert M.data[1, 2] == 5.0
+    assert not np.shares_memory(M.data, arr)
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (70, 2000), (3, sampling.BLOCK_CELLS + 3)])
+def test_blocked_stats_match_the_whole_array_pass(shape):
+    # 70 rows leave a 6-row remainder after two 32-row blocks at d = 2000;
+    # a row longer than BLOCK_CELLS makes every block one row
+    a = np.random.default_rng(shape[0]).standard_normal(shape)
+    stats = compute_stats(DenseMatrix(a))
+    row_sq = np.vecdot(a, a)
+    row_l1 = np.abs(a).sum(axis=1)
+    assert stats.row_sq_norms.tobytes() == row_sq.tobytes()
+    assert stats.row_l1.tobytes() == row_l1.tobytes()
+    assert np.allclose(stats.col_sq_norms, np.einsum("ij,ij->j", a, a), rtol=1e-13, atol=0.0)
+    assert stats.fro_sq == float(row_sq.sum())
+    assert stats.l11 == float(row_l1.sum())
 
 
 def test_stats_identity():
@@ -347,10 +370,17 @@ def test_pseudo_solve_batch_all_clear_stack_skips_eigh(monkeypatch):
     x = pseudo_solve_spd_batch(B, z, eig_floor=0.07)
     assert rows == []
     assert np.allclose(np.einsum("kij,kj->ki", B, x), z, rtol=0.0, atol=1e-12)
-    # a mixed stack eigendecomposes only the systems that fail the gate
+    # a mixed stack eigendecomposes only the systems that fail both gates:
+    # the zero system has every eigenvalue below the floor, so it gets +0.0
     B_mixed, z_mixed = _mixed_stack(g, 0.07)
-    pseudo_solve_spd_batch(B_mixed, z_mixed, eig_floor=0.07)
-    assert rows == [4]
+    x_mixed = pseudo_solve_spd_batch(B_mixed, z_mixed, eig_floor=0.07)
+    assert rows == [3]
+    assert x_mixed[-1].tobytes() == np.zeros(4).tobytes()
+    # so does a stack whose spectra all lie under the floor
+    B_low = np.array([_spd_with_spectrum(g, g.uniform(0.0, 0.06, 5)) for _ in range(20)])
+    x_low = pseudo_solve_spd_batch(B_low, g.standard_normal((20, 5)), eig_floor=0.07)
+    assert rows == [3]
+    assert x_low.tobytes() == np.zeros((20, 5)).tobytes()
 
 
 def test_spectral_error_exact_factorization_is_zero():

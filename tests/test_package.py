@@ -132,6 +132,23 @@ def test_the_sampling_law_is_clipped_in_one_class():
     assert callers == {("sampling", "ElementLaw")}
 
 
+def test_the_package_creates_no_fortran_ordered_array():
+    # DenseMatrix is row-major and every kernel reads M by rows: one layout
+    makers = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                fortran = name == "asfortranarray" or any(
+                    kw.arg == "order" and isinstance(kw.value, ast.Constant) and kw.value.value == "F"
+                    for kw in node.keywords
+                )
+                if fortran:
+                    makers.append((path.stem, node.lineno))
+    assert makers == []
+
+
 def _tracing():
     """perfbench/tracing.py, loaded from its file (perfbench is not a package)."""
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
