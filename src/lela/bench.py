@@ -23,7 +23,6 @@ from .errors import DegenerateInputError, LelaError, ParameterError
 from .linalg import (
     DenseMatrix,
     Factorization,
-    OracleDecomposition,
     low_rank_diff_spectral_norm,
     orthonormal_columns,
     physical_memory,
@@ -49,8 +48,12 @@ ALGORITHMS = {
 
 def gen_powerlaw(
     n: int, d: int, r: int, alpha: float, seed: int = 0
-) -> tuple[DenseMatrix, OracleDecomposition]:
-    """Power-law rank-r matrix with all nonzero singular values equal to 1."""
+) -> tuple[DenseMatrix, Factorization]:
+    """Power-law rank-r matrix M with all nonzero singular values equal to 1.
+
+    Returns ``(M, truth)``: ``truth.u`` and ``truth.v`` hold M's left and
+    right singular vectors, so M is exactly ``truth.u @ truth.v.T``.
+    """
     if r < 1 or r > min(n, d):
         raise ParameterError("rank must lie in [1, min(n, d)]")
     if not 0 <= alpha < np.inf:  # NaN fails too
@@ -72,11 +75,8 @@ def gen_powerlaw(
     qa, ra = np.linalg.qr(A)
     qb, rb = np.linalg.qr(B)
     uc, s, vct = np.linalg.svd(ra @ rb.T)
-    u_star = qa @ uc
-    v_star = qb @ vct.T
-    M = DenseMatrix(u_star @ v_star.T)
-    ones = np.ones(r)
-    return M, OracleDecomposition(u_star=u_star, sigma_star=ones, v_star=v_star)
+    truth = Factorization(qa @ uc, qb @ vct.T)
+    return DenseMatrix(truth.u @ truth.v.T), truth
 
 
 def add_noise(M_r: DenseMatrix, noise_spectral: float, seed: int = 0) -> DenseMatrix:
@@ -227,10 +227,10 @@ def _build_instance(cfg: ExperimentConfig, kind: str, noise_idx: int, trial: int
     if kind == "product":
         A, B, truth = make_adversarial_product(cfg.n, cfg.r, seed=inst_seed)
         return A, B, truth, truth
-    M_r, dec = gen_powerlaw(cfg.n, cfg.d, cfg.r, cfg.alpha, seed=inst_seed)
+    M_r, truth = gen_powerlaw(cfg.n, cfg.d, cfg.r, cfg.alpha, seed=inst_seed)
     M = add_noise(M_r, cfg.noise_levels[noise_idx], seed=inst_seed)
     if kind == "matrix":
-        return M, Factorization(dec.u_star * dec.sigma_star, dec.v_star)
+        return M, truth
     fro_sq = float(np.einsum("ij,ij->", M.data, M.data))
     if not np.isfinite(fro_sq * fro_sq):  # build_product_plan's rule on (Y, Y^T)
         raise DegenerateInputError("|Y|_F^4, the bound on |Y Y^T|_F^2, overflows")

@@ -5,7 +5,8 @@ for statistics, one for drawing and filling the samples) and returns the
 factors without scoring them.  ``evaluate`` is the separate, opt-in step that
 computes their errors, optionally against the dense-SVD oracle when the
 problem is small enough to afford one; its spectral error is the top singular
-value of the residual, read by the same subspace iteration as the init SVD.
+value of the residual, read by the same subspace iteration as the init SVD,
+and its Frobenius error reads M by the samplers' row blocks.
 """
 from __future__ import annotations
 
@@ -17,15 +18,12 @@ import numpy as np
 from . import rng
 from .errors import ParameterError
 from .linalg import DenseMatrix, Factorization, spectral_error
-from .sampling import build_plan, draw_bernoulli, draw_multinomial
+from .sampling import build_plan, draw_bernoulli, draw_multinomial, row_blocks
 from .waltmin import waltmin
 
 # Dense SVD oracle metrics are refused above this size; keeping the main path
 # at input-sparsity cost is the whole point of the pipeline.
 ORACLE_SIZE_GUARD = 2000
-
-# Rows per block of the Frobenius error sweep.
-FRO_BLOCK = 4096
 
 
 @dataclass(frozen=True)
@@ -38,17 +36,17 @@ class LelaReport:
 
 
 def streaming_fro_error(M: DenseMatrix, F: Factorization) -> float:
-    """Frobenius error |M - u v^T|_F accumulated over row blocks.
+    """Frobenius error |M - u v^T|_F accumulated over the samplers' row blocks.
 
-    The factored matrix is only ever materialized one block at a time, which
-    keeps accuracy when the error is tiny (no cancellation of large norms).
+    The factored matrix is only ever materialized one block of
+    ``sampling.row_blocks`` at a time, which bounds the temporary and keeps
+    accuracy when the error is tiny (no cancellation of large norms).
     """
     if F.shape != M.shape:
         raise ParameterError("factorization shape does not match the matrix")
     a = M.data
     total = 0.0
-    for start in range(0, M.n_rows, FRO_BLOCK):
-        stop = min(start + FRO_BLOCK, M.n_rows)
+    for start, stop in row_blocks(*M.shape):
         diff = a[start:stop] - F.u[start:stop] @ F.v.T
         total += float(np.einsum("ij,ij->", diff, diff))
     return math.sqrt(total)

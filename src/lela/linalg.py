@@ -1,11 +1,14 @@
 """Dense-matrix container and the small numerical kernels everything else uses.
 
-``DenseMatrix`` holds M row-major, the layout in which every kernel reads it.
-Covers top-r SVD of a dense or sparse matrix via blocked subspace iteration
-that stops when its subspace stops moving, QR orthonormalization, weighted
-normal equations over a layout of the samples or its transpose and their
-r-by-r solves, and residual spectral norms from the SVD.  The stats pass over
-M is ``sampling.compute_stats``, which reads M by the samplers' row blocks.
+``DenseMatrix`` holds M row-major, the layout in which every kernel reads it,
+and ``Factorization`` is the one factor-pair type: solver outputs and
+synthetic truths alike.  Covers the top-r left singular vectors and singular
+values of a dense or sparse matrix via blocked subspace iteration that stops
+when its subspace stops moving, QR orthonormalization, weighted normal
+equations over a layout of the samples or its transpose and their r-by-r
+solves, and residual spectral norms from the top singular value.  The stats
+pass over M is ``sampling.compute_stats``, which reads M by the samplers' row
+blocks.
 """
 from __future__ import annotations
 
@@ -95,19 +98,6 @@ class Factorization:
     def shape(self) -> tuple[int, int]:
         return (self.u.shape[0], self.v.shape[0])
 
-    def dense(self) -> np.ndarray:
-        """Materialize the n x d product; for small outputs only."""
-        return self.u @ self.v.T
-
-
-@dataclass(frozen=True)
-class OracleDecomposition:
-    """Top-r singular triplets."""
-
-    u_star: np.ndarray
-    sigma_star: np.ndarray
-    v_star: np.ndarray
-
 
 def _qr_positive(X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reduced QR with the sign convention diag(R) >= 0."""
@@ -174,16 +164,18 @@ def subspace_iteration(step, V: np.ndarray, cap: int) -> np.ndarray:
     return V
 
 
-def topk_svd(A, r: int, seed: int = 0) -> OracleDecomposition:
-    """Approximate top-r singular triplets of a real matrix.
+def topk_svd(A, r: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
+    """Approximate top-r left singular vectors and singular values of A.
 
-    ``A`` is any (n, d) matrix with ``A @ X`` and ``A.T @ Y``, such as a
-    numpy array or a scipy sparse matrix; its transpose is taken once.
-    Blocked subspace iteration with per-step QR re-orthonormalization runs
-    until one iteration moves the right basis V by at most ``SVD_STEP_TOL``
-    (``subspace_iteration``'s rule), and never more than ``SVD_MAX_ITERS``
-    times; a final thin SVD of the projected block aligns the factors and
-    orders the singular values.  Deterministic given the seed.
+    Returns ``(U, s)``: U (n, r) orthonormal, the largest-magnitude entry of
+    each column positive, and s descending.  ``A`` is any (n, d) matrix with
+    ``A @ X`` and ``A.T @ Y``, such as a numpy array or a scipy sparse
+    matrix; its transpose is taken once.  Blocked subspace iteration with
+    per-step QR re-orthonormalization runs until one iteration moves the
+    right basis V by at most ``SVD_STEP_TOL`` (``subspace_iteration``'s
+    rule), and never more than ``SVD_MAX_ITERS`` times; a final thin SVD of
+    A @ V gives U and s.  No caller reads right singular vectors, so none are
+    returned.  Deterministic given the seed.
     """
     n, d = A.shape
     if r < 1 or r > min(n, d):
@@ -194,16 +186,12 @@ def topk_svd(A, r: int, seed: int = 0) -> OracleDecomposition:
     V = subspace_iteration(
         lambda V: orthonormal_columns(At @ orthonormal_columns(A @ V)), V, SVD_MAX_ITERS
     )
-    B = A @ V
-    Ub, s, Wt = np.linalg.svd(B, full_matrices=False)
-    V = V @ Wt.T
+    Ub, s, _ = np.linalg.svd(A @ V, full_matrices=False)
     # Fix signs so the largest-magnitude entry of each left vector is positive.
     anchor = np.argmax(np.abs(Ub), axis=0)
     flips = np.sign(Ub[anchor, np.arange(r)])
     flips[flips == 0] = 1.0
-    Ub = Ub * flips
-    V = V * flips
-    return OracleDecomposition(u_star=Ub, sigma_star=s, v_star=V)
+    return Ub * flips, s
 
 
 class Grouping:
@@ -344,8 +332,8 @@ def spectral_error(M: DenseMatrix, F: Factorization, seed: int = 0) -> float:
     if F.shape != M.shape:
         raise ParameterError("factorization shape does not match the matrix")
     k = min(max(F.rank, 1), min(M.shape))
-    top = topk_svd(_Residual(M.data, F.u, F.v), k, seed=rng.derive_seed(seed, rng.TAG_SPECTRAL))
-    return float(top.sigma_star[0])
+    _, s = topk_svd(_Residual(M.data, F.u, F.v), k, seed=rng.derive_seed(seed, rng.TAG_SPECTRAL))
+    return float(s[0])
 
 
 def low_rank_diff_spectral_norm(F1: Factorization, F2: Factorization) -> float:

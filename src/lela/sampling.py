@@ -34,12 +34,13 @@ from . import rng
 from .errors import DegenerateInputError, ParameterError
 from .linalg import DenseMatrix, Grouping, physical_memory
 
-# Cells per block of the row-blocked samplers (a block holds one row at least).
+# Cells per block of every row-blocked reader of M: the stats pass, the samplers
+# and driver.streaming_fro_error (a block holds one row at least).
 # 2^18 raised the benchmark's distpca-s4 peak RSS from 159.9 to 161.4 MB.
 BLOCK_CELLS = 1 << 16
 
 
-def _row_blocks(count: int, d: int):
+def row_blocks(count: int, d: int):
     """[start, stop) ranges over ``count`` rows of d cells, one block each."""
     step = max(1, BLOCK_CELLS // d)
     for start in range(0, count, step):
@@ -71,7 +72,7 @@ def compute_stats(M: DenseMatrix) -> MatrixStats:
     row_sq, row_l1, col_sq = np.empty(n), np.empty(n), np.zeros(d)
     # vecdot flags an overflow, which build_plan refuses from the sums' infinity
     with np.errstate(over="ignore"):
-        for start, stop in _row_blocks(n, d):
+        for start, stop in row_blocks(n, d):
             block = a[start:stop]
             np.vecdot(block, block, out=row_sq[start:stop])
             col_sq += np.einsum("ij,ij->j", block, block)
@@ -248,7 +249,7 @@ def draw_bernoulli_rows(law: ElementLaw, row_ids, value_cells, seed, tag) -> Sam
     n, d = len(row_ids), law.col_terms.size
     streams = rng.row_streams(seed, tag, row_ids)
     parts = []
-    for a, b in _row_blocks(n, d):
+    for a, b in row_blocks(n, d):
         P = law.block(a, b)
         U = np.empty((b - a, d))
         for u, g in zip(U, streams):  # U first: zip stops before the next row's stream
@@ -321,7 +322,7 @@ def draw_multinomial(plan: SamplingPlan, seed: int = 0) -> SampleSet:
     touched = np.flatnonzero(counts)
     streams = rng.row_streams(seed, rng.TAG_ROW_DRAWS, touched)
     cells = []
-    for a, b in _row_blocks(touched.size, d):
+    for a, b in row_blocks(touched.size, d):
         rows = touched[a:b]
         law = M.data[rows]  # a C-ordered copy, so its row sums are the 1-D sums
         # in place, rounded as within_row_base + 0.5 * |M^i| / l11

@@ -56,8 +56,7 @@ def initialize(
     """
     if S0.size == 0:
         raise DegenerateInputError("initialization requires a nonempty sample set")
-    dec = topk_svd(S0.weighted_csr(), r, seed=seed)
-    u0 = dec.u_star.copy()
+    u0, _ = topk_svd(S0.weighted_csr(), r, seed=seed)
     row_norms = np.linalg.norm(u0, axis=1)
     trimmed = np.flatnonzero(row_norms >= TRIM_FACTOR * trim_scores)
     u0[trimmed] = 0.0

@@ -31,7 +31,7 @@ from lela.distpca import (
     KIND_COL_NORMS,
     KIND_STATS_BROADCAST,
 )
-from lela.linalg import OracleDecomposition, orthonormal_columns, pseudo_solve_spd_batch
+from lela.linalg import orthonormal_columns, pseudo_solve_spd_batch
 from lela.sampling import ProductSamplingPlan, SampleSet, compute_stats
 
 
@@ -91,7 +91,7 @@ def jacobi_svd(arr):
 
 
 def topk_svd_fixed(A, r, iters, seed):
-    """Top-r singular triplets by exactly ``iters`` subspace iterations."""
+    """Top-r left singular vectors and values by exactly ``iters`` subspace iterations."""
     n, d = A.shape
     if r < 1 or r > min(n, d):
         raise ParameterError(f"rank {r} outside [1, min(n, d) = {min(n, d)}]")
@@ -103,16 +103,12 @@ def topk_svd_fixed(A, r, iters, seed):
     for _ in range(iters):
         U = orthonormal_columns(A @ V)
         V = orthonormal_columns(At @ U)
-    B = A @ V
-    Ub, s, Wt = np.linalg.svd(B, full_matrices=False)
-    V = V @ Wt.T
+    Ub, s, _ = np.linalg.svd(A @ V, full_matrices=False)
     # Fix signs so the largest-magnitude entry of each left vector is positive.
     anchor = np.argmax(np.abs(Ub), axis=0)
     flips = np.sign(Ub[anchor, np.arange(r)])
     flips[flips == 0] = 1.0
-    Ub = Ub * flips
-    V = V * flips
-    return OracleDecomposition(u_star=Ub, sigma_star=s, v_star=V)
+    return Ub * flips, s
 
 
 def modified_gram_schmidt(X):

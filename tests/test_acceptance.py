@@ -106,8 +106,7 @@ def _figure_one_medians(alpha, trials=20):
             # one instance per (noise, trial), shared by the budgets: no seed
             # depends on m and no run mutates the instance
             iseed = lrng.derive_seed(77, int(alpha * 10), noise_idx, t)
-            M_r, dec = gen_powerlaw(n, d, r, alpha, seed=iseed)
-            truth = Factorization(dec.u_star * dec.sigma_star, dec.v_star)
+            M_r, truth = gen_powerlaw(n, d, r, alpha, seed=iseed)
             M = add_noise(M_r, noise, seed=iseed)
             for m in m_grid:
                 lela_errs, gauss_errs = errs[(noise, m)]
@@ -340,7 +339,7 @@ def test_criterion_09_saturated_oracle_equivalence():
         rep = run_lela(M, 4, m, 3, mode="bernoulli", seed=seed)
         Ud, s, Vt = np.linalg.svd(arr)
         truth = (Ud[:, :4] * s[:4]) @ Vt[:4]
-        diff = oracles.spectral_norm_dense(rep.factorization.dense() - truth)
+        diff = oracles.spectral_norm_dense(rep.factorization.u @ rep.factorization.v.T - truth)
         worst = max(worst, diff / oracles.spectral_norm_dense(arr))
     _verdict(9, "saturated oracle equivalence", worst <= 1e-6, f"worst={worst:.2e}")
 

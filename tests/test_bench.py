@@ -26,29 +26,29 @@ def fixed_clock(monkeypatch):
 
 
 def test_gen_powerlaw_unit_spectrum_and_orthonormal():
-    M, dec = gen_powerlaw(40, 30, 4, 0.7, seed=0)
-    assert np.allclose(dec.sigma_star, np.ones(4))
-    assert np.allclose(dec.u_star.T @ dec.u_star, np.eye(4), atol=1e-10)
-    assert np.allclose(dec.v_star.T @ dec.v_star, np.eye(4), atol=1e-10)
+    M, truth = gen_powerlaw(40, 30, 4, 0.7, seed=0)
+    assert truth.rank == 4
+    assert np.allclose(truth.u.T @ truth.u, np.eye(4), atol=1e-10)
+    assert np.allclose(truth.v.T @ truth.v, np.eye(4), atol=1e-10)
     sigma = np.linalg.svd(M.data, compute_uv=False)
     assert np.allclose(sigma[:4], 1.0, atol=1e-10)
     assert np.all(sigma[4:] <= 1e-10)
-    assert dec.sigma_star[0] / dec.sigma_star[-1] == 1.0
+    assert np.array_equal(M.data, truth.u @ truth.v.T)
 
 
 def test_gen_powerlaw_incoherent_leverage():
     n, r = 250, 10
     for seed in range(10):
-        _, dec = gen_powerlaw(n, n, r, 0.0, seed=seed)
-        max_lev = np.max(np.sum(dec.u_star**2, axis=1))
+        _, truth = gen_powerlaw(n, n, r, 0.0, seed=seed)
+        max_lev = np.max(np.sum(truth.u**2, axis=1))
         assert max_lev <= 5.0 * r / n
 
 
 def test_gen_powerlaw_coherent_leverage():
     n, r = 500, 5
     for seed in range(5):
-        _, dec = gen_powerlaw(n, n, r, 1.0, seed=seed)
-        max_lev = np.max(np.sum(dec.u_star**2, axis=1))
+        _, truth = gen_powerlaw(n, n, r, 1.0, seed=seed)
+        max_lev = np.max(np.sum(truth.u**2, axis=1))
         assert max_lev >= 20.0 * r / n
 
 
@@ -93,16 +93,16 @@ def test_gaussian_projection_full_sketch_equals_truncated_svd():
     F = gaussian_projection_baseline(M, 3, 18, seed=6)
     U, s, Vt = np.linalg.svd(arr)
     truth = (U[:, :3] * s[:3]) @ Vt[:3]
-    assert np.linalg.norm(F.dense() - truth) <= 1e-8 * np.linalg.norm(truth)
+    assert np.linalg.norm(F.u @ F.v.T - truth) <= 1e-8 * np.linalg.norm(truth)
 
 
 def test_gaussian_projection_recovers_exact_rank_r():
     hits = 0
     for seed in range(20):
-        M, dec = gen_powerlaw(50, 40, 3, 0.0, seed=seed)
+        M, fac = gen_powerlaw(50, 40, 3, 0.0, seed=seed)
         F = gaussian_projection_baseline(M, 3, 13, seed=seed + 100)
-        truth = (dec.u_star * dec.sigma_star) @ dec.v_star.T
-        hits += np.linalg.norm(F.dense() - truth) <= 1e-8 * np.linalg.norm(truth)
+        truth = fac.u @ fac.v.T
+        hits += np.linalg.norm(F.u @ F.v.T - truth) <= 1e-8 * np.linalg.norm(truth)
     assert hits >= 19
 
 
@@ -192,7 +192,7 @@ def test_covariance_error_vs_input_is_the_gram_residual_norm(fixed_clock):
         Y, DenseMatrix(Y.data.T), cfg.r, cfg.m_grid[0], cfg.iterations, seed=staged.seed
     )
     for row, fact in ((direct, F), (staged, G)):
-        truth = oracles.spectral_norm_dense(gram - fact.dense())
+        truth = oracles.spectral_norm_dense(gram - fact.u @ fact.v.T)
         assert abs(row.spectral_err_vs_input - truth) <= 1e-10 * truth
 
 

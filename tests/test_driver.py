@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import lela.driver as lela_driver
+import lela.sampling as sampling
 import oracles
 from lela import (
     DenseMatrix,
@@ -87,16 +88,17 @@ def test_evaluate_zero_factor_gives_frobenius_norm():
     assert abs(bundle.fro_err - truth) <= 1e-10 * truth
 
 
-def test_streaming_fro_matches_naive_loop():
-    # 9000 rows span three row blocks, the last one partial
+def test_streaming_fro_matches_naive_loop(monkeypatch):
+    # 9000 rows span three row blocks of 4000, the last one partial
     n, d = 9000, 3
-    assert 2 * lela_driver.FRO_BLOCK < n < 3 * lela_driver.FRO_BLOCK
+    monkeypatch.setattr(sampling, "BLOCK_CELLS", 12_000)
+    assert [b - a for a, b in sampling.row_blocks(n, d)] == [4000, 4000, 1000]
     g = np.random.default_rng(9)
     arr = g.standard_normal((n, d))
     M = DenseMatrix(arr)
     F = Factorization(g.standard_normal((n, 2)), g.standard_normal((d, 2)))
     naive = 0.0
-    dense = F.dense()
+    dense = F.u @ F.v.T
     for i in range(n):
         for j in range(d):
             naive += (arr[i, j] - dense[i, j]) ** 2

@@ -33,7 +33,7 @@ def test_rank_one_product_recovery():
     m = saturating_product_m(A, B)
     F = lowrank_product(ProductTask(a=A, b=B, rank=1, m=m, iterations=4, seed=1))
     truth = u @ v
-    assert np.linalg.norm(F.dense() - truth) <= 1e-8 * np.linalg.norm(truth)
+    assert np.linalg.norm(F.u @ F.v.T - truth) <= 1e-8 * np.linalg.norm(truth)
 
 
 def test_random_product_error_bound():
@@ -48,7 +48,7 @@ def test_random_product_error_bound():
         spectral_gap = s[5]
         fro_gap = np.sqrt(np.sum(s[5:] ** 2))
         F = lowrank_product(ProductTask(a=A, b=B, rank=5, m=16 * 60 * 5, iterations=10, seed=t))
-        err = oracles.spectral_norm_dense(prod - F.dense())
+        err = oracles.spectral_norm_dense(prod - F.u @ F.v.T)
         hits += err <= spectral_gap + 0.5 * fro_gap
     assert hits >= 18
 
@@ -100,7 +100,7 @@ def test_covariance_exact_low_rank():
     m = saturating_product_m(Y, DenseMatrix(Y.data.T))
     F = lowrank_covariance(Y, 2, m, iterations=4, seed=3)
     truth = Q @ np.diag([9.0, 4.0]) @ Q.T
-    assert np.linalg.norm(F.dense() - truth) <= 1e-8 * np.linalg.norm(truth)
+    assert np.linalg.norm(F.u @ F.v.T - truth) <= 1e-8 * np.linalg.norm(truth)
 
 
 def test_covariance_near_symmetric_when_converged():
@@ -108,7 +108,7 @@ def test_covariance_near_symmetric_when_converged():
     Y = DenseMatrix(g.standard_normal((25, 6)))
     m = saturating_product_m(Y, DenseMatrix(Y.data.T))
     F = lowrank_covariance(Y, 2, m, iterations=8, seed=4)
-    dense = F.dense()
+    dense = F.u @ F.v.T
     assert np.abs(dense - dense.T).max() <= 1e-6 * np.linalg.norm(dense)
 
 
@@ -116,18 +116,19 @@ def test_covariance_symmetrize_flag():
     g = np.random.default_rng(4)
     Y = DenseMatrix(g.standard_normal((18, 5)))
     F = lowrank_covariance(Y, 2, 1200, iterations=5, seed=5, symmetrize=True)
-    dense = F.dense()
+    dense = F.u @ F.v.T
     assert np.abs(dense - dense.T).max() <= 1e-9 * max(np.abs(dense).max(), 1.0)
 
 
 def test_covariance_symmetrize_is_the_top_r_part_of_the_symmetrized_output():
     for n, seed in ((18, 6), (40, 7)):
         Y = DenseMatrix(np.random.default_rng(seed).standard_normal((n, 6)))
-        P = lowrank_covariance(Y, 3, 15 * n, iterations=5, seed=seed).dense()
+        E = lowrank_covariance(Y, 3, 15 * n, iterations=5, seed=seed)
+        P = E.u @ E.v.T
         F = lowrank_covariance(Y, 3, 15 * n, iterations=5, seed=seed, symmetrize=True)
         u, s, vt = np.linalg.svd(0.5 * (P + P.T))
         ref = (u[:, :3] * s[:3]) @ vt[:3]
-        assert np.abs(F.dense() - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert np.abs(F.u @ F.v.T - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 def test_covariance_deterministic():
@@ -151,7 +152,7 @@ def test_stagewise_identity_product():
     A = DenseMatrix(np.eye(n))
     B = DenseMatrix(np.eye(n))
     F = stagewise_product_baseline(A, B, n, 20 * n * n * n, iterations=4, seed=7)
-    assert np.linalg.norm(F.dense() - np.eye(n)) <= 1e-8 * np.sqrt(n)
+    assert np.linalg.norm(F.u @ F.v.T - np.eye(n)) <= 1e-8 * np.sqrt(n)
 
 
 def test_stagewise_loses_on_adversarial_instance():
@@ -168,7 +169,7 @@ def test_stagewise_loses_on_adversarial_instance():
 def test_adversarial_construction_structure():
     A, B, truth = make_adversarial_product(40, 2, seed=8)
     prod = A.data @ B.data
-    assert np.allclose(prod, truth.dense(), atol=1e-12)
+    assert np.allclose(prod, truth.u @ truth.v.T, atol=1e-12)
     assert np.linalg.matrix_rank(A.data, tol=1e-8) == 4
     assert np.linalg.matrix_rank(B.data, tol=1e-8) == 4
     assert np.linalg.matrix_rank(prod, tol=1e-8) == 2
@@ -217,10 +218,10 @@ def test_transpose_symmetry_statistics():
         prod = A.data @ B.data
         m = 8 * 30 * 2
         F = lowrank_product(ProductTask(a=A, b=B, rank=2, m=m, iterations=6, seed=t))
-        errs_fwd.append(oracles.spectral_norm_dense(prod - F.dense()))
+        errs_fwd.append(oracles.spectral_norm_dense(prod - F.u @ F.v.T))
         At = DenseMatrix(B.data.T)
         Bt = DenseMatrix(A.data.T)
         G = lowrank_product(ProductTask(a=At, b=Bt, rank=2, m=m, iterations=6, seed=t))
-        errs_rev.append(oracles.spectral_norm_dense(prod - G.dense().T))
+        errs_rev.append(oracles.spectral_norm_dense(prod - G.v @ G.u.T))
     fwd, rev = np.array(errs_fwd), np.array(errs_rev)
     assert abs(fwd.mean() - rev.mean()) <= fwd.std() + rev.std()

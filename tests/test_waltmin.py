@@ -33,8 +33,8 @@ def trim_scores(arr):
 
 def trimmed_rows(S, scores, r, seed):
     """The rows the trimming rule zeroes in ``topk_svd``'s untrimmed factor."""
-    dec = topk_svd(S.weighted_csr(), r, seed=seed)
-    return np.flatnonzero(np.linalg.norm(dec.u_star, axis=1) >= TRIM_FACTOR * scores)
+    U, _ = topk_svd(S.weighted_csr(), r, seed=seed)
+    return np.flatnonzero(np.linalg.norm(U, axis=1) >= TRIM_FACTOR * scores)
 
 
 def gapped_matrix(n, d, r, seed, tail=0.05):
@@ -78,8 +78,8 @@ def test_initialize_trims_row_with_tiny_score():
     trimmed = trimmed_rows(S, scores, 2, seed=1)
     assert 0 in trimmed.tolist()
     # hand check of the rule on the untrimmed factor of the same operator
-    dec = topk_svd(S.weighted_csr(), 2, seed=1)
-    assert np.linalg.norm(dec.u_star[0]) >= TRIM_FACTOR * scores[0]
+    U, _ = topk_svd(S.weighted_csr(), 2, seed=1)
+    assert np.linalg.norm(U[0]) >= TRIM_FACTOR * scores[0]
     # trimmed rows are exactly zero before QR; QR leaves only rounding noise
     assert np.abs(u0[trimmed]).max() <= 1e-12
 
@@ -177,7 +177,7 @@ def test_waltmin_full_data_matches_truncated_svd():
     F = waltmin(S, trim_scores(arr), 2, 3, seed=0)
     U, s, Vt = np.linalg.svd(arr)
     truth = (U[:, :2] * s[:2]) @ Vt[:2]
-    assert oracles.spectral_norm_dense(F.dense() - truth) <= 1e-6
+    assert oracles.spectral_norm_dense(F.u @ F.v.T - truth) <= 1e-6
 
 
 def test_waltmin_rejects_zero_iterations():
@@ -195,7 +195,7 @@ def test_waltmin_scaling_invariance():
     scaled = SampleSet(S.n, S.d, S.rows, S.cols, 7.5 * S.vals, S.weights)
     F1 = waltmin(S, plan.row_trim_scores(), 3, 4, seed=5)
     F2 = waltmin(scaled, trim_scores(7.5 * arr), 3, 4, seed=5)
-    P1, P2 = F1.dense(), F2.dense()
+    P1, P2 = F1.u @ F1.v.T, F2.u @ F2.v.T
     assert np.all(np.abs(P2 - 7.5 * P1) <= 1e-10 * np.maximum(np.abs(7.5 * P1), 1.0))
 
 
@@ -283,7 +283,7 @@ def test_waltmin_exact_recovery_bernoulli():
         plan = build_plan(M, m)
         S = draw_bernoulli(plan, seed=seed)
         F = waltmin(S, plan.row_trim_scores(), r, 20, seed=seed)
-        rel = np.linalg.norm(arr - F.dense()) / np.linalg.norm(arr)
+        rel = np.linalg.norm(arr - F.u @ F.v.T) / np.linalg.norm(arr)
         ok += rel <= 1e-3
     assert ok == 3
 
