@@ -212,7 +212,7 @@ def dist_init(
                 ledger.record(round_no, direction, kind, t * r)
         return orthonormal_columns(folded)
 
-    return subspace_iteration(power_round, Y, rounds)
+    return subspace_iteration(power_round, Y, r, rounds)
 
 
 def dist_waltmin_round(

@@ -3,10 +3,10 @@
 ``DenseMatrix`` holds M row-major, the layout in which every kernel reads it,
 and ``Factorization`` is the one factor-pair type: solver outputs and
 synthetic truths alike.  Covers the top-r left singular vectors and singular
-values of a dense or sparse matrix via blocked subspace iteration that stops
-when its subspace stops moving, QR orthonormalization, weighted normal
-equations over a layout of the samples or its transpose and their r-by-r
-solves, and residual spectral norms from the top singular value.  The stats
+values of a dense or sparse matrix via oversampled blocked subspace iteration
+that stops when its leading r columns stop moving, QR orthonormalization,
+weighted normal equations over a layout of the samples or its transpose and
+their r-by-r solves, and residual spectral norms from the top singular value.  The stats
 pass over M is ``sampling.compute_stats``, which reads M by the samplers' row
 blocks.
 """
@@ -137,29 +137,38 @@ def qr_orthonormalize(X: np.ndarray) -> np.ndarray:
 # The cap on topk_svd's subspace iterations: no input runs more.
 SVD_MAX_ITERS = 100
 
-# subspace_iteration stops once an iteration moves its basis V by at most this.
-# The step ||V' - V V^T V'||_F bounds the sine of the largest angle between
-# consecutive bases.  Subspace iteration shrinks the angle to the top-r right
-# subspace by rho = (s_{r+1}/s_r)^2 per iteration, so at a stop the basis lies
-# within step/(1 - rho) of that subspace, and its Ritz values are off by the
-# square of that, relatively.  WAltMin needs its init only within a constant
-# angle, which its rounds then contract; 1e-6 puts the init six orders inside
-# that and its Ritz values near 1e-12/(1 - rho)^2.  Where rho is near 1 the
-# bound loosens, but the top-r subspace is then ill-determined itself: a
-# perturbation E of the input moves it by up to ||E||/(s_r - s_{r+1})
-# (Davis-Kahan), while the rank-r approximation converges without a gap
-# (Musco & Musco 2015).  There the cap bounds the work.
+# topk_svd iterates r + SVD_OVERSAMPLE columns (clipped to min(n, d)) and
+# watches only the leading r.
+SVD_OVERSAMPLE = 2
+
+# subspace_iteration stops once an iteration moves the leading r columns of its
+# basis V by at most this.  The step ||V_r' - V_r V_r^T V_r'||_F bounds the
+# sine of the largest angle between consecutive leading bases.  A block of b
+# columns kept in Ritz order shrinks the angle between its leading r columns
+# and the top-r right subspace by rho = (s_{b+1}/s_r)^2 per iteration, so at a
+# stop they lie within step/(1 - rho) of that subspace, and their Ritz values
+# are off by the square of that, relatively.  At b = r that is the plain
+# (s_{r+1}/s_r)^2; the extra columns take rho off a small gap at the rank
+# (Halko, Martinsson & Tropp 2011).  WAltMin needs its init only within a
+# constant angle, which its rounds then contract; 1e-6 puts the init six
+# orders inside that and its Ritz values near 1e-12/(1 - rho)^2.  Where rho is
+# near 1 the bound loosens, but the top-r subspace is then ill-determined
+# itself: a perturbation E of the input moves it by up to
+# ||E||/(s_r - s_{r+1}) (Davis-Kahan), while the rank-r approximation
+# converges without a gap (Musco & Musco 2015).  There the cap bounds the work.
 SVD_STEP_TOL = 1e-6
 
 
-def subspace_iteration(step, V: np.ndarray, cap: int) -> np.ndarray:
-    """Replace V by ``step(V)`` until a step moves it by at most SVD_STEP_TOL.
+def subspace_iteration(step, V: np.ndarray, r: int, cap: int) -> np.ndarray:
+    """Replace V by ``step(V)`` until a step moves its first r columns by at most SVD_STEP_TOL.
 
-    The move of orthonormal V is ||V' - V V^T V'||_F; at most ``cap`` steps run.
+    The move of orthonormal V_r, the first r columns of V, is
+    ||V_r' - V_r V_r^T V_r'||_F; at most ``cap`` steps run.
     """
     for _ in range(cap):
         V, V_prev = step(V), V
-        if np.linalg.norm(V - V_prev @ (V_prev.T @ V)) <= SVD_STEP_TOL:
+        lead, prev = V[:, :r], V_prev[:, :r]
+        if np.linalg.norm(lead - prev @ (prev.T @ lead)) <= SVD_STEP_TOL:
             break
     return V
 
@@ -170,23 +179,30 @@ def topk_svd(A, r: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
     Returns ``(U, s)``: U (n, r) orthonormal, the largest-magnitude entry of
     each column positive, and s descending.  ``A`` is any (n, d) matrix with
     ``A @ X`` and ``A.T @ Y``, such as a numpy array or a scipy sparse
-    matrix; its transpose is taken once.  Blocked subspace iteration with
-    per-step QR re-orthonormalization runs until one iteration moves the
-    right basis V by at most ``SVD_STEP_TOL`` (``subspace_iteration``'s
-    rule), and never more than ``SVD_MAX_ITERS`` times; a final thin SVD of
-    A @ V gives U and s.  No caller reads right singular vectors, so none are
-    returned.  Deterministic given the seed.
+    matrix; its transpose is taken once.  Blocked subspace iteration runs on
+    b = min(r + SVD_OVERSAMPLE, n, d) columns: each step replaces V by the
+    left singular vectors of A^T orth(A V), the block in Ritz order, until
+    one step moves its leading r columns by at most ``SVD_STEP_TOL``
+    (``subspace_iteration``'s rule), and never more than ``SVD_MAX_ITERS``
+    times; a thin SVD of A @ V gives U and s, of which the first r are kept.
+    No caller reads right singular vectors, so none are returned.
+    Deterministic given the seed.
     """
     n, d = A.shape
     if r < 1 or r > min(n, d):
         raise ParameterError(f"rank {r} outside [1, min(n, d) = {min(n, d)}]")
+    b = min(r + SVD_OVERSAMPLE, n, d)
     At = A.T
     g = rng.stream(seed, rng.TAG_SVD_INIT)
-    V = orthonormal_columns(g.standard_normal((d, r)))
+    V = orthonormal_columns(g.standard_normal((d, b)))
     V = subspace_iteration(
-        lambda V: orthonormal_columns(At @ orthonormal_columns(A @ V)), V, SVD_MAX_ITERS
+        lambda V: np.linalg.svd(At @ orthonormal_columns(A @ V), full_matrices=False)[0],
+        V,
+        r,
+        SVD_MAX_ITERS,
     )
     Ub, s, _ = np.linalg.svd(A @ V, full_matrices=False)
+    Ub, s = Ub[:, :r], s[:r]
     # Fix signs so the largest-magnitude entry of each left vector is positive.
     anchor = np.argmax(np.abs(Ub), axis=0)
     flips = np.sign(Ub[anchor, np.arange(r)])
@@ -322,12 +338,12 @@ class _Residual:
 def spectral_error(M: DenseMatrix, F: Factorization, seed: int = 0) -> float:
     """Spectral norm of M - u v^T: the top singular value ``topk_svd`` reads.
 
-    The residual is applied implicitly, with a block as wide as F's rank
-    (clipped to [1, min(n, d)]).  The block's top Ritz value converges at
-    (s_{k+1}/s_1)^2 per iteration, not the (s_2/s_1)^2 of a single vector, so
-    a residual whose top singular values nearly tie is still read to rounding
-    level.  It is a lower bound on the true norm.  Deterministic given the
-    seed; its stream is keyed by ``rng.TAG_SPECTRAL``.
+    The residual is applied implicitly, with a block of rank + 2 columns:
+    ``topk_svd`` at k = F's rank, clipped to [1, min(n, d)].  The block's top
+    Ritz value converges at (s_{k+3}/s_1)^2 per iteration, not the (s_2/s_1)^2
+    of a single vector, so a residual whose top singular values nearly tie is
+    still read to rounding level.  It is a lower bound on the true norm.
+    Deterministic given the seed; its stream is keyed by ``rng.TAG_SPECTRAL``.
     """
     if F.shape != M.shape:
         raise ParameterError("factorization shape does not match the matrix")

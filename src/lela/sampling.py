@@ -87,7 +87,8 @@ class SampleSet:
     Entries are kept sorted by (row, col); duplicates are rejected.  Weights
     are the reciprocal inclusion probabilities and must be positive.  One
     layout, by row, is built on first use and kept; the by-column layout is
-    its transpose, and the reweighted sampled matrix its E(w y).
+    its transpose, and the reweighted sampled matrix its E(w y).  The
+    observed columns are kept likewise.
     """
 
     def __init__(self, n, d, rows, cols, vals, weights):
@@ -120,14 +121,17 @@ class SampleSet:
         self.vals = vals
         self.weights = weights
         self._by_row = None
+        self._observed_cols = None
 
     @property
     def size(self) -> int:
         return int(self.rows.size)
 
     def observed_cols(self) -> np.ndarray:
-        """The sorted distinct columns of the entries."""
-        return np.flatnonzero(np.bincount(self.cols, minlength=self.d))
+        """The sorted distinct columns of the entries, found on first use and kept."""
+        if self._observed_cols is None:
+            self._observed_cols = np.flatnonzero(np.bincount(self.cols, minlength=self.d))
+        return self._observed_cols
 
     def by_row(self) -> Grouping:
         """The entries grouped by row: the one layout, built on first use."""

@@ -12,15 +12,18 @@ import lela.linalg as lela_linalg  # noqa: E402
 def svd_iterations(monkeypatch):
     """Subspace iterations of the topk_svd calls made so far in the test.
 
-    topk_svd orthonormalizes through the module attribute once to start and
-    twice per iteration; the wrapper counts those calls.
+    topk_svd runs its loop through the module attribute subspace_iteration;
+    the wrapper counts the steps that loop takes.
     """
-    calls = []
-    inner = lela_linalg.orthonormal_columns
+    steps = []
+    inner = lela_linalg.subspace_iteration
 
-    def counting(X):
-        calls.append(1)
-        return inner(X)
+    def counting(step, V, r, cap):
+        def counted(V):
+            steps.append(1)
+            return step(V)
 
-    monkeypatch.setattr(lela_linalg, "orthonormal_columns", counting)
-    return lambda: (len(calls) - 1) // 2
+        return inner(counted, V, r, cap)
+
+    monkeypatch.setattr(lela_linalg, "subspace_iteration", counting)
+    return lambda: len(steps)

@@ -91,19 +91,25 @@ def jacobi_svd(arr):
 
 
 def topk_svd_fixed(A, r, iters, seed):
-    """Top-r left singular vectors and values by exactly ``iters`` subspace iterations."""
+    """Top-r left singular vectors and values by exactly ``iters`` subspace iterations.
+
+    The block is r + 2 columns wide (clipped to min(n, d)) and each iteration
+    returns it in Ritz order, as in ``linalg.topk_svd``.
+    """
     n, d = A.shape
     if r < 1 or r > min(n, d):
         raise ParameterError(f"rank {r} outside [1, min(n, d) = {min(n, d)}]")
     if iters < 1:
         raise ParameterError("iteration count must be at least 1")
+    b = min(r + 2, n, d)
     At = A.T
     g = lrng.stream(seed, lrng.TAG_SVD_INIT)
-    V = orthonormal_columns(g.standard_normal((d, r)))
+    V = orthonormal_columns(g.standard_normal((d, b)))
     for _ in range(iters):
         U = orthonormal_columns(A @ V)
-        V = orthonormal_columns(At @ U)
+        V = np.linalg.svd(At @ U, full_matrices=False)[0]
     Ub, s, _ = np.linalg.svd(A @ V, full_matrices=False)
+    Ub, s = Ub[:, :r], s[:r]
     # Fix signs so the largest-magnitude entry of each left vector is positive.
     anchor = np.argmax(np.abs(Ub), axis=0)
     flips = np.sign(Ub[anchor, np.arange(r)])

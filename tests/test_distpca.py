@@ -204,6 +204,27 @@ def test_dist_init_stops_before_its_cap_on_a_gapped_instance():
         assert np.abs(Y - Yc).max() <= 1e-10
 
 
+def test_dist_init_keeps_its_width_r_stop_past_a_near_tie():
+    # s_3 / s_2 = 0.8 in M: an iterate of width r = 2 settles at (s_3/s_2)^2
+    # per round, so its stop comes late; dist_init passes topk_svd's loop its
+    # own width and stops at the oracle's round, not at an oversampled one
+    g = np.random.default_rng(32)
+    P = np.linalg.qr(g.standard_normal((40, 3)))[0]
+    Q = np.linalg.qr(g.standard_normal((20, 3)))[0]
+    M = DenseMatrix(
+        P @ np.diag([2.0, 1.0, 0.8]) @ Q.T + 0.01 * g.standard_normal((40, 20)) / 40**0.5
+    )
+    cap, r = 50, 2
+    Yc, rounds = centralized_init(centralized_sample(M, 400, seed=5), r, cap, seed=5)
+    assert 20 < rounds < cap
+    for s in (1, 4):
+        shards, ledger = sampled_shards(M, s, 400, seed=5)
+        before = len(ledger.messages)
+        Y = dist_init(shards, r, cap, ledger, seed=5)
+        assert len(init_rounds_run(ledger, before)) == rounds
+        assert np.abs(Y - Yc).max() <= 1e-10
+
+
 def test_dist_init_ledger_per_round():
     M = make_matrix(20, 10, 11)
     shards, ledger = sampled_shards(M, 4, 80, seed=7)

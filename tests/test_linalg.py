@@ -184,11 +184,26 @@ def test_topk_svd_stops_early_on_gapped_matrix(svd_iterations):
     assert subspace_sine(U, W[:, :r]) <= lela_linalg.SVD_STEP_TOL / (1.0 - rho)
 
 
+def test_topk_svd_stops_early_on_a_gap_past_the_rank(svd_iterations):
+    # s_4 / s_3 = 0.98: a block of width r would converge at 0.96 per step
+    # and run the cap; the gap after s_5 = s_{r+2} lets the block of r + 2 stop
+    r = 3
+    arr = low_rank_plus_noise(11, [6.0, 5.0, 4.0, 3.9, 3.85])
+    W, s, _ = np.linalg.svd(arr)
+    assert s[r] / s[r - 1] >= 0.95
+    U, _ = topk_svd(arr, r, seed=0)
+    assert svd_iterations() <= lela_linalg.SVD_MAX_ITERS // 4
+    b = r + lela_linalg.SVD_OVERSAMPLE
+    rho = (s[b] / s[r - 1]) ** 2
+    assert subspace_sine(U, W[:, :r]) <= lela_linalg.SVD_STEP_TOL / (1.0 - rho)
+
+
 def test_topk_svd_runs_the_cap_without_a_gap(svd_iterations):
+    # r = 2 and a block of 4: s_5 / s_2 = 0.99 sits at the block's edge
     g = np.random.default_rng(12)
-    U = oracles.modified_gram_schmidt(g.standard_normal((30, 6)))
-    V = oracles.modified_gram_schmidt(g.standard_normal((20, 6)))
-    sigma = np.array([3.0, 2.0, 1.98, 1.0, 0.5, 0.25])  # s_3 / s_2 = 0.99
+    U = oracles.modified_gram_schmidt(g.standard_normal((30, 8)))
+    V = oracles.modified_gram_schmidt(g.standard_normal((20, 8)))
+    sigma = np.array([3.0, 2.0, 1.995, 1.99, 1.98, 1.0, 0.5, 0.25])
     topk_svd(U @ np.diag(sigma) @ V.T, 2, seed=0)
     assert svd_iterations() == lela_linalg.SVD_MAX_ITERS
 
