@@ -113,7 +113,7 @@ def _cmd_lela(args) -> int:
         require_oracle_size(M.shape)
     m = _resolve_budget(args, M.n_rows)
     report = lela(M, args.rank, m, args.iters, mode=args.mode, seed=args.seed)
-    bundle = evaluate(M, report.factorization, args.rank, seed=args.seed, want_oracle=args.oracle)
+    bundle = evaluate(M, report.factorization, seed=args.seed, want_oracle=args.oracle)
     print(f"samples: {report.sample_count}")
     print(f"passes over M: {report.passes_over_M}")
     print(f"spectral error: {bundle.spectral_err:.6g}")
@@ -242,7 +242,7 @@ def _cmd_distpca(args) -> int:
         seed=args.seed,
         policy=args.partition,
     )
-    bundle = evaluate(M, F, args.rank, seed=args.seed, want_oracle=args.oracle)
+    bundle = evaluate(M, F, seed=args.seed, want_oracle=args.oracle)
     omega = ledger.totals_by_kind.get(KIND_COL_LISTS, 0)
     print(f"servers: {args.servers}  partition: {args.partition}")
     print(f"total communication (reals): {ledger.grand_total()}")

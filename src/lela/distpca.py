@@ -27,7 +27,7 @@ from .linalg import (
     DenseMatrix, Factorization, orthonormal_columns, pseudo_solve_spd_batch, subspace_iteration
 )
 from .sampling import ElementLaw, SampleSet, draw_bernoulli_rows
-from .waltmin import UPDATE_U, als_half_step
+from .waltmin import als_half_step
 
 KIND_COL_NORMS = "col-norms"
 KIND_STATS_BROADCAST = "stats-broadcast"
@@ -54,27 +54,23 @@ class Message:
 
 
 class CommLedger:
-    """Append-only message log with running totals per kind and per round."""
+    """Append-only message log, by round, with running totals per kind."""
 
     def __init__(self):
         self.messages: list[Message] = []
         self.totals_by_kind: dict[str, int] = {}
-        self.totals_by_round: dict[int, int] = {}
         self._round = -1
 
-    def advance_round(self) -> int:
+    def advance_round(self) -> None:
         self._round += 1
-        return self._round
 
-    def record(self, round_no: int, direction: str, kind: str, payload_reals: int) -> None:
+    def record(self, direction: str, kind: str, payload_reals: int) -> None:
+        """Log one message into the current round."""
         if payload_reals <= 0:
             raise ParameterError("recorded messages must carry a positive payload")
-        msg = Message(round_no, direction, kind, int(payload_reals))
+        msg = Message(self._round, direction, kind, int(payload_reals))
         self.messages.append(msg)
         self.totals_by_kind[kind] = self.totals_by_kind.get(kind, 0) + msg.payload_reals
-        self.totals_by_round[round_no] = (
-            self.totals_by_round.get(round_no, 0) + msg.payload_reals
-        )
 
     def grand_total(self) -> int:
         return sum(m.payload_reals for m in self.messages)
@@ -82,11 +78,9 @@ class CommLedger:
     def verify(self) -> bool:
         """Check the running totals against a recomputation from the log."""
         by_kind: dict[str, int] = {}
-        by_round: dict[int, int] = {}
         for m in self.messages:
             by_kind[m.kind] = by_kind.get(m.kind, 0) + m.payload_reals
-            by_round[m.round] = by_round.get(m.round, 0) + m.payload_reals
-        return by_kind == self.totals_by_kind and by_round == self.totals_by_round
+        return by_kind == self.totals_by_kind
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="", encoding="ascii") as fh:
@@ -145,14 +139,14 @@ def dist_sample(shards: list[ServerShard], m: int, ledger: CommLedger, seed: int
         raise ParameterError("sample budget m must be at least 1")
     n = sum(sh.row_set.size for sh in shards)
     d = shards[0].local_rows.shape[1]
-    round_no = ledger.advance_round()
+    ledger.advance_round()
     col_sq = np.zeros(d)
     l11 = 0.0
     for sh in shards:  # fixed ascending server id
         col_sq = col_sq + np.einsum("ij,ij->j", sh.local_rows, sh.local_rows)
         l11 += float(np.abs(sh.local_rows).sum())
-        ledger.record(round_no, DIR_UP, KIND_COL_NORMS, d)
-        ledger.record(round_no, DIR_UP, KIND_STATS_BROADCAST, 1)
+        ledger.record(DIR_UP, KIND_COL_NORMS, d)
+        ledger.record(DIR_UP, KIND_STATS_BROADCAST, 1)
     fro_sq = float(col_sq.sum())
     if l11 <= 0.0 or fro_sq <= 0.0:
         raise DegenerateInputError("all-zero matrix has no sampling distribution")
@@ -160,7 +154,7 @@ def dist_sample(shards: list[ServerShard], m: int, ledger: CommLedger, seed: int
     if not np.isfinite(norm_scale):  # as in build_plan
         raise DegenerateInputError("squared Frobenius norm overflows the sampling law")
     for sh in shards:
-        ledger.record(round_no, DIR_DOWN, KIND_STATS_BROADCAST, d + 2)
+        ledger.record(DIR_DOWN, KIND_STATS_BROADCAST, d + 2)
     for sh in shards:
         rows = sh.local_rows
         law = ElementLaw(m, np.einsum("ij,ij->i", rows, rows), col_sq, norm_scale, rows, l11)
@@ -169,7 +163,7 @@ def dist_sample(shards: list[ServerShard], m: int, ledger: CommLedger, seed: int
         )
         touched = sh.local_samples.observed_cols().size
         if touched:
-            ledger.record(round_no, DIR_UP, KIND_COL_LISTS, touched)
+            ledger.record(DIR_UP, KIND_COL_LISTS, touched)
 
 
 def _require_samples(shards: list[ServerShard], stage: str) -> None:
@@ -195,12 +189,12 @@ def dist_init(
     _require_samples(shards, "dist_init")
     touched = [t for t in (sh.local_samples.observed_cols().size for sh in shards) if t]
     Y = orthonormal_columns(rng.stream(seed, rng.TAG_DIST_INIT).standard_normal((d, r)))
-    round_no = ledger.advance_round()
+    ledger.advance_round()
     for t in touched:
-        ledger.record(round_no, DIR_DOWN, KIND_INIT_Y_BLOCK, t * r)
+        ledger.record(DIR_DOWN, KIND_INIT_Y_BLOCK, t * r)
 
     def power_round(Y):
-        round_no = ledger.advance_round()
+        ledger.advance_round()
         folded = np.zeros((d, r))
         for sh in shards:  # fixed ascending server id
             csr = sh.local_samples.weighted_csr()
@@ -209,7 +203,7 @@ def dist_init(
             folded = folded + csr.T @ (csr @ Y)
         for direction, kind in ((DIR_UP, KIND_INIT_Y_PARTIAL), (DIR_DOWN, KIND_INIT_Y_BLOCK)):
             for t in touched:
-                ledger.record(round_no, direction, kind, t * r)
+                ledger.record(direction, kind, t * r)
         return orthonormal_columns(folded)
 
     return subspace_iteration(power_round, Y, r, rounds)
@@ -228,24 +222,24 @@ def dist_waltmin_round(
     d, r = V_current.shape
     _require_samples(shards, "dist_waltmin_round")
     touched = [sh.local_samples.observed_cols().size for sh in shards]
-    round_no = ledger.advance_round()
+    ledger.advance_round()
     u_blocks = []
     z_total = np.zeros((d, r))
     b_total = np.zeros((d, r, r))
     for sh, t in zip(shards, touched):  # fixed ascending server id
-        u_local = als_half_step(V_current, sh.local_samples, UPDATE_U)
+        u_local = als_half_step(V_current, sh.local_samples.by_row())
         u_blocks.append(u_local)
         b_k, z_k = sh.local_samples.by_col().normal_equations(u_local)
         z_total = z_total + z_k
         b_total = b_total + b_k
         if t:
-            ledger.record(round_no, DIR_UP, KIND_Z_AND_B, t * (r + r * r))
+            ledger.record(DIR_UP, KIND_Z_AND_B, t * (r + r * r))
     # Exact, as the row step: the run must match its centralized reference to 1e-10,
     # and a floor would let fold-order rounding near it keep a direction on one side only.
     V_new = pseudo_solve_spd_batch(b_total, z_total, eig_floor=0.0)
     for t in touched:
         if t:
-            ledger.record(round_no, DIR_DOWN, KIND_V_ROWS_BLOCK, t * r)
+            ledger.record(DIR_DOWN, KIND_V_ROWS_BLOCK, t * r)
     return u_blocks, V_new
 
 

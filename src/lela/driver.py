@@ -84,19 +84,18 @@ class ErrorBundle:
 def evaluate(
     M: DenseMatrix,
     F: Factorization,
-    r: int,
     seed: int = 0,
     want_oracle: bool = True,
 ) -> ErrorBundle:
     """Spectral and Frobenius errors of F against M, plus oracle gaps on request.
 
     The spectral error is ``spectral_error(M, F, seed)``: pass the seed of the
-    run that produced F.
+    run that produced F.  The oracle gaps are taken at F's rank.
     """
     osp = ofro = None
     if want_oracle:
         # first, so that the size guard refuses before the residual is scored
-        osp, ofro = oracle_gaps(M, r)
+        osp, ofro = oracle_gaps(M, F.rank)
     sp = spectral_error(M, F, seed=seed)
     fro = streaming_fro_error(M, F)
     return ErrorBundle(sp, fro, osp, ofro)
@@ -117,7 +116,7 @@ def lela(
     only m entries but builds the within-row CDF of every row it touches (see
     ``lela.sampling`` for measured costs).  The solver reuses the whole sample
     set in every half step.  The factors are not scored here: call
-    ``evaluate(M, report.factorization, r, seed=seed)`` for their errors.
+    ``evaluate(M, report.factorization, seed=seed)`` for their errors.
     """
     if r < 1 or r > min(M.shape):
         raise ParameterError("rank must lie in [1, min(n, d)]")

@@ -66,9 +66,6 @@ class DenseMatrix:
     def note_pass(self) -> None:
         self.pass_count += 1
 
-    def row(self, i: int) -> np.ndarray:
-        return self.data[i, :]
-
     def __repr__(self) -> str:
         return f"DenseMatrix({self.n_rows}x{self.n_cols})"
 

@@ -71,12 +71,22 @@ def save_factorization(prefix, F: Factorization, meta: dict | None = None) -> No
 
 
 def load_factorization(prefix) -> tuple[Factorization, dict]:
-    prefix = Path(prefix)
-    u = np.asarray(scipy.io.mmread(str(prefix) + ".u.mtx"), dtype=np.float64)
-    v = np.asarray(scipy.io.mmread(str(prefix) + ".v.mtx"), dtype=np.float64)
-    with open(str(prefix) + ".meta.json", "r", encoding="ascii") as fh:
-        meta = json.load(fh)
+    """Read the files ``save_factorization`` writes.
+
+    A file that is missing or cannot be parsed, metadata without the shape
+    and rank, and factors that disagree with their metadata are parameter
+    errors, as in ``read_matrix``.
+    """
+    prefix = str(prefix)
+    try:
+        u = np.asarray(scipy.io.mmread(prefix + ".u.mtx"), dtype=np.float64)
+        v = np.asarray(scipy.io.mmread(prefix + ".v.mtx"), dtype=np.float64)
+        with open(prefix + ".meta.json", "r", encoding="ascii") as fh:
+            meta = json.load(fh)
+        shape, rank = (meta["n"], meta["d"]), meta["r"]
+    except (OSError, ValueError, KeyError, TypeError) as exc:
+        raise ParameterError(f"cannot read factorization {prefix!r}: {exc}") from exc
     F = Factorization(u, v)
-    if F.shape != (meta["n"], meta["d"]) or F.rank != meta["r"]:
+    if F.shape != shape or F.rank != rank:
         raise ParameterError("factorization files disagree with their metadata")
     return F, meta

@@ -397,7 +397,7 @@ def materialize_product_samples(plan: ProductSamplingPlan, seed: int = 0) -> Sam
         vals = np.empty(js.size)
         starts = np.flatnonzero(np.diff(ks, prepend=-1)).tolist()
         for s, e in zip(starts, starts[1:] + [ks.size]):
-            vals[s:e] = bt[js[s:e]] @ A.row(ks[s])
+            vals[s:e] = bt[js[s:e]] @ A.data[ks[s]]
         return vals
 
     return draw_bernoulli_rows(plan.law, np.arange(A.n_rows), dot_products, seed, rng.TAG_PRODUCT)

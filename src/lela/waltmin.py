@@ -23,6 +23,7 @@ import numpy as np
 from .errors import DegenerateInputError, ParameterError
 from .linalg import (
     Factorization,
+    Grouping,
     orthonormal_columns,
     pseudo_solve_spd_batch,
     qr_orthonormalize,
@@ -33,9 +34,6 @@ from .sampling import SampleSet
 # Rows of the initial factor with norm >= TRIM_FACTOR * |M^i| / |M|_F are
 # zeroed before orthonormalization so heavy rows cannot dominate the basis.
 TRIM_FACTOR = 4.0
-
-UPDATE_V = "update-V"
-UPDATE_U = "update-U"
 
 # Absolute eigenvalue floor of the normal matrices in waltmin's half steps.
 LS_EIG_FLOOR = 0.07
@@ -65,23 +63,17 @@ def initialize(
     return qr_orthonormalize(u0)
 
 
-def als_half_step(
-    fixed: np.ndarray, S_t: SampleSet, side: str, eig_floor: float = 0.0
-) -> np.ndarray:
-    """One exact weighted least-squares half step.
+def als_half_step(fixed: np.ndarray, layout: Grouping, eig_floor: float = 0.0) -> np.ndarray:
+    """One exact weighted least-squares half step over one layout of the samples.
 
-    For side "update-V" the left factor is fixed and every column j solves its
-    r x r normal system over the samples observed in that column; "update-U"
-    is the symmetric row update.  Returns the new factor; an index with no
-    samples, as every index of an empty set, gets a zero row.  ``eig_floor``
+    Every group of ``layout`` (a column of ``S.by_col()`` with the left factor
+    fixed, a row of ``S.by_row()`` with the right one fixed) solves its r x r
+    normal system over its samples.  Returns the new factor; a group with no
+    samples, as every group of an empty set, gets a zero row.  ``eig_floor``
     > 0 drops under-informed directions of the normal matrices (see
     pseudo_solve_spd_batch); the default keeps the solves exact.
     """
-    if side not in (UPDATE_V, UPDATE_U):
-        raise ParameterError(f"unknown half-step side {side!r}")
-    layout = S_t.by_col() if side == UPDATE_V else S_t.by_row()
-    B, z = layout.normal_equations(fixed)
-    return pseudo_solve_spd_batch(B, z, eig_floor=eig_floor)
+    return pseudo_solve_spd_batch(*layout.normal_equations(fixed), eig_floor=eig_floor)
 
 
 def waltmin(
@@ -103,8 +95,8 @@ def waltmin(
         raise ParameterError("iteration count must be at least 1")
     u_hat = initialize(S, trim_scores, rank, seed=seed)
     for _ in range(iterations):
-        v_raw = als_half_step(u_hat, S, UPDATE_V, eig_floor=LS_EIG_FLOOR)
+        v_raw = als_half_step(u_hat, S.by_col(), eig_floor=LS_EIG_FLOOR)
         v_hat = orthonormal_columns(v_raw)
-        u_raw = als_half_step(v_hat, S, UPDATE_U, eig_floor=LS_EIG_FLOOR)
+        u_raw = als_half_step(v_hat, S.by_row(), eig_floor=LS_EIG_FLOOR)
         u_hat = orthonormal_columns(u_raw)
     return Factorization(u_raw, v_hat)

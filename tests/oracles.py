@@ -322,7 +322,7 @@ def draw_bernoulli(plan, seed=0):
     M = plan.matrix
     S = draw_bernoulli_rows(
         M.n_cols, np.arange(M.n_rows), _row_probabilities(plan),
-        lambda i, js: M.row(i)[js], seed, lrng.TAG_BERNOULLI,
+        lambda i, js: M.data[i][js], seed, lrng.TAG_BERNOULLI,
     )
     M.note_pass()
     return S
@@ -348,7 +348,7 @@ def draw_multinomial(plan, seed=0):
     counts = lrng.stream(seed, lrng.TAG_ROW_COUNTS).multinomial(plan.law.m, row_marginal)
     rows_acc, cols_acc, vals_acc, wts_acc = [], [], [], []
     for i in np.flatnonzero(counts):
-        row = M.row(i)
+        row = M.data[i]
         weights_in_row = within_row_base + 0.5 * np.abs(row) / plan.stats.l11
         weights_in_row = weights_in_row / weights_in_row.sum()
         draws = lrng.stream(seed, lrng.TAG_ROW_DRAWS, i).choice(
@@ -369,7 +369,7 @@ def materialize_product_samples(plan, seed=0):
     A, B = plan.a, plan.b
     return draw_bernoulli_rows(
         B.n_cols, np.arange(A.n_rows), _row_probabilities(plan),
-        lambda i, js: A.row(i) @ B.data[:, js], seed, lrng.TAG_PRODUCT,
+        lambda i, js: A.data[i] @ B.data[:, js], seed, lrng.TAG_PRODUCT,
     )
 
 
@@ -379,14 +379,14 @@ def dist_sample(shards, m, ledger, seed=0):
         raise ParameterError("sample budget m must be at least 1")
     n = sum(sh.row_set.size for sh in shards)
     d = shards[0].local_rows.shape[1]
-    round_no = ledger.advance_round()
+    ledger.advance_round()
     local_col_sq = []
     local_l1 = []
     for sh in shards:
         local_col_sq.append(np.einsum("ij,ij->j", sh.local_rows, sh.local_rows))
         local_l1.append(float(np.abs(sh.local_rows).sum()))
-        ledger.record(round_no, DIR_UP, KIND_COL_NORMS, d)
-        ledger.record(round_no, DIR_UP, KIND_STATS_BROADCAST, 1)
+        ledger.record(DIR_UP, KIND_COL_NORMS, d)
+        ledger.record(DIR_UP, KIND_STATS_BROADCAST, 1)
     col_sq = np.zeros(d)
     l11 = 0.0
     for sh_col, sh_l1 in zip(local_col_sq, local_l1):  # fixed ascending server id
@@ -396,7 +396,7 @@ def dist_sample(shards, m, ledger, seed=0):
     if l11 <= 0.0 or fro_sq <= 0.0:
         raise DegenerateInputError("all-zero matrix has no sampling distribution")
     for sh in shards:
-        ledger.record(round_no, DIR_DOWN, KIND_STATS_BROADCAST, d + 2)
+        ledger.record(DIR_DOWN, KIND_STATS_BROADCAST, d + 2)
     for sh in shards:
         rows = sh.local_rows
         row_sq = np.einsum("ij,ij->i", rows, rows)
@@ -410,7 +410,7 @@ def dist_sample(shards, m, ledger, seed=0):
         )
         touched = np.unique(sh.local_samples.cols).size
         if touched:
-            ledger.record(round_no, DIR_UP, KIND_COL_LISTS, touched)
+            ledger.record(DIR_UP, KIND_COL_LISTS, touched)
 
 
 def centralized_init(samples, r, rounds, seed=0):

@@ -214,7 +214,7 @@ def test_criterion_06_objective_monotonicity():
         prev = objective(S, Factorization(u_hat, np.zeros((d, r))))
         scale = max(prev, 1.0)
         for t in range(4):
-            v_raw = als_half_step(u_hat, S, "update-V")
+            v_raw = als_half_step(u_hat, S.by_col())
             now = objective(S, Factorization(u_hat, v_raw))
             violations += now > prev + 1e-12 * scale
             checked += 1
@@ -222,7 +222,7 @@ def test_criterion_06_objective_monotonicity():
             # orthonormalizing v_raw keeps u_hat @ v_raw.T representable as
             # (u_hat R.T) @ v_hat.T, so the next argmin cannot do worse
             v_hat = orthonormal_columns(v_raw)
-            u_raw = als_half_step(v_hat, S, "update-U")
+            u_raw = als_half_step(v_hat, S.by_row())
             now = objective(S, Factorization(u_raw, v_hat))
             violations += now > prev + 1e-12 * scale
             checked += 1

@@ -148,6 +148,28 @@ def test_factorization_roundtrip(tmp_path):
     assert meta["r"] == 2
 
 
+@pytest.mark.parametrize(
+    "suffix, text",
+    [
+        (".u.mtx", None),  # missing
+        (".meta.json", "{not json"),
+        (".meta.json", '{"d": 3, "r": 2}'),  # no "n"
+        (".meta.json", "[4, 3, 2]"),  # not an object
+    ],
+)
+def test_unreadable_factorization_is_parameter_error(tmp_path, suffix, text):
+    # refused as read_matrix refuses a file it cannot read
+    prefix = tmp_path / "fact"
+    save_factorization(prefix, Factorization(np.ones((4, 2)), np.ones((3, 2))))
+    damaged = tmp_path / ("fact" + suffix)
+    if text is None:
+        damaged.unlink()
+    else:
+        damaged.write_text(text)
+    with pytest.raises(ParameterError):
+        load_factorization(prefix)
+
+
 def test_lela_save_factors(tmp_path):
     prefix = tmp_path / "factors"
     code = main([

@@ -389,7 +389,6 @@ def test_ledger_totals_and_csv(tmp_path):
     _, ledger = run_distpca(M, 2, 2, 80, 2, init_rounds=2, seed=3)
     assert ledger.verify()
     assert ledger.grand_total() == sum(ledger.totals_by_kind.values())
-    assert ledger.grand_total() == sum(ledger.totals_by_round.values())
     ledger.totals_by_kind[KIND_Z_AND_B] += 1
     assert not ledger.verify()
     ledger.totals_by_kind[KIND_Z_AND_B] -= 1
@@ -400,10 +399,27 @@ def test_ledger_totals_and_csv(tmp_path):
     assert len(lines) == len(ledger.messages) + 1
 
 
+def test_ledger_logs_each_stage_in_its_own_round():
+    # record() writes into the round the last advance_round() opened
+    M = make_matrix(20, 10, 25)
+    T = 2
+    _, ledger = run_distpca(M, 2, 2, 80, T, init_rounds=3, seed=3)
+    kinds = {}
+    for msg in ledger.messages:
+        kinds.setdefault(msg.round, set()).add(msg.kind)
+    last = len(kinds) - 1
+    assert list(kinds) == list(range(last + 1))
+    assert kinds[0] == {KIND_COL_NORMS, KIND_STATS_BROADCAST, KIND_COL_LISTS}
+    assert kinds[1] == {KIND_INIT_Y_BLOCK}
+    assert all(kinds[k] == {KIND_INIT_Y_PARTIAL, KIND_INIT_Y_BLOCK} for k in range(2, last - T + 1))
+    assert all(kinds[k] == {KIND_Z_AND_B, KIND_V_ROWS_BLOCK} for k in range(last - T + 1, last + 1))
+    assert last - T >= 2  # at least one power round ran
+
+
 def test_ledger_rejects_empty_payload():
     ledger = CommLedger()
     with pytest.raises(ParameterError):
-        ledger.record(0, DIR_UP, KIND_COL_NORMS, 0)
+        ledger.record(DIR_UP, KIND_COL_NORMS, 0)
 
 
 def test_ledger_bound_holds_on_moderate_instance():

@@ -25,9 +25,9 @@ def gapped_instance(n, d, r, seed, tail=0.2):
     return DenseMatrix(U @ np.diag(sigma) @ V.T), sigma
 
 
-def scored(M, r, report, seed, want_oracle=False):
+def scored(M, report, seed, want_oracle=False):
     """The errors a caller gets for a report, scored with the run's own seed."""
-    return evaluate(M, report.factorization, r, seed=seed, want_oracle=want_oracle)
+    return evaluate(M, report.factorization, seed=seed, want_oracle=want_oracle)
 
 
 def test_pipeline_takes_exactly_two_passes(monkeypatch):
@@ -46,7 +46,7 @@ def test_pipeline_takes_exactly_two_passes(monkeypatch):
 def test_report_norm_ordering_and_sample_count():
     M = DenseMatrix(np.random.default_rng(1).standard_normal((25, 18)))
     report = run_lela(M, 2, 250, 3, seed=2)
-    bundle = scored(M, 2, report, seed=2)
+    bundle = scored(M, report, seed=2)
     assert bundle.fro_err >= bundle.spectral_err - 1e-9
     assert report.sample_count > 0
     assert bundle.oracle_spectral is None
@@ -56,7 +56,7 @@ def test_saturated_run_matches_truncated_svd():
     M, sigma = gapped_instance(40, 30, 2, seed=3)
     m = saturating_sample_count(M)
     report = run_lela(M, 2, m, 3, mode="bernoulli", seed=4)
-    bundle = scored(M, 2, report, seed=4, want_oracle=True)
+    bundle = scored(M, report, seed=4, want_oracle=True)
     # saturated sampling sees every entry with weight one, so the result is
     # the best rank-2 approximation up to solver tolerance
     assert abs(bundle.spectral_err - bundle.oracle_spectral) <= 1e-6 * bundle.oracle_spectral
@@ -66,7 +66,7 @@ def test_saturated_run_matches_truncated_svd():
 def test_error_floor_holds():
     M = DenseMatrix(np.random.default_rng(5).standard_normal((30, 22)))
     report = run_lela(M, 3, 400, 4, seed=6)
-    bundle = scored(M, 3, report, seed=6, want_oracle=True)
+    bundle = scored(M, report, seed=6, want_oracle=True)
     assert bundle.spectral_err >= bundle.oracle_spectral - 1e-9
     assert bundle.fro_err >= bundle.oracle_fro - 1e-9
 
@@ -75,7 +75,7 @@ def test_evaluate_with_truncated_svd_candidate():
     M, sigma = gapped_instance(30, 24, 3, seed=7)
     U, s, Vt = np.linalg.svd(M.data)
     F = Factorization(U[:, :3] * s[:3], Vt[:3].T)
-    bundle = evaluate(M, F, 3, seed=1)
+    bundle = evaluate(M, F, seed=1)
     assert abs(bundle.spectral_err - bundle.oracle_spectral) <= 1e-8 * bundle.oracle_spectral
     assert abs(bundle.fro_err - bundle.oracle_fro) <= 1e-8 * bundle.oracle_fro
 
@@ -83,7 +83,7 @@ def test_evaluate_with_truncated_svd_candidate():
 def test_evaluate_zero_factor_gives_frobenius_norm():
     arr = np.random.default_rng(8).standard_normal((12, 9))
     M = DenseMatrix(arr)
-    bundle = evaluate(M, Factorization(np.zeros((12, 2)), np.zeros((9, 2))), 2, want_oracle=False)
+    bundle = evaluate(M, Factorization(np.zeros((12, 2)), np.zeros((9, 2))), want_oracle=False)
     truth = np.linalg.norm(arr)
     assert abs(bundle.fro_err - truth) <= 1e-10 * truth
 
@@ -118,7 +118,7 @@ def test_oracle_guard_refuses_large_input(monkeypatch):
     monkeypatch.setattr(lela_driver, "spectral_error", refuse)
     F = Factorization(np.zeros((2001, 2)), np.zeros((2001, 2)))
     with pytest.raises(ParameterError):
-        evaluate(M, F, 2, want_oracle=True)
+        evaluate(M, F, want_oracle=True)
 
 
 def test_monotone_improvement_in_budget():
@@ -130,7 +130,7 @@ def test_monotone_improvement_in_budget():
         errs = []
         for seed in range(10):
             rep = run_lela(M_r, r, mult * n * r, 6, mode="bernoulli", seed=seed)
-            errs.append(scored(M_r, r, rep, seed=seed).spectral_err)
+            errs.append(scored(M_r, rep, seed=seed).spectral_err)
         medians.append(np.median(errs))
     assert all(b <= a + 1e-12 for a, b in zip(medians, medians[1:]))
 
@@ -141,7 +141,7 @@ def test_reports_deterministic():
     r2 = run_lela(M, 2, 150, 3, seed=13)
     assert np.array_equal(r1.factorization.u, r2.factorization.u)
     assert np.array_equal(r1.factorization.v, r2.factorization.v)
-    b1, b2 = scored(M, 2, r1, seed=13), scored(M, 2, r2, seed=13)
+    b1, b2 = scored(M, r1, seed=13), scored(M, r2, seed=13)
     assert b1.spectral_err == b2.spectral_err
     assert b1.fro_err == b2.fro_err
     assert r1.sample_count == r2.sample_count

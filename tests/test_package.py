@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import pathlib
 import re
@@ -166,6 +167,40 @@ def test_every_traced_site_resolves_to_a_callable():
         assert callable(getattr(importlib.import_module(module_name), attr, None)), (
             f"{module_name}.{attr}"
         )
+
+
+def _hook_arguments():
+    """(span, name) of each argument a perfbench hook reads through ``_argument``."""
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    hooks = next(
+        node.value for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["HOOKS"]
+    )
+    reads = set()
+    for key, hook in zip(hooks.keys, hooks.values):
+        for node in ast.walk(hook):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_argument":
+                reads.add((key.value, node.args[-1].value))
+    return reads
+
+
+# Hook arguments that their traced function no longer takes: each hook call
+# records a hook error in place of its counter.  Mending the hook empties this.
+UNRESOLVED_HOOK_ARGUMENTS = {("lela.driver", "spectral_error", "iters")}
+
+
+def test_every_hook_argument_is_a_parameter_of_its_traced_function():
+    # a renamed parameter would only show up as a hook error in a traced run
+    reads = _hook_arguments()
+    sites = _tracing().SITES
+    assert reads and {span for span, _ in reads} <= {span for _, _, span in sites}
+    unresolved = set()
+    for module_name, attr, span in sites:
+        params = inspect.signature(getattr(importlib.import_module(module_name), attr)).parameters
+        unresolved |= {
+            (module_name, attr, name) for s, name in reads if s == span and name not in params
+        }
+    assert unresolved == UNRESOLVED_HOOK_ARGUMENTS
 
 
 def test_the_benchmark_does_not_build_inputs_with_lela_bench():

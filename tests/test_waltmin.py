@@ -10,7 +10,6 @@ from lela.linalg import Grouping, topk_svd
 from lela.sampling import SampleSet, build_plan, draw_bernoulli
 from lela.waltmin import (
     TRIM_FACTOR,
-    UPDATE_V,
     als_half_step,
     initialize,
     waltmin,
@@ -122,14 +121,14 @@ def test_half_step_rank_one_exact():
     arr = np.outer(u, v)
     S = full_sample_set(arr)
     fixed = (u / np.linalg.norm(u)).reshape(-1, 1)
-    V_new = als_half_step(fixed, S, "update-V")
+    V_new = als_half_step(fixed, S.by_col())
     assert np.allclose(V_new[:, 0], np.linalg.norm(u) * v, atol=1e-10)
 
 
 def test_half_step_zero_factor_gives_zero():
     arr = np.random.default_rng(9).standard_normal((6, 4))
     S = full_sample_set(arr)
-    V_new = als_half_step(np.zeros((6, 2)), S, "update-V")
+    V_new = als_half_step(np.zeros((6, 2)), S.by_col())
     assert np.array_equal(V_new, np.zeros((4, 2)))
 
 
@@ -141,10 +140,10 @@ def test_half_step_never_increases_objective():
     S = draw_bernoulli(plan, seed=4)
     U = g.standard_normal((12, 2))
     before = objective(S, Factorization(U, np.zeros((10, 2))))
-    V_new = als_half_step(U, S, "update-V")
+    V_new = als_half_step(U, S.by_col())
     after = objective(S, Factorization(U, V_new))
     assert after <= before + 1e-12 * max(before, 1.0)
-    U_new = als_half_step(V_new, S, "update-U")
+    U_new = als_half_step(V_new, S.by_row())
     assert objective(S, Factorization(U_new, V_new)) <= after + 1e-12 * max(after, 1.0)
 
 
@@ -154,7 +153,7 @@ def test_half_step_matches_public_ls_solver():
     M = DenseMatrix(arr)
     S = draw_bernoulli(build_plan(M, 30), seed=1)
     U = g.standard_normal((9, 2))
-    V_new = als_half_step(U, S, "update-V")
+    V_new = als_half_step(U, S.by_col())
     for j in range(6):
         targets = [
             (S.weights[k], S.vals[k], U[S.rows[k]]) for k in np.flatnonzero(S.cols == j)
@@ -165,9 +164,9 @@ def test_half_step_matches_public_ls_solver():
 def test_half_step_reports_unobserved():
     # only column 0 and rows 0 and 1 are observed
     S = SampleSet(4, 3, [0, 1], [0, 0], [1.0, 2.0], [1.0, 1.0])
-    V_new = als_half_step(np.eye(4)[:, :2], S, "update-V")
+    V_new = als_half_step(np.eye(4)[:, :2], S.by_col())
     assert np.flatnonzero(np.any(V_new != 0.0, axis=1)).tolist() == [0]
-    U_new = als_half_step(np.eye(3)[:, :2], S, "update-U")
+    U_new = als_half_step(np.eye(3)[:, :2], S.by_row())
     assert np.flatnonzero(np.any(U_new != 0.0, axis=1)).tolist() == [0, 1]
 
 
@@ -217,10 +216,11 @@ def test_waltmin_objective_trace_nonincreasing_reuse(monkeypatch):
     S = draw_bernoulli(plan, seed=6)
     trace = []
 
-    def traced_half_step(fixed, S_t, side, eig_floor=0.0):
-        # the training objective after every half step, read from outside
-        factor = als_half_step(fixed, S_t, side, eig_floor=eig_floor)
-        u, v = (fixed, factor) if side == UPDATE_V else (factor, fixed)
+    def traced_half_step(fixed, layout, eig_floor=0.0):
+        # the training objective after every half step, read from outside;
+        # the column step's layout is the CSC transpose of the row one
+        factor = als_half_step(fixed, layout, eig_floor=eig_floor)
+        u, v = (fixed, factor) if layout.w.format == "csc" else (factor, fixed)
         trace.append(objective(S, Factorization(u, v)))
         return factor
 
