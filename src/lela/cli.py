@@ -49,7 +49,7 @@ _SHARED_FLAGS = {
     "--alpha": dict(type=float, default=0.0, help="power-law exponent"),
     "--noise": dict(type=float, default=0.0, help="spectral norm of the added noise"),
     "--m": dict(type=int, default=None, help="sample budget"),
-    "--iters": dict(type=int, default=15, help="alternating rounds T"),
+    "--iters": dict(type=int, default=15, help="cap on alternating rounds T"),
     "--seed": dict(type=int, default=None, help="seed (default LELA_SEED or 0)"),
     "--matrix": dict(default=None, help="MatrixMarket input path"),
     "--out": dict(default=None, help="CSV output path"),

@@ -5,9 +5,10 @@ processor (CP).  The protocol has three stages: a stats exchange that lets
 every server evaluate the sampling law locally, a power-iteration
 initialization of the right factor, and alternating-minimization rounds where
 row updates stay on the servers and column updates are assembled at the CP
-from per-column (z, B) messages.  Every transfer is recorded in a CommLedger
-as a count of real numbers, which is the quantity the communication bound
-speaks about; no actual networking is involved.
+from per-column (z, B) messages, until a round leaves V in place.  Every
+transfer is recorded in a CommLedger as a count of real numbers, which is the
+quantity the communication bound speaks about; no actual networking is
+involved.
 
 Each server samples its rows by the distpca row of ``sampling.ElementLaw``'s
 coefficient table, not by the single-machine law.  Row i draws from the
@@ -24,7 +25,8 @@ import numpy as np
 from . import rng
 from .errors import DegenerateInputError, ParameterError
 from .linalg import (
-    DenseMatrix, Factorization, orthonormal_columns, pseudo_solve_spd_batch, subspace_iteration
+    DenseMatrix, Factorization, mirror_upper, orthonormal_columns, pseudo_solve_spd_batch,
+    subspace_iteration,
 )
 from .sampling import ElementLaw, SampleSet, draw_bernoulli_rows
 from .waltmin import als_half_step
@@ -215,28 +217,31 @@ def dist_waltmin_round(
     """One alternating round: local row updates, then the column update at CP.
 
     Every server solves the weighted LS problems for its own rows (nothing is
-    sent for that), uploads per touched column a z vector in R^r and a B block
-    in R^{r x r}, and receives back its block of the new right factor.
-    Returns the per-server row factors and the new right factor at the CP.
+    sent for that), uploads per touched column a z vector in R^r and the
+    packed upper triangle of its symmetric B block, r (r + 1) / 2 reals, and
+    receives back its block of the new right factor.  The CP folds the
+    triangles in ascending server id and mirrors the sum once.  Returns the
+    per-server row factors and the new right factor at the CP.
     """
     d, r = V_current.shape
     _require_samples(shards, "dist_waltmin_round")
     touched = [sh.local_samples.observed_cols().size for sh in shards]
     ledger.advance_round()
+    ia, ib = np.triu_indices(r)
     u_blocks = []
     z_total = np.zeros((d, r))
-    b_total = np.zeros((d, r, r))
+    b_upper = np.zeros((d, ia.size))
     for sh, t in zip(shards, touched):  # fixed ascending server id
         u_local = als_half_step(V_current, sh.local_samples.by_row())
         u_blocks.append(u_local)
         b_k, z_k = sh.local_samples.by_col().normal_equations(u_local)
         z_total = z_total + z_k
-        b_total = b_total + b_k
+        b_upper = b_upper + b_k[:, ia, ib]
         if t:
-            ledger.record(DIR_UP, KIND_Z_AND_B, t * (r + r * r))
+            ledger.record(DIR_UP, KIND_Z_AND_B, t * (r + ia.size))
     # Exact, as the row step: the run must match its centralized reference to 1e-10,
     # and a floor would let fold-order rounding near it keep a direction on one side only.
-    V_new = pseudo_solve_spd_batch(b_total, z_total, eig_floor=0.0)
+    V_new = pseudo_solve_spd_batch(mirror_upper(b_upper, r), z_total, eig_floor=0.0)
     for t in touched:
         if t:
             ledger.record(DIR_DOWN, KIND_V_ROWS_BLOCK, t * r)
@@ -255,9 +260,15 @@ def run_distpca(
 ) -> tuple[Factorization, CommLedger]:
     """Full distributed pipeline; returns the factorization and the ledger.
 
-    ``init_rounds`` only caps ``dist_init``, which stops once Y settles.  The
-    returned left factor is gathered across servers for auditing only; that
-    gather is not a protocol message and is excluded from the ledger.
+    ``init_rounds`` only caps ``dist_init``, which stops once Y settles, and
+    ``iterations`` only caps the alternating rounds.  The CP orthonormalizes
+    each round's V, at no message cost since it holds V, and the next round's
+    row solves take that orthonormal V; the rounds stop by
+    ``linalg.subspace_iteration``'s rule once a round moves it by at most
+    ``SVD_STEP_TOL``.  The returned pair is the last round's: its row factors
+    and its raw V.  The left factor is gathered across servers for auditing
+    only; that gather is not a protocol message and is excluded from the
+    ledger.
     """
     if r < 1 or r > min(M.n_rows, M.n_cols):
         raise ParameterError("rank must lie in [1, min(n, d)]")
@@ -266,9 +277,14 @@ def run_distpca(
     shards = partition_rows(M, s, policy=policy, seed=seed)
     ledger = CommLedger()
     dist_sample(shards, m, ledger, seed=seed)
-    V = dist_init(shards, r, init_rounds, ledger, seed=seed)
-    for _ in range(iterations):
-        u_blocks, V = dist_waltmin_round(shards, V, ledger)
+    u_blocks = V = None
+
+    def alternate(V_hat):
+        nonlocal u_blocks, V
+        u_blocks, V = dist_waltmin_round(shards, V_hat, ledger)
+        return orthonormal_columns(V)
+
+    subspace_iteration(alternate, dist_init(shards, r, init_rounds, ledger, seed=seed), r, iterations)
     U = np.zeros((M.n_rows, r))
     for sh, block in zip(shards, u_blocks):
         U[sh.row_set] = block

@@ -153,6 +153,10 @@ SVD_OVERSAMPLE = 2
 # itself: a perturbation E of the input moves it by up to
 # ||E||/(s_r - s_{r+1}) (Davis-Kahan), while the rank-r approximation
 # converges without a gap (Musco & Musco 2015).  There the cap bounds the work.
+# The alternating rounds of waltmin and run_distpca stop by the same rule, on
+# their orthonormalized U and V: AltMin contracts geometrically (Jain,
+# Netrapalli & Sanghavi 2013), so once a round moves the factor by 1e-6 the
+# rounds left would move the product by about as little, and T is their cap.
 SVD_STEP_TOL = 1e-6
 
 
@@ -238,11 +242,16 @@ class Grouping:
         """
         r = fixed.shape[1]
         ia, ib = np.triu_indices(r)
-        packed = self.w @ (fixed[:, ia] * fixed[:, ib])
-        B = np.empty((self.w.shape[0], r, r))
-        B[:, ia, ib] = packed
-        B[:, ib, ia] = packed
-        return B, self.wy @ fixed
+        return mirror_upper(self.w @ (fixed[:, ia] * fixed[:, ib]), r), self.wy @ fixed
+
+
+def mirror_upper(packed: np.ndarray, r: int) -> np.ndarray:
+    """Symmetric r x r stack from rows of upper triangles in ``np.triu_indices(r)`` order."""
+    ia, ib = np.triu_indices(r)
+    B = np.empty((packed.shape[0], r, r))
+    B[:, ia, ib] = packed
+    B[:, ib, ia] = packed
+    return B
 
 
 def _clears_shifted_cholesky(C: np.ndarray, shift: np.ndarray) -> np.ndarray:

@@ -4,7 +4,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
 import scipy.io
 import scipy.sparse
 
@@ -73,14 +72,15 @@ def save_factorization(prefix, F: Factorization, meta: dict | None = None) -> No
 def load_factorization(prefix) -> tuple[Factorization, dict]:
     """Read the files ``save_factorization`` writes.
 
-    A file that is missing or cannot be parsed, metadata without the shape
-    and rank, and factors that disagree with their metadata are parameter
-    errors, as in ``read_matrix``.
+    Each factor is read by ``read_matrix``, so a coordinate-format file is
+    densified.  A file that is missing or cannot be parsed, metadata without
+    the shape and rank, and factors that disagree with their metadata are
+    parameter errors.
     """
     prefix = str(prefix)
+    u = read_matrix(prefix + ".u.mtx").data
+    v = read_matrix(prefix + ".v.mtx").data
     try:
-        u = np.asarray(scipy.io.mmread(prefix + ".u.mtx"), dtype=np.float64)
-        v = np.asarray(scipy.io.mmread(prefix + ".v.mtx"), dtype=np.float64)
         with open(prefix + ".meta.json", "r", encoding="ascii") as fh:
             meta = json.load(fh)
         shape, rank = (meta["n"], meta["d"]), meta["r"]

@@ -5,9 +5,10 @@ block coordinate descent: initialize U from a top-r SVD of the reweighted
 sampled matrix (with heavy rows trimmed), whose subspace iteration stops once
 its basis stops moving (``linalg.SVD_STEP_TOL``) because the alternating
 rounds contract what error is left, then alternate exact weighted
-least-squares updates of V and U.  Updated factors are QR-orthonormalized
-between half steps for numerical stability; the fixed points are unchanged
-because the dropped triangular scale is re-fit by the next solve.
+least-squares updates of V and U until a round leaves U in place by the same
+rule.  Updated factors are QR-orthonormalized between half steps for
+numerical stability; the fixed points are unchanged because the dropped
+triangular scale is re-fit by the next solve.
 
 With orthonormalized factors and reciprocal-probability weights, each row or
 column normal matrix concentrates near the identity once the row/column has
@@ -27,6 +28,7 @@ from .linalg import (
     orthonormal_columns,
     pseudo_solve_spd_batch,
     qr_orthonormalize,
+    subspace_iteration,
     topk_svd,
 )
 from .sampling import SampleSet
@@ -83,20 +85,26 @@ def waltmin(
     iterations: int,
     seed: int = 0,
 ) -> Factorization:
-    """Run initialization plus ``iterations`` alternating rounds.
+    """Run initialization plus at most ``iterations`` alternating rounds.
 
     Every stage runs on the full sample set.  ``seed`` keys the initial SVD.
-    Returns the factor pair whose product is the final iterate: the last U is
-    the exact least-squares response to the (orthonormalized) last V.
+    A round is one V half step and one U half step; the rounds run through
+    ``linalg.subspace_iteration`` on the orthonormalized U, so they stop once
+    a round moves it by at most ``SVD_STEP_TOL``, and ``iterations`` is the
+    cap.  Returns the factor pair whose product is the final iterate: the
+    last U is the exact least-squares response to the (orthonormalized) last V.
     """
     if rank < 1:
         raise ParameterError("rank must be at least 1")
     if iterations < 1:
         raise ParameterError("iteration count must be at least 1")
-    u_hat = initialize(S, trim_scores, rank, seed=seed)
-    for _ in range(iterations):
-        v_raw = als_half_step(u_hat, S.by_col(), eig_floor=LS_EIG_FLOOR)
-        v_hat = orthonormal_columns(v_raw)
+    u_raw = v_hat = None
+
+    def alternate(u_hat):
+        nonlocal u_raw, v_hat
+        v_hat = orthonormal_columns(als_half_step(u_hat, S.by_col(), eig_floor=LS_EIG_FLOOR))
         u_raw = als_half_step(v_hat, S.by_row(), eig_floor=LS_EIG_FLOOR)
-        u_hat = orthonormal_columns(u_raw)
+        return orthonormal_columns(u_raw)
+
+    subspace_iteration(alternate, initialize(S, trim_scores, rank, seed=seed), rank, iterations)
     return Factorization(u_raw, v_hat)

@@ -436,18 +436,24 @@ def centralized_reference(M, r, m, iterations, init_rounds=10, seed=0):
     """Single-process run of the exact protocol the simulator distributes.
 
     Same sampling law and streams, same seeded init with the same stop and
-    cap, same update order (rows first, then columns) and the same exact
-    solves (eigenvalue floor 0), so the distributed output must match
-    entrywise up to floating-point fold order.
+    cap, same update order (rows first, then columns), the same exact solves
+    (eigenvalue floor 0) and the same rounds: the row solves take the
+    orthonormalized V, and a round that moves it by
+    ||V' - V V^T V'||_F <= ``linalg.SVD_STEP_TOL`` is the last of at most
+    ``iterations``.  Returns the last round's U and raw V, so the distributed
+    output must match entrywise up to floating-point fold order.
     """
     samples = centralized_sample(M, m, seed=seed)
-    n = M.shape[0]
     V, _ = centralized_init(samples, r, init_rounds, seed=seed)
-    U = np.zeros((n, r))
     for _ in range(iterations):
         U = pseudo_solve_spd_batch(*samples.by_row().normal_equations(V), eig_floor=0.0)
-        V = pseudo_solve_spd_batch(*samples.by_col().normal_equations(U), eig_floor=0.0)
-    return Factorization(U, V)
+        V_raw = pseudo_solve_spd_batch(*samples.by_col().normal_equations(U), eig_floor=0.0)
+        V_next = orthonormal_columns(V_raw)
+        moved = np.linalg.norm(V_next - V @ (V.T @ V_next))
+        V = V_next
+        if moved <= lela_linalg.SVD_STEP_TOL:
+            break
+    return Factorization(U, V_raw)
 
 
 def objective(S, F):

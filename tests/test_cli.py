@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.io
+import scipy.sparse
 
 import lela
 import lela.cli as cli
@@ -168,6 +170,20 @@ def test_unreadable_factorization_is_parameter_error(tmp_path, suffix, text):
         damaged.write_text(text)
     with pytest.raises(ParameterError):
         load_factorization(prefix)
+
+
+def test_coordinate_format_factor_is_densified(tmp_path):
+    # a factor written from a sparse matrix loads as read_matrix reads it
+    g = np.random.default_rng(2)
+    F = Factorization(g.standard_normal((6, 2)), g.standard_normal((4, 2)))
+    prefix = tmp_path / "fact"
+    save_factorization(prefix, F)
+    u = F.u.copy()
+    u[[1, 4]] = 0.0
+    scipy.io.mmwrite(str(prefix) + ".u.mtx", scipy.sparse.coo_matrix(u))
+    G, _ = load_factorization(prefix)
+    assert np.allclose(G.u, u, atol=1e-12)
+    assert np.allclose(G.v, F.v, atol=1e-12)
 
 
 def test_lela_save_factors(tmp_path):

@@ -256,7 +256,8 @@ def test_dist_round_z_and_b_payload_counts():
     dist_waltmin_round(shards, V, ledger)
     msgs = ledger.messages[before:]
     for k, sh in enumerate(shards):
-        expected = sh.local_samples.observed_cols().size * (r + r * r)
+        # z plus B's packed upper triangle per touched column
+        expected = sh.local_samples.observed_cols().size * (r + r * (r + 1) // 2)
         got = [
             m.payload_reals
             for m in msgs
@@ -351,6 +352,24 @@ def test_run_distpca_matches_centralized_multi_server():
         M = make_matrix(40, 18, seed)
         F, ledger = run_distpca(M, s, 2, 200, 3, init_rounds=4, seed=seed)
         C = centralized_reference(M, 2, 200, 3, init_rounds=4, seed=seed)
+        assert np.abs(F.u - C.u).max() <= 1e-10
+        assert np.abs(F.v - C.v).max() <= 1e-10
+        assert ledger.verify()
+
+
+def test_run_distpca_rounds_stop_before_a_large_cap():
+    # the exact rounds contract fast on a gapped instance: the CP stops once V
+    # settles, with no further z-and-B round, and still matches the reference
+    g = np.random.default_rng(33)
+    P = np.linalg.qr(g.standard_normal((60, 2)))[0]
+    Q = np.linalg.qr(g.standard_normal((40, 2)))[0]
+    M = DenseMatrix(P @ np.diag([2.0, 1.0]) @ Q.T + 0.01 * g.standard_normal((60, 40)) / 60**0.5)
+    cap = 50
+    for s in (1, 3):
+        F, ledger = run_distpca(M, s, 2, 1200, cap, seed=6)
+        rounds = {msg.round for msg in ledger.messages if msg.kind == KIND_Z_AND_B}
+        assert 1 < len(rounds) < cap
+        C = centralized_reference(M, 2, 1200, cap, seed=6)
         assert np.abs(F.u - C.u).max() <= 1e-10
         assert np.abs(F.v - C.v).max() <= 1e-10
         assert ledger.verify()

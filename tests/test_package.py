@@ -118,6 +118,36 @@ def test_the_subspace_stop_rule_is_read_in_one_function():
     assert readers == {("linalg", "subspace_iteration")}
 
 
+def test_every_round_loop_runs_through_subspace_iteration():
+    # the init SVD, the distributed init and both alternating solvers stop by
+    # one rule, and no other function loops `for _ in range(...)` over rounds
+    callers, loops = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Call):
+                    fn = node.func
+                    name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                    if name == "subspace_iteration":
+                        callers.add((path.stem, owner))
+                if (
+                    isinstance(node, ast.For)
+                    and isinstance(node.target, ast.Name)
+                    and node.target.id == "_"
+                    and isinstance(node.iter, ast.Call)
+                    and getattr(node.iter.func, "id", None) == "range"
+                ):
+                    loops.add((path.stem, owner))
+    assert callers == {
+        ("linalg", "topk_svd"),
+        ("distpca", "dist_init"),
+        ("waltmin", "waltmin"),
+        ("distpca", "run_distpca"),
+    }
+    assert loops == {("linalg", "subspace_iteration")}
+
+
 def test_the_sampling_law_is_clipped_in_one_class():
     # every path's min(q, 1) is the one law object's
     callers = set()

@@ -231,6 +231,30 @@ def test_waltmin_objective_trace_nonincreasing_reuse(monkeypatch):
     assert all(b <= a + 1e-12 * scale for a, b in zip(trace, trace[1:]))
 
 
+def test_waltmin_rounds_stop_at_their_fixed_point(monkeypatch):
+    # iterations is a cap: a run stops once a round leaves U in place, so a
+    # larger cap returns the same bits
+    arr, _ = gapped_matrix(30, 20, 2, seed=12)
+    plan = build_plan(DenseMatrix(arr), 400)
+    S = draw_bernoulli(plan, seed=2)
+    layouts = []
+
+    def counted_half_step(fixed, layout, eig_floor=0.0):
+        layouts.append(layout.w.format)
+        return als_half_step(fixed, layout, eig_floor=eig_floor)
+
+    monkeypatch.setattr(lela_waltmin, "als_half_step", counted_half_step)
+    waltmin(S, plan.row_trim_scores(), 2, 50, seed=0)
+    rounds = len(layouts) // 2
+    assert 1 < rounds < 50
+    F = waltmin(S, plan.row_trim_scores(), 2, rounds, seed=0)
+    G = waltmin(S, plan.row_trim_scores(), 2, rounds + 20, seed=0)
+    assert np.array_equal(F.u, G.u) and np.array_equal(F.v, G.v)
+    layouts.clear()
+    waltmin(S, plan.row_trim_scores(), 2, 1, seed=0)
+    assert layouts == ["csc", "csr"]  # one round: the V half step, then the U one
+
+
 def test_waltmin_reuse_builds_one_layout(monkeypatch):
     arr = np.random.default_rng(18).standard_normal((14, 11))
     plan = build_plan(DenseMatrix(arr), 120)
