@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import rng
-from .errors import DegenerateInputError, ParameterError
+from . import rng, sampling
+from .errors import ParameterError
 from .linalg import (
     DenseMatrix, Factorization, mirror_upper, orthonormal_columns, pseudo_solve_spd_batch,
     subspace_iteration,
@@ -99,7 +99,7 @@ def communication_bound(d: int, s: int, omega: int, r: int, init_rounds: int) ->
 
 @dataclass
 class ServerShard:
-    """One server's state: its rows and, once drawn, its samples.
+    """One server's state: its rows, a frozen ``DenseMatrix``, and once drawn its samples.
 
     A server's id is its position in the shard list.  ``local_samples`` holds
     the samples of the rows ``row_set`` with row k standing for
@@ -107,7 +107,7 @@ class ServerShard:
     """
 
     row_set: np.ndarray
-    local_rows: np.ndarray
+    local_rows: DenseMatrix
     local_samples: SampleSet | None = None
 
 
@@ -127,39 +127,37 @@ def partition_rows(
     else:
         perm = rng.stream(seed, rng.TAG_PARTITION).permutation(n)
         groups = [np.sort(g) for g in np.array_split(perm, s)]
-    return [ServerShard(row_set=g.astype(np.int64), local_rows=M.data[g, :]) for g in groups]
+    return [ServerShard(g.astype(np.int64), DenseMatrix(M.data[g])) for g in groups]
 
 
 def dist_sample(shards: list[ServerShard], m: int, ledger: CommLedger, seed: int = 0) -> None:
     """Stats exchange plus local sampling; fills each shard in place.
 
-    Per server the ledger gains d reals up (its column norms), one real up
-    (its local L1 mass), d + 2 reals down (global column norms, |M|_F, and
+    Each server's stats are ``sampling.compute_stats`` of its rows.  Per
+    server the ledger gains d reals up (its column norms), one real up (its
+    local L1 mass), d + 2 reals down (global column norms, |M|_F, and
     |M|_{1,1}), and one count per touched column for the column lists.
     """
     if m < 1:
         raise ParameterError("sample budget m must be at least 1")
     n = sum(sh.row_set.size for sh in shards)
-    d = shards[0].local_rows.shape[1]
+    d = shards[0].local_rows.n_cols
     ledger.advance_round()
+    stats = [sampling.compute_stats(sh.local_rows) for sh in shards]
     col_sq = np.zeros(d)
     l11 = 0.0
-    for sh in shards:  # fixed ascending server id
-        col_sq = col_sq + np.einsum("ij,ij->j", sh.local_rows, sh.local_rows)
-        l11 += float(np.abs(sh.local_rows).sum())
-        ledger.record(DIR_UP, KIND_COL_NORMS, d)
-        ledger.record(DIR_UP, KIND_STATS_BROADCAST, 1)
-    fro_sq = float(col_sq.sum())
-    if l11 <= 0.0 or fro_sq <= 0.0:
-        raise DegenerateInputError("all-zero matrix has no sampling distribution")
-    norm_scale = 2.0 * n * fro_sq
-    if not np.isfinite(norm_scale):  # as in build_plan
-        raise DegenerateInputError("squared Frobenius norm overflows the sampling law")
+    with np.errstate(over="ignore"):  # an infinite total is refused by the law
+        for st in stats:  # fixed ascending server id
+            col_sq = col_sq + st.col_sq_norms
+            l11 += st.l11
+            ledger.record(DIR_UP, KIND_COL_NORMS, d)
+            ledger.record(DIR_UP, KIND_STATS_BROADCAST, 1)
+        fro_sq = float(col_sq.sum())
     for sh in shards:
         ledger.record(DIR_DOWN, KIND_STATS_BROADCAST, d + 2)
-    for sh in shards:
-        rows = sh.local_rows
-        law = ElementLaw(m, np.einsum("ij,ij->i", rows, rows), col_sq, norm_scale, rows, l11)
+    for sh, st in zip(shards, stats):
+        rows = sh.local_rows.data
+        law = ElementLaw(m, st.row_sq_norms, col_sq, 2.0 * n * fro_sq, rows, l11)
         sh.local_samples = draw_bernoulli_rows(
             law, sh.row_set, lambda ks, js: rows[ks, js], seed, rng.TAG_DIST_SAMPLE
         )
@@ -168,13 +166,8 @@ def dist_sample(shards: list[ServerShard], m: int, ledger: CommLedger, seed: int
             ledger.record(DIR_UP, KIND_COL_LISTS, touched)
 
 
-def _require_samples(shards: list[ServerShard], stage: str) -> None:
-    if any(sh.local_samples is None for sh in shards):
-        raise ParameterError(f"dist_sample must run before {stage}")
-
-
 def dist_init(
-    shards: list[ServerShard], r: int, rounds: int, ledger: CommLedger, seed: int = 0
+    samples: list[SampleSet], r: int, rounds: int, ledger: CommLedger, seed: int = 0
 ) -> np.ndarray:
     """Distributed subspace iteration for the top-r right factor.
 
@@ -187,9 +180,8 @@ def dist_init(
     """
     if rounds < 0:
         raise ParameterError("init round count must be nonnegative")
-    d = shards[0].local_rows.shape[1]
-    _require_samples(shards, "dist_init")
-    touched = [t for t in (sh.local_samples.observed_cols().size for sh in shards) if t]
+    d = samples[0].d
+    touched = [t for t in (S.observed_cols().size for S in samples) if t]
     Y = orthonormal_columns(rng.stream(seed, rng.TAG_DIST_INIT).standard_normal((d, r)))
     ledger.advance_round()
     for t in touched:
@@ -198,8 +190,8 @@ def dist_init(
     def power_round(Y):
         ledger.advance_round()
         folded = np.zeros((d, r))
-        for sh in shards:  # fixed ascending server id
-            csr = sh.local_samples.weighted_csr()
+        for S in samples:  # fixed ascending server id
+            csr = S.weighted_csr()
             # the product touches only the server's own Y block: csr has
             # support exactly on (row_set x touched columns)
             folded = folded + csr.T @ (csr @ Y)
@@ -212,7 +204,7 @@ def dist_init(
 
 
 def dist_waltmin_round(
-    shards: list[ServerShard], V_current: np.ndarray, ledger: CommLedger
+    samples: list[SampleSet], V_current: np.ndarray, ledger: CommLedger
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """One alternating round: local row updates, then the column update at CP.
 
@@ -224,17 +216,16 @@ def dist_waltmin_round(
     per-server row factors and the new right factor at the CP.
     """
     d, r = V_current.shape
-    _require_samples(shards, "dist_waltmin_round")
-    touched = [sh.local_samples.observed_cols().size for sh in shards]
+    touched = [S.observed_cols().size for S in samples]
     ledger.advance_round()
     ia, ib = np.triu_indices(r)
     u_blocks = []
     z_total = np.zeros((d, r))
     b_upper = np.zeros((d, ia.size))
-    for sh, t in zip(shards, touched):  # fixed ascending server id
-        u_local = als_half_step(V_current, sh.local_samples.by_row())
+    for S, t in zip(samples, touched):  # fixed ascending server id
+        u_local = als_half_step(V_current, S.by_row())
         u_blocks.append(u_local)
-        b_k, z_k = sh.local_samples.by_col().normal_equations(u_local)
+        b_k, z_k = S.by_col().normal_equations(u_local)
         z_total = z_total + z_k
         b_upper = b_upper + b_k[:, ia, ib]
         if t:
@@ -277,14 +268,15 @@ def run_distpca(
     shards = partition_rows(M, s, policy=policy, seed=seed)
     ledger = CommLedger()
     dist_sample(shards, m, ledger, seed=seed)
+    samples = [sh.local_samples for sh in shards]
     u_blocks = V = None
 
     def alternate(V_hat):
         nonlocal u_blocks, V
-        u_blocks, V = dist_waltmin_round(shards, V_hat, ledger)
+        u_blocks, V = dist_waltmin_round(samples, V_hat, ledger)
         return orthonormal_columns(V)
 
-    subspace_iteration(alternate, dist_init(shards, r, init_rounds, ledger, seed=seed), r, iterations)
+    subspace_iteration(alternate, dist_init(samples, r, init_rounds, ledger, seed=seed), r, iterations)
     U = np.zeros((M.n_rows, r))
     for sh, block in zip(shards, u_blocks):
         U[sh.row_set] = block

@@ -70,15 +70,16 @@ def compute_stats(M: DenseMatrix) -> MatrixStats:
     a = M.data
     n, d = a.shape
     row_sq, row_l1, col_sq = np.empty(n), np.empty(n), np.zeros(d)
-    # vecdot flags an overflow, which build_plan refuses from the sums' infinity
+    # the sums flag an overflow, which ElementLaw refuses from the totals' infinity
     with np.errstate(over="ignore"):
         for start, stop in row_blocks(n, d):
             block = a[start:stop]
             np.vecdot(block, block, out=row_sq[start:stop])
             col_sq += np.einsum("ij,ij->j", block, block)
             np.abs(block).sum(axis=1, out=row_l1[start:stop])
+        fro_sq, l11 = float(row_sq.sum()), float(row_l1.sum())
     M.note_pass()
-    return MatrixStats(row_sq, col_sq, row_l1, float(row_sq.sum()), float(row_l1.sum()))
+    return MatrixStats(row_sq, col_sq, row_l1, fro_sq, l11)
 
 
 class SampleSet:
@@ -177,6 +178,9 @@ class ElementLaw:
     n in place of n + d and drops the 1/2 on the L1 term.  Each distpca
     server builds its own law over its rows of M (a and v) from the
     exchanged column norms, |M|_F^2 and |M|_1,1.
+
+    A scale that is not positive (an all-zero M) or an infinite s is refused;
+    |M|_1,1^2 <= n d |M|_F^2 keeps t finite when s is.  A @ B's plan checks its own.
     """
 
     m: int
@@ -185,6 +189,12 @@ class ElementLaw:
     norm_scale: float
     values: np.ndarray | None = None
     l1_scale: float | None = None
+
+    def __post_init__(self):
+        if self.norm_scale <= 0.0 or (self.l1_scale is not None and self.l1_scale <= 0.0):
+            raise DegenerateInputError("all-zero matrix has no sampling distribution")
+        if not np.isfinite(self.norm_scale):
+            raise DegenerateInputError("squared Frobenius norm overflows the sampling law")
 
     def _clipped(self, row_terms, col_terms, vals) -> np.ndarray:
         """min(q, 1), broadcast, in place in a C-ordered result, rounded as written out."""
@@ -226,15 +236,10 @@ def build_plan(M: DenseMatrix, m: int) -> SamplingPlan:
     if m < 1:
         raise ParameterError("sample budget m must be at least 1")
     stats = compute_stats(M)
-    if stats.l11 <= 0.0 or stats.fro_sq <= 0.0:
-        raise DegenerateInputError("all-zero matrix has no sampling distribution")
     law = ElementLaw(
         int(m), stats.row_sq_norms, stats.col_sq_norms, 2.0 * sum(M.shape) * stats.fro_sq,
         M.data, 2.0 * stats.l11,
     )
-    # the law's largest normalizer; |M|_{1,1}^2 <= n d |M|_F^2 keeps l11 finite too
-    if not np.isfinite(law.norm_scale):
-        raise DegenerateInputError("squared Frobenius norm overflows the sampling law")
     return SamplingPlan(law, stats, M)
 
 

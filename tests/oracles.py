@@ -374,32 +374,34 @@ def materialize_product_samples(plan, seed=0):
 
 
 def dist_sample(shards, m, ledger, seed=0):
-    """Row-at-a-time ``lela.distpca.dist_sample``: the same exchange and ledger."""
+    """Row-at-a-time ``lela.distpca.dist_sample``: the same exchange and ledger.
+
+    Each server's law inputs are its ``compute_stats``, as ``draw_bernoulli``
+    reads ``plan.stats``.
+    """
     if m < 1:
         raise ParameterError("sample budget m must be at least 1")
     n = sum(sh.row_set.size for sh in shards)
-    d = shards[0].local_rows.shape[1]
+    d = shards[0].local_rows.n_cols
     ledger.advance_round()
-    local_col_sq = []
-    local_l1 = []
+    local_stats = []
     for sh in shards:
-        local_col_sq.append(np.einsum("ij,ij->j", sh.local_rows, sh.local_rows))
-        local_l1.append(float(np.abs(sh.local_rows).sum()))
+        local_stats.append(compute_stats(sh.local_rows))
         ledger.record(DIR_UP, KIND_COL_NORMS, d)
         ledger.record(DIR_UP, KIND_STATS_BROADCAST, 1)
     col_sq = np.zeros(d)
     l11 = 0.0
-    for sh_col, sh_l1 in zip(local_col_sq, local_l1):  # fixed ascending server id
-        col_sq = col_sq + sh_col
-        l11 += sh_l1
+    for st in local_stats:  # fixed ascending server id
+        col_sq = col_sq + st.col_sq_norms
+        l11 += st.l11
     fro_sq = float(col_sq.sum())
     if l11 <= 0.0 or fro_sq <= 0.0:
         raise DegenerateInputError("all-zero matrix has no sampling distribution")
     for sh in shards:
         ledger.record(DIR_DOWN, KIND_STATS_BROADCAST, d + 2)
-    for sh in shards:
-        rows = sh.local_rows
-        row_sq = np.einsum("ij,ij->i", rows, rows)
+    for sh, st in zip(shards, local_stats):
+        rows = sh.local_rows.data
+        row_sq = st.row_sq_norms
 
         def prob_row(k):
             q = m * ((row_sq[k] + col_sq) / (2.0 * n * fro_sq) + np.abs(rows[k]) / l11)

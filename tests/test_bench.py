@@ -257,6 +257,22 @@ def test_experiment_records_adversarial_product_size_error(fixed_clock):
     assert all(r.spectral_err is None and r.wall_time == 0.0 for r in rows)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: add_noise(DenseMatrix(np.eye(3)), -0.1), "noise level must be nonnegative"),
+        (
+            lambda: ExperimentConfig(n=10, d=10, r=2, alpha=0.0, noise_levels=[0.1], m_grid=[40],
+                                     trials=1, algorithms=["lela"], sampler_mode="x"),
+            "sampler_mode must be",
+        ),
+    ],
+)
+def test_bench_refuses_bad_parameters(build, message):
+    with pytest.raises(ParameterError, match=message):
+        build()
+
+
 def test_config_validation():
     with pytest.raises(ParameterError):
         ExperimentConfig(n=10, d=10, r=2, alpha=0.0, noise_levels=[0.1], m_grid=[],

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -70,6 +71,11 @@ def test_degenerate_input_exit_code(tmp_path):
         ["lela", "--matrix", "{tmp}/big.mtx", "--mode", "bernoulli"],
         ["covariance", "--matrix", "{tmp}/big.mtx"],
         ["distpca", "--matrix", "{tmp}/big.mtx"],
+        # the L1 mass |M|_1,1 overflows too
+        ["lela", "--matrix", "{tmp}/huge.mtx"],
+        ["lela", "--matrix", "{tmp}/huge.mtx", "--mode", "bernoulli"],
+        ["covariance", "--matrix", "{tmp}/huge.mtx"],
+        ["distpca", "--matrix", "{tmp}/huge.mtx"],
         # each factor's norm is finite, the bound |A|_F^2 |B|_F^2 on the product's is not
         ["product", "--matrix", "{tmp}/a.mtx", "--matrix-b", "{tmp}/b.mtx"],
     ],
@@ -78,6 +84,7 @@ def test_overflowing_squared_norm_is_degenerate_input(tmp_path, capsys, argv):
     g = np.random.default_rng(4)
     # finite entries whose squares overflow
     write_matrix(tmp_path / "big.mtx", DenseMatrix(1e160 * (1.0 + g.random((30, 20)))))
+    write_matrix(tmp_path / "huge.mtx", DenseMatrix(np.full((100, 100), 1e305)))
     write_matrix(tmp_path / "a.mtx", DenseMatrix(1e80 * (1.0 + g.random((30, 20)))))
     write_matrix(tmp_path / "b.mtx", DenseMatrix(1e80 * (1.0 + g.random((20, 30)))))
     argv = [a.format(tmp=tmp_path) for a in argv] + ["--rank", "2", "--m", "300", "--iters", "2"]
@@ -172,6 +179,16 @@ def test_unreadable_factorization_is_parameter_error(tmp_path, suffix, text):
         load_factorization(prefix)
 
 
+@pytest.mark.parametrize("field, value", [("n", 5), ("d", 4), ("r", 1)])
+def test_factorization_disagreeing_with_its_metadata_is_parameter_error(tmp_path, field, value):
+    prefix = tmp_path / "fact"
+    save_factorization(prefix, Factorization(np.ones((4, 2)), np.ones((3, 2))))
+    meta = tmp_path / "fact.meta.json"
+    meta.write_text(json.dumps({**json.loads(meta.read_text()), field: value}))
+    with pytest.raises(ParameterError, match="disagree with their metadata"):
+        load_factorization(prefix)
+
+
 def test_coordinate_format_factor_is_densified(tmp_path):
     # a factor written from a sparse matrix loads as read_matrix reads it
     g = np.random.default_rng(2)
@@ -196,6 +213,23 @@ def test_lela_save_factors(tmp_path):
     F, meta = load_factorization(prefix)
     assert F.shape == (18, 14)
     assert meta["m"] == 250
+
+
+@pytest.mark.parametrize(
+    "argv, n",
+    [
+        (["lela", "--n", "18", "--d", "14"], 18),
+        (["product", "--n", "30"], 30),  # A @ B is n x n
+        (["covariance", "--n", "20", "--d", "8"], 20),
+    ],
+)
+def test_default_budget_is_8_n_r(tmp_path, argv, n):
+    # without --m each command samples 8 n r entries and records that budget
+    prefix = tmp_path / "factors"
+    code = main(argv + ["--rank", "2", "--iters", "2", "--save-factors", str(prefix)])
+    assert code == 0
+    _, meta = load_factorization(prefix)
+    assert meta["m"] == 8 * n * 2
 
 
 def test_product_subcommand(capsys):

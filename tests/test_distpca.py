@@ -20,6 +20,7 @@ from lela.distpca import (
     KIND_STATS_BROADCAST,
     KIND_V_ROWS_BLOCK,
     KIND_Z_AND_B,
+    PARTITION_POLICIES,
     dist_init,
     dist_sample,
     dist_waltmin_round,
@@ -45,6 +46,11 @@ def sampled_shards(M, s, m, seed=0, policy="contiguous"):
     ledger = CommLedger()
     dist_sample(shards, m, ledger, seed=seed)
     return shards, ledger
+
+
+def samples_of(shards):
+    """The servers' sample sets, as run_distpca hands them to the stages."""
+    return [sh.local_samples for sh in shards]
 
 
 def test_partition_single_server():
@@ -157,10 +163,17 @@ def test_dist_sample_all_zero_matrix_degenerate():
         dist_sample(shards, 10, CommLedger(), seed=0)
 
 
+def test_dist_sample_refuses_column_norms_that_overflow_once_folded():
+    # each server's column norms are finite; their sum at the CP is not
+    M = DenseMatrix(np.full((2, 3), 1.2e154))
+    with pytest.raises(DegenerateInputError, match="overflows"):
+        dist_sample(partition_rows(M, 2), 10, CommLedger(), seed=0)
+
+
 def test_dist_init_zero_rounds_is_seeded_qr():
     M = make_matrix(16, 9, 9)
     shards, ledger = sampled_shards(M, 2, 70, seed=3)
-    Y = dist_init(shards, 3, 0, ledger, seed=3)
+    Y = dist_init(samples_of(shards), 3, 0, ledger, seed=3)
     expected = orthonormal_columns(
         lrng.stream(3, lrng.TAG_DIST_INIT).standard_normal((9, 3))
     )
@@ -173,7 +186,7 @@ def test_dist_init_matches_centralized_power_iteration():
     for s in (1, 3):
         shards, ledger = sampled_shards(M, s, 90, seed=6)
         before = len(ledger.messages)
-        Y = dist_init(shards, 2, 5, ledger, seed=6)
+        Y = dist_init(samples_of(shards), 2, 5, ledger, seed=6)
         assert len(init_rounds_run(ledger, before)) == 5
         S = centralized_sample(M, 90, seed=6)
         csr = S.weighted_csr()
@@ -196,7 +209,7 @@ def test_dist_init_stops_before_its_cap_on_a_gapped_instance():
     for s in (1, 3):
         shards, ledger = sampled_shards(M, s, 400, seed=5)
         before = len(ledger.messages)
-        Y = dist_init(shards, r, cap, ledger, seed=5)
+        Y = dist_init(samples_of(shards), r, cap, ledger, seed=5)
         assert len(init_rounds_run(ledger, before)) == rounds
         touched = sum(sh.local_samples.observed_cols().size for sh in shards)
         partial = ledger.totals_by_kind[KIND_INIT_Y_PARTIAL]
@@ -220,7 +233,7 @@ def test_dist_init_keeps_its_width_r_stop_past_a_near_tie():
     for s in (1, 4):
         shards, ledger = sampled_shards(M, s, 400, seed=5)
         before = len(ledger.messages)
-        Y = dist_init(shards, r, cap, ledger, seed=5)
+        Y = dist_init(samples_of(shards), r, cap, ledger, seed=5)
         assert len(init_rounds_run(ledger, before)) == rounds
         assert np.abs(Y - Yc).max() <= 1e-10
 
@@ -231,7 +244,7 @@ def test_dist_init_ledger_per_round():
     r = 3
     rounds = 4
     before = len(ledger.messages)
-    dist_init(shards, r, rounds, ledger, seed=7)
+    dist_init(samples_of(shards), r, rounds, ledger, seed=7)
     msgs = ledger.messages[before:]
     expected_per_round = sum(sh.local_samples.observed_cols().size for sh in shards) * r
     init_rounds = sorted({m.round for m in msgs})
@@ -251,9 +264,9 @@ def test_dist_round_z_and_b_payload_counts():
     M = make_matrix(20, 15, 12)
     shards, ledger = sampled_shards(M, 4, 120, seed=8)
     r = 3
-    V = dist_init(shards, r, 2, ledger, seed=8)
+    V = dist_init(samples_of(shards), r, 2, ledger, seed=8)
     before = len(ledger.messages)
-    dist_waltmin_round(shards, V, ledger)
+    dist_waltmin_round(samples_of(shards), V, ledger)
     msgs = ledger.messages[before:]
     for k, sh in enumerate(shards):
         # z plus B's packed upper triangle per touched column
@@ -288,21 +301,13 @@ def test_one_layout_per_shard_over_a_run(monkeypatch):
 
     monkeypatch.setattr(lela_sampling, "Grouping", counted_grouping)
     dist_sample(shards, 120, ledger, seed=4)
-    V = dist_init(shards, 2, 3, ledger, seed=4)
+    V = dist_init(samples_of(shards), 2, 3, ledger, seed=4)
     for _ in range(3):
-        _, V = dist_waltmin_round(shards, V, ledger)
+        _, V = dist_waltmin_round(samples_of(shards), V, ledger)
     # one by-row CSR pair per shard; each column upload wraps its CSC transposes
     shapes = [(sh.row_set.size, 13) for sh in shards]
     assert sorted(s for f, s in built if f == "csr") == sorted(shapes)
     assert sorted(s for f, s in built if f == "csc") == sorted([s[::-1] for s in shapes] * 3)
-
-
-def test_stages_refuse_unsampled_shards():
-    shards = partition_rows(make_matrix(8, 5, 28), 2)
-    with pytest.raises(ParameterError, match="dist_sample must run before dist_init"):
-        dist_init(shards, 2, 1, CommLedger())
-    with pytest.raises(ParameterError, match="dist_sample must run before dist_waltmin_round"):
-        dist_waltmin_round(shards, np.eye(5, 2), CommLedger())
 
 
 def test_disjoint_touched_columns_aggregation_is_copy():
@@ -310,20 +315,14 @@ def test_disjoint_touched_columns_aggregation_is_copy():
     # for each column must equal the single-server solve
     n, d, r = 6, 6, 2
     arr = np.random.default_rng(14).standard_normal((n, d))
-    M = DenseMatrix(arr)
-    shards = partition_rows(M, 2, policy="contiguous")
-    # rows are local: shard 0 holds rows 0-2 and shard 1 rows 3-5
-    shards[0].local_samples = SampleSet(
-        3, d, [0, 1, 2, 0], [0, 1, 2, 1], arr[[0, 1, 2, 0], [0, 1, 2, 1]], np.ones(4)
-    )
-    shards[1].local_samples = SampleSet(
-        3, d, [0, 1, 2, 1], [3, 4, 5, 5], arr[[3, 4, 5, 4], [3, 4, 5, 5]], np.ones(4)
-    )
+    # rows are local: server 0 holds rows 0-2 and server 1 rows 3-5
+    S0 = SampleSet(3, d, [0, 1, 2, 0], [0, 1, 2, 1], arr[[0, 1, 2, 0], [0, 1, 2, 1]], np.ones(4))
+    S1 = SampleSet(3, d, [0, 1, 2, 1], [3, 4, 5, 5], arr[[3, 4, 5, 4], [3, 4, 5, 5]], np.ones(4))
     ledger = CommLedger()
     V0 = orthonormal_columns(np.random.default_rng(1).standard_normal((d, r)))
-    _, V_new = dist_waltmin_round([shards[0], shards[1]], V0, ledger)
-    _, V_only0 = dist_waltmin_round([shards[0]], V0, CommLedger())
-    _, V_only1 = dist_waltmin_round([shards[1]], V0, CommLedger())
+    _, V_new = dist_waltmin_round([S0, S1], V0, ledger)
+    _, V_only0 = dist_waltmin_round([S0], V0, CommLedger())
+    _, V_only1 = dist_waltmin_round([S1], V0, CommLedger())
     assert np.allclose(V_new[[0, 1, 2]], V_only0[[0, 1, 2]], atol=1e-14)
     assert np.allclose(V_new[[3, 4, 5]], V_only1[[3, 4, 5]], atol=1e-14)
 
@@ -331,17 +330,16 @@ def test_disjoint_touched_columns_aggregation_is_copy():
 def test_round_gives_a_shard_without_samples_zero_rows():
     n, d, r = 6, 5, 2
     arr = np.random.default_rng(15).standard_normal((n, d))
-    shards = partition_rows(DenseMatrix(arr), 2)
-    shards[0].local_samples = SampleSet(3, d, [], [], [], [])
     rows, cols = [0, 0, 1, 1, 2, 2], [0, 1, 2, 3, 4, 0]
-    shards[1].local_samples = SampleSet(
-        3, d, rows, cols, arr[[3 + i for i in rows], cols], np.full(6, 2.0)
-    )
+    samples = [
+        SampleSet(3, d, [], [], [], []),
+        SampleSet(3, d, rows, cols, arr[[3 + i for i in rows], cols], np.full(6, 2.0)),
+    ]
     V0 = orthonormal_columns(np.random.default_rng(2).standard_normal((d, r)))
     ledger = CommLedger()
-    u_blocks, V_new = dist_waltmin_round(shards, V0, ledger)
+    u_blocks, V_new = dist_waltmin_round(samples, V0, ledger)
     assert u_blocks[0].shape == (3, r) and not u_blocks[0].any()
-    u_only1, V_only1 = dist_waltmin_round(shards[1:], V0, CommLedger())
+    u_only1, V_only1 = dist_waltmin_round(samples[1:], V0, CommLedger())
     assert np.array_equal(u_blocks[1], u_only1[0])
     assert np.array_equal(V_new, V_only1)
     assert len(ledger.messages) == 2  # the empty shard sends and receives nothing
@@ -357,7 +355,9 @@ def test_run_distpca_matches_centralized_multi_server():
         assert ledger.verify()
 
 
-def test_run_distpca_rounds_stop_before_a_large_cap():
+@pytest.mark.parametrize("policy", PARTITION_POLICIES)
+@pytest.mark.parametrize("s", [1, 2, 3, 4])
+def test_run_distpca_rounds_stop_before_a_large_cap(s, policy):
     # the exact rounds contract fast on a gapped instance: the CP stops once V
     # settles, with no further z-and-B round, and still matches the reference
     g = np.random.default_rng(33)
@@ -365,14 +365,30 @@ def test_run_distpca_rounds_stop_before_a_large_cap():
     Q = np.linalg.qr(g.standard_normal((40, 2)))[0]
     M = DenseMatrix(P @ np.diag([2.0, 1.0]) @ Q.T + 0.01 * g.standard_normal((60, 40)) / 60**0.5)
     cap = 50
-    for s in (1, 3):
-        F, ledger = run_distpca(M, s, 2, 1200, cap, seed=6)
-        rounds = {msg.round for msg in ledger.messages if msg.kind == KIND_Z_AND_B}
-        assert 1 < len(rounds) < cap
-        C = centralized_reference(M, 2, 1200, cap, seed=6)
-        assert np.abs(F.u - C.u).max() <= 1e-10
-        assert np.abs(F.v - C.v).max() <= 1e-10
-        assert ledger.verify()
+    F, ledger = run_distpca(M, s, 2, 1200, cap, seed=6, policy=policy)
+    rounds = {msg.round for msg in ledger.messages if msg.kind == KIND_Z_AND_B}
+    assert 1 < len(rounds) < cap
+    C = centralized_reference(M, 2, 1200, cap, seed=6)
+    assert np.abs(F.u - C.u).max() <= 1e-10
+    assert np.abs(F.v - C.v).max() <= 1e-10
+    assert ledger.verify()
+
+
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"r": 0}, "rank must lie in"),
+        ({"r": 7}, "rank must lie in"),  # min(n, d) = 6
+        ({"iterations": 0}, "iteration count must be at least 1"),
+        ({"m": 0}, "sample budget m must be at least 1"),
+        ({"init_rounds": -1}, "init round count must be nonnegative"),
+        ({"policy": "by-size"}, "unknown partition policy"),
+    ],
+)
+def test_run_distpca_refuses_bad_parameters(kwargs, message):
+    args = {"s": 2, "r": 2, "m": 40, "iterations": 2, **kwargs}
+    with pytest.raises(ParameterError, match=message):
+        run_distpca(make_matrix(9, 6, 29), **args)
 
 
 def test_run_distpca_deterministic():
@@ -388,12 +404,12 @@ def test_run_distpca_deterministic():
 def test_server_id_permutation_leaves_results_unchanged():
     M = make_matrix(30, 14, 24)
     shards, ledger = sampled_shards(M, 3, 150, seed=2)
-    Y = dist_init(shards, 2, 3, ledger, seed=2)
-    u_blocks, V = dist_waltmin_round(shards, Y, ledger)
+    Y = dist_init(samples_of(shards), 2, 3, ledger, seed=2)
+    u_blocks, V = dist_waltmin_round(samples_of(shards), Y, ledger)
 
     perm_shards, perm_ledger = sampled_shards(M, 3, 150, seed=2)
     order = [2, 0, 1]
-    perm_list = [perm_shards[k] for k in order]
+    perm_list = [perm_shards[k].local_samples for k in order]
     Yp = dist_init(perm_list, 2, 3, perm_ledger, seed=2)
     up_blocks, Vp = dist_waltmin_round(perm_list, Yp, perm_ledger)
 

@@ -121,6 +121,14 @@ def test_oracle_guard_refuses_large_input(monkeypatch):
         evaluate(M, F, want_oracle=True)
 
 
+@pytest.mark.parametrize("u_rows, v_rows", [(3, 3), (4, 4), (5, 2)])
+def test_streaming_fro_error_refuses_a_shape_mismatch(u_rows, v_rows):
+    M = DenseMatrix(np.ones((4, 3)))
+    F = Factorization(np.ones((u_rows, 1)), np.ones((v_rows, 1)))
+    with pytest.raises(ParameterError, match="does not match the matrix"):
+        streaming_fro_error(M, F)
+
+
 def test_monotone_improvement_in_budget():
     n = d = 80
     r = 3

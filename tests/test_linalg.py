@@ -23,6 +23,34 @@ def test_dense_matrix_rejects_nonfinite():
         DenseMatrix([[np.inf], [0.0]])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: DenseMatrix([1.0, 2.0]), "two-dimensional"),
+        (lambda: DenseMatrix(np.zeros((0, 3))), "at least one row and column"),
+        (lambda: DenseMatrix(np.zeros((3, 0))), "at least one row and column"),
+        (lambda: Factorization(np.ones(4), np.ones((3, 1))), "two-dimensional"),
+        (lambda: Factorization(np.ones((4, 1)), np.ones((3, 1, 1))), "two-dimensional"),
+        (
+            lambda: spectral_error(
+                DenseMatrix(np.ones((4, 3))), Factorization(np.ones((3, 1)), np.ones((3, 1)))
+            ),
+            "does not match the matrix",
+        ),
+        (
+            lambda: low_rank_diff_spectral_norm(
+                Factorization(np.ones((4, 1)), np.ones((3, 1))),
+                Factorization(np.ones((4, 1)), np.ones((4, 1))),
+            ),
+            "matching shapes",
+        ),
+    ],
+)
+def test_linalg_refuses_malformed_input(build, message):
+    with pytest.raises(ParameterError, match=message):
+        build()
+
+
 def test_dense_matrix_is_row_major_and_frozen():
     M = DenseMatrix(np.asfortranarray([[1.0, 2.0], [3.0, 4.0]]))
     assert M.data.flags.c_contiguous

@@ -93,6 +93,24 @@ def test_product_task_validation():
         ProductTask(a=A, b=B, rank=1, m=0, iterations=1)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (
+            lambda A, B: ProductTask(a=A, b=B, rank=1, m=10, iterations=0),
+            "iteration count must be at least 1",
+        ),
+        (lambda A, B: stagewise_product_baseline(A, A, 1, 10, 1), "inner dimensions disagree"),
+        (lambda A, B: stagewise_product_baseline(B, B, 1, 10, 1), "inner dimensions disagree"),
+    ],
+)
+def test_matprod_refuses_bad_parameters(build, message):
+    A = DenseMatrix(np.ones((4, 3)))
+    B = DenseMatrix(np.ones((3, 5)))
+    with pytest.raises(ParameterError, match=message):
+        build(A, B)
+
+
 def test_covariance_exact_low_rank():
     g = np.random.default_rng(2)
     Q = oracles.modified_gram_schmidt(g.standard_normal((15, 2)))

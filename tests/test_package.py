@@ -148,6 +148,27 @@ def test_every_round_loop_runs_through_subspace_iteration():
     assert loops == {("linalg", "subspace_iteration")}
 
 
+def test_row_and_column_norms_are_summed_in_two_functions():
+    # every reader of M gets its norms from the stats pass, distpca's servers
+    # too; the product plan reads the norms of its two factors
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Call):
+                    continue
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                norm_einsum = name == "einsum" and any(
+                    isinstance(arg, ast.Constant) and arg.value in ("ij,ij->i", "ij,ij->j")
+                    for arg in node.args[:1]
+                )
+                if name == "vecdot" or norm_einsum:
+                    callers.add((path.stem, owner))
+    assert callers == {("sampling", "compute_stats"), ("sampling", "build_product_plan")}
+
+
 def test_the_sampling_law_is_clipped_in_one_class():
     # every path's min(q, 1) is the one law object's
     callers = set()

@@ -335,6 +335,21 @@ def test_sampleset_rejects_bad_weight():
         SampleSet(2, 2, [0], [0], [1.0], [0.0])
 
 
+@pytest.mark.parametrize(
+    "rows, cols, vals, message",
+    [
+        ([0, 1], [0], [1.0, 2.0], "identical lengths"),
+        ([0, 2], [0, 1], [1.0, 2.0], "row index out of range"),
+        ([-1, 0], [0, 1], [1.0, 2.0], "row index out of range"),
+        ([0, 1], [0, 3], [1.0, 2.0], "column index out of range"),
+        ([0, 1], [-1, 0], [1.0, 2.0], "column index out of range"),
+    ],
+)
+def test_sampleset_rejects_malformed_entries(rows, cols, vals, message):
+    with pytest.raises(ParameterError, match=message):
+        SampleSet(2, 3, rows, cols, vals, np.ones(len(vals)))
+
+
 def test_inclusion_probabilities_in_unit_interval():
     arr = np.random.default_rng(16).standard_normal((9, 7))
     M = DenseMatrix(arr)
