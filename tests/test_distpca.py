@@ -355,9 +355,7 @@ def test_run_distpca_matches_centralized_multi_server():
         assert ledger.verify()
 
 
-@pytest.mark.parametrize("policy", PARTITION_POLICIES)
-@pytest.mark.parametrize("s", [1, 2, 3, 4])
-def test_run_distpca_rounds_stop_before_a_large_cap(s, policy):
+def test_run_distpca_rounds_stop_before_a_large_cap():
     # the exact rounds contract fast on a gapped instance: the CP stops once V
     # settles, with no further z-and-B round, and still matches the reference
     g = np.random.default_rng(33)
@@ -365,13 +363,15 @@ def test_run_distpca_rounds_stop_before_a_large_cap(s, policy):
     Q = np.linalg.qr(g.standard_normal((40, 2)))[0]
     M = DenseMatrix(P @ np.diag([2.0, 1.0]) @ Q.T + 0.01 * g.standard_normal((60, 40)) / 60**0.5)
     cap = 50
-    F, ledger = run_distpca(M, s, 2, 1200, cap, seed=6, policy=policy)
-    rounds = {msg.round for msg in ledger.messages if msg.kind == KIND_Z_AND_B}
-    assert 1 < len(rounds) < cap
     C = centralized_reference(M, 2, 1200, cap, seed=6)
-    assert np.abs(F.u - C.u).max() <= 1e-10
-    assert np.abs(F.v - C.v).max() <= 1e-10
-    assert ledger.verify()
+    for s in (1, 2, 3, 4):
+        for policy in PARTITION_POLICIES:
+            F, ledger = run_distpca(M, s, 2, 1200, cap, seed=6, policy=policy)
+            rounds = {msg.round for msg in ledger.messages if msg.kind == KIND_Z_AND_B}
+            assert 1 < len(rounds) < cap
+            assert np.abs(F.u - C.u).max() <= 1e-10
+            assert np.abs(F.v - C.v).max() <= 1e-10
+            assert ledger.verify()
 
 
 @pytest.mark.parametrize(
