@@ -66,8 +66,9 @@ def gen_powerlaw(
     gv = rng.stream(seed, rng.TAG_FACTOR_V)
     U0 = orthonormal_columns(gu.standard_normal((n, r)))
     V0 = orthonormal_columns(gv.standard_normal((d, r)))
-    dn = (1.0 / np.arange(1, n + 1) ** alpha)[:, None]
-    dd = (1.0 / np.arange(1, d + 1) ** alpha)[:, None]
+    with np.errstate(over="ignore"):  # k ** alpha = inf past float range; 1 / inf is 0
+        dn = (1.0 / np.arange(1, n + 1) ** alpha)[:, None]
+        dd = (1.0 / np.arange(1, d + 1) ** alpha)[:, None]
     A = dn * U0
     B = dd * V0
     # SVD of the rank-r product A @ B.T through its factors, then pin the
@@ -81,8 +82,8 @@ def gen_powerlaw(
 
 def add_noise(M_r: DenseMatrix, noise_spectral: float, seed: int = 0) -> DenseMatrix:
     """Add an i.i.d. Gaussian matrix rescaled so its spectral norm hits the target."""
-    if noise_spectral < 0:
-        raise ParameterError("target noise level must be nonnegative")
+    if not 0 <= noise_spectral < np.inf:  # NaN fails too
+        raise ParameterError("target noise level must be nonnegative and finite")
     if noise_spectral == 0.0:
         return M_r
     g = rng.stream(seed, rng.TAG_NOISE)

@@ -25,8 +25,7 @@ import numpy as np
 from . import rng, sampling
 from .errors import ParameterError
 from .linalg import (
-    DenseMatrix, Factorization, mirror_upper, orthonormal_columns, pseudo_solve_spd_batch,
-    subspace_iteration,
+    DenseMatrix, Factorization, orthonormal_columns, pseudo_solve_spd_batch, subspace_iteration,
 )
 from .sampling import ElementLaw, SampleSet, draw_bernoulli_rows
 from .waltmin import als_half_step
@@ -212,27 +211,28 @@ def dist_waltmin_round(
     sent for that), uploads per touched column a z vector in R^r and the
     packed upper triangle of its symmetric B block, r (r + 1) / 2 reals, and
     receives back its block of the new right factor.  The CP folds the
-    triangles in ascending server id and mirrors the sum once.  Returns the
-    per-server row factors and the new right factor at the CP.
+    servers' symmetric blocks in ascending server id, which adds the uploaded
+    triangle entries in the same order as folding the triangles and mirroring
+    the sum once.  Returns the per-server row factors and the new right
+    factor at the CP.
     """
     d, r = V_current.shape
     touched = [S.observed_cols().size for S in samples]
     ledger.advance_round()
-    ia, ib = np.triu_indices(r)
     u_blocks = []
     z_total = np.zeros((d, r))
-    b_upper = np.zeros((d, ia.size))
+    b_total = np.zeros((d, r, r))
     for S, t in zip(samples, touched):  # fixed ascending server id
         u_local = als_half_step(V_current, S.by_row())
         u_blocks.append(u_local)
         b_k, z_k = S.by_col().normal_equations(u_local)
         z_total = z_total + z_k
-        b_upper = b_upper + b_k[:, ia, ib]
+        b_total = b_total + b_k
         if t:
-            ledger.record(DIR_UP, KIND_Z_AND_B, t * (r + ia.size))
+            ledger.record(DIR_UP, KIND_Z_AND_B, t * (r + r * (r + 1) // 2))
     # Exact, as the row step: the run must match its centralized reference to 1e-10,
     # and a floor would let fold-order rounding near it keep a direction on one side only.
-    V_new = pseudo_solve_spd_batch(mirror_upper(b_upper, r), z_total, eig_floor=0.0)
+    V_new = pseudo_solve_spd_batch(b_total, z_total, eig_floor=0.0)
     for t in touched:
         if t:
             ledger.record(DIR_DOWN, KIND_V_ROWS_BLOCK, t * r)

@@ -236,22 +236,17 @@ class Grouping:
         Observation k adds w_k g_k g_k^T to B[group_k] and w_k y_k g_k to
         z[group_k], with g_k = fixed[other_k]; a group with no observations
         gets zeros.  B's packed upper triangle is E(w) @ P, where P's column
-        (a, b) is fixed[:, a] * fixed[:, b] for a <= b, mirrored below, and
-        z = E(w y) @ fixed.  Each product adds w_k (g_a g_b), or (w_k y_k) g_a,
-        into a zeroed output in sample order within each group.
+        (a, b) is fixed[:, a] * fixed[:, b] for a <= b, and z = E(w y) @ fixed.
+        Each product adds w_k (g_a g_b), or (w_k y_k) g_a, into a zeroed output
+        in sample order within each group.  B is one gather of the triangle:
+        B[:, a, b] and B[:, b, a] both copy its column (min(a, b), max(a, b)).
+        This is the only code that knows the packed order.
         """
         r = fixed.shape[1]
         ia, ib = np.triu_indices(r)
-        return mirror_upper(self.w @ (fixed[:, ia] * fixed[:, ib]), r), self.wy @ fixed
-
-
-def mirror_upper(packed: np.ndarray, r: int) -> np.ndarray:
-    """Symmetric r x r stack from rows of upper triangles in ``np.triu_indices(r)`` order."""
-    ia, ib = np.triu_indices(r)
-    B = np.empty((packed.shape[0], r, r))
-    B[:, ia, ib] = packed
-    B[:, ib, ia] = packed
-    return B
+        mirror = np.empty((r, r), dtype=np.intp)
+        mirror[ia, ib] = mirror[ib, ia] = np.arange(ia.size)
+        return (self.w @ (fixed[:, ia] * fixed[:, ib]))[:, mirror], self.wy @ fixed
 
 
 def _clears_shifted_cholesky(C: np.ndarray, shift: np.ndarray) -> np.ndarray:

@@ -9,7 +9,8 @@ rows by one eigendecomposition each, the weighted normal equations by a
 per-observation loop, the per-cell sampling intensity by the law's formula,
 the weighted sampled matrix by scipy's COO conversion, the distributed
 sample by its own per-row loop, the distributed init by its own stopped
-power loop, and the samplers by the row-at-a-time kernels
+power loop, the CP's column solve from the packed triangles the ledger
+counts, and the samplers by the row-at-a-time kernels
 the row-blocked ones replaced (the multinomial through ``Generator.choice``),
 whose outputs the blocked kernels reproduce bit for bit.  The last four
 functions are
@@ -432,6 +433,27 @@ def centralized_init(samples, r, rounds, seed=0):
         if moved <= lela_linalg.SVD_STEP_TOL:
             return Y, k + 1
     return Y, rounds
+
+
+def cp_column_solve(samples, u_blocks):
+    """The CP's new V from exactly what the servers upload.
+
+    Per touched column each server sends z_k and the packed upper triangle of
+    B_k, in ``np.triu_indices(r)`` order.  The CP adds both in ascending
+    server id, mirrors the summed triangle once and solves at floor 0.
+    """
+    d, r = samples[0].d, u_blocks[0].shape[1]
+    ia, ib = np.triu_indices(r)
+    z_total = np.zeros((d, r))
+    packed = np.zeros((d, ia.size))
+    for S, u in zip(samples, u_blocks):
+        B_k, z_k = S.by_col().normal_equations(u)
+        z_total = z_total + z_k
+        packed = packed + B_k[:, ia, ib]
+    B = np.empty((d, r, r))
+    B[:, ia, ib] = packed
+    B[:, ib, ia] = packed
+    return pseudo_solve_spd_batch(B, z_total, eig_floor=0.0)
 
 
 def centralized_reference(M, r, m, iterations, init_rounds=10, seed=0):

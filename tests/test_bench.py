@@ -63,6 +63,14 @@ def test_gen_powerlaw_deterministic_and_guarded():
             gen_powerlaw(10, 10, 2, alpha, seed=0)
 
 
+def test_gen_powerlaw_large_finite_exponent_does_not_overflow():
+    # k ** 140 passes float range from k = 159 on; those rows get weight 1 / inf = 0
+    M, _ = gen_powerlaw(200, 150, 5, 140.0)
+    sigma = np.linalg.svd(M.data, compute_uv=False)
+    assert np.allclose(sigma[:5], 1.0, rtol=0.0, atol=1e-12)
+    assert np.all(sigma[5:] <= 1e-10)
+
+
 def test_add_noise_zero_target_is_identity():
     M, _ = gen_powerlaw(15, 15, 2, 0.0, seed=1)
     assert add_noise(M, 0.0, seed=2) is M

@@ -363,6 +363,11 @@ def test_product_requires_second_matrix(tmp_path):
          "--algorithms", "distpca"],
         ["bench", "--n", "40", "--d", "30", "--rank", "2", "--trials", "1", "--servers", "100",
          "--algorithms", "distpca"],
+        # NaN passes a "< 0" check too; refused before the noise matrix's SVD
+        ["lela", "--n", "50", "--d", "40", "--rank", "2", "--m", "400", "--noise", "nan"],
+        ["lela", "--n", "50", "--d", "40", "--rank", "2", "--m", "400", "--noise", "inf"],
+        ["covariance", "--n", "50", "--d", "40", "--rank", "2", "--m", "400", "--noise", "nan"],
+        ["distpca", "--n", "50", "--d", "40", "--rank", "2", "--m", "400", "--noise", "inf"],
     ],
 )
 def test_malformed_outside_input_is_parameter_error(tmp_path, capsys, monkeypatch, argv):

@@ -29,7 +29,13 @@ from lela.distpca import (
 from lela.linalg import Grouping, orthonormal_columns
 from lela.sampling import SampleSet
 from lela import rng as lrng
-from oracles import centralized_init, centralized_reference, centralized_sample, total_samples
+from oracles import (
+    centralized_init,
+    centralized_reference,
+    centralized_sample,
+    cp_column_solve,
+    total_samples,
+)
 
 
 def make_matrix(n, d, seed):
@@ -279,6 +285,19 @@ def test_dist_round_z_and_b_payload_counts():
         assert got, f"missing z-and-B message for server {k}"
     v_down = sum(m.payload_reals for m in msgs if m.kind == KIND_V_ROWS_BLOCK)
     assert v_down == sum(sh.local_samples.observed_cols().size for sh in shards) * r
+
+
+def test_cp_solves_exactly_the_triangles_the_ledger_counts():
+    # folding the servers' symmetric B blocks adds the uploaded triangle
+    # entries in the same order as folding the triangles and mirroring once
+    M = make_matrix(40, 18, 31)
+    for s in (1, 2, 4):
+        for policy in PARTITION_POLICIES:
+            shards, ledger = sampled_shards(M, s, 200, seed=31, policy=policy)
+            samples = samples_of(shards)
+            V = dist_init(samples, 3, 3, ledger, seed=31)
+            u_blocks, V_new = dist_waltmin_round(samples, V, ledger)
+            assert np.array_equal(V_new, cp_column_solve(samples, u_blocks)), (s, policy)
 
 
 def test_dist_round_single_server_matches_centralized():

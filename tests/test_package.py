@@ -184,6 +184,30 @@ def test_the_sampling_law_is_clipped_in_one_class():
     assert callers == {("sampling", "ElementLaw")}
 
 
+def test_the_packed_triangle_has_one_owner():
+    # B's storage format is known only where B is built; its readers take
+    # the symmetric stack, so no second packer or mirror comes back
+    callers, mirrors = set(), []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            # a class's members are owned by their own names, methods included
+            members = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+            for member in members:
+                owner = getattr(member, "name", None)
+                if member is not stmt:
+                    owner = f"{stmt.name}.{owner}"
+                for node in ast.walk(member):
+                    if isinstance(node, ast.FunctionDef) and node.name == "mirror_upper":
+                        mirrors.append(path.stem)
+                    if isinstance(node, ast.Call):
+                        call = node.func
+                        name = call.id if isinstance(call, ast.Name) else getattr(call, "attr", None)
+                        if name == "triu_indices":
+                            callers.add((path.stem, owner))
+    assert callers == {("linalg", "Grouping.normal_equations")}
+    assert mirrors == []
+
+
 def test_the_package_creates_no_fortran_ordered_array():
     # DenseMatrix is row-major and every kernel reads M by rows: one layout
     makers = []
