@@ -66,9 +66,10 @@ def gen_powerlaw(
     gv = rng.stream(seed, rng.TAG_FACTOR_V)
     U0 = orthonormal_columns(gu.standard_normal((n, r)))
     V0 = orthonormal_columns(gv.standard_normal((d, r)))
+    # powers in float64: an int exponent would raise int64 powers, which wrap
     with np.errstate(over="ignore"):  # k ** alpha = inf past float range; 1 / inf is 0
-        dn = (1.0 / np.arange(1, n + 1) ** alpha)[:, None]
-        dd = (1.0 / np.arange(1, d + 1) ** alpha)[:, None]
+        dn = (1.0 / np.arange(1.0, n + 1) ** alpha)[:, None]
+        dd = (1.0 / np.arange(1.0, d + 1) ** alpha)[:, None]
     A = dn * U0
     B = dd * V0
     # SVD of the rank-r product A @ B.T through its factors, then pin the

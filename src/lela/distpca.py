@@ -126,7 +126,7 @@ def partition_rows(
     else:
         perm = rng.stream(seed, rng.TAG_PARTITION).permutation(n)
         groups = [np.sort(g) for g in np.array_split(perm, s)]
-    return [ServerShard(g.astype(np.int64), DenseMatrix(M.data[g])) for g in groups]
+    return [ServerShard(g.astype(np.int64), M.take_rows(g)) for g in groups]
 
 
 def dist_sample(shards: list[ServerShard], m: int, ledger: CommLedger, seed: int = 0) -> None:

@@ -66,6 +66,14 @@ class DenseMatrix:
     def note_pass(self) -> None:
         self.pass_count += 1
 
+    def take_rows(self, rows: np.ndarray) -> DenseMatrix:
+        """The rows ``rows`` (an index array) of M, frozen: one copy, not re-checked."""
+        sub = object.__new__(DenseMatrix)
+        sub.data = self.data[rows]  # a fresh C-ordered copy of finite entries
+        sub.data.flags.writeable = False
+        sub.pass_count = 0
+        return sub
+
     def __repr__(self) -> str:
         return f"DenseMatrix({self.n_rows}x{self.n_cols})"
 

@@ -1,10 +1,11 @@
 """Direct low-rank approximation of matrix products and covariances.
 
-The direct method samples entries of A @ B (each sampled cell is one exact
-length-d dot product), then runs weighted alternating minimization on those
-samples; the product itself is never formed.  The stagewise baseline instead
-approximates A and B separately and multiplies the factors, which fails when
-the leading subspaces of A and B do not interact.
+The direct method samples entries of A @ B, then runs weighted alternating
+minimization on those samples.  Each sampled cell holds its length-d dot
+product; a row block with at least 1/16 of its cells sampled is computed with
+one matrix product, so at most one block of the product is ever formed.  The
+stagewise baseline instead approximates A and B separately and multiplies the
+factors, which fails when the leading subspaces of A and B do not interact.
 """
 from __future__ import annotations
 

@@ -39,6 +39,13 @@ from .linalg import DenseMatrix, Grouping, physical_memory
 # 2^18 raised the benchmark's distpca-s4 peak RSS from 159.9 to 161.4 MB.
 BLOCK_CELLS = 1 << 16
 
+# A product-fill block takes one GEMM when at least 1/16 of its cells are kept,
+# so the fill does at most 16 times the kept cells' dot products.  A 65 x 1000
+# block breaks even at 6-7% kept for inner dimension 500 and 2000, and below 1%
+# for 50 (one BLAS thread, 2-vCPU Xeon VM): at 1/16 the GEMM is within 8% of
+# the per-row gathers, and from 7% on it is faster.
+GEMM_FILL_RATIO = 16
+
 
 def row_blocks(count: int, d: int):
     """[start, stop) ranges over ``count`` rows of d cells, one block each."""
@@ -253,7 +260,8 @@ def draw_bernoulli_rows(law: ElementLaw, row_ids, value_cells, seed, tag) -> Sam
     probabilities, and ``value_cells(ks, js)`` the values of the kept cells
     (row_ids[ks], js), ks ascending.  Only the streams are read row by row.
     The result has len(row_ids) rows: the entries of row row_ids[k] are
-    stored in row k.
+    stored in row k.  Cells and weights never depend on the block; the
+    product fill's values may, at the rounding level.
     """
     n, d = len(row_ids), law.col_terms.size
     streams = rng.row_streams(seed, tag, row_ids)
@@ -391,18 +399,31 @@ def build_product_plan(A: DenseMatrix, B: DenseMatrix, m: int) -> ProductSamplin
 
 
 def materialize_product_samples(plan: ProductSamplingPlan, seed: int = 0) -> SampleSet:
-    """Draw cells of ``plan.a @ plan.b`` Bernoulli-style, filled with exact dot products."""
-    A = plan.a
-    bt = np.ascontiguousarray(plan.b.data.T)  # B's columns as contiguous rows
+    """Draw cells of ``plan.a @ plan.b`` Bernoulli-style, filled with their dot products.
+
+    A block whose kept cells are at least 1/``GEMM_FILL_RATIO`` of the cells
+    of its kept rows' span (at most ``BLOCK_CELLS``, or one row) takes that
+    span of the product with one GEMM and reads it at the kept cells; a
+    sparser block gathers each kept row's columns of B and takes one GEMV.
+    The two sum in different orders, so a value may differ with its block at
+    the rounding level; the cells and weights do not.
+    """
+    a, b = plan.a.data, plan.b.data
+    bt = None  # B's columns as contiguous rows, built for the first sparse block
 
     def dot_products(ks, js):
-        # One B[:, js]^T @ A^i per kept row, a row gather of bt and one dot
-        # product per kept cell; a blocked product would sum in another order
-        # and do the work of every cell of the block's rows.
+        nonlocal bt
+        if not ks.size:
+            return np.empty(0)
+        lo, hi = ks[0], ks[-1] + 1
+        if GEMM_FILL_RATIO * ks.size >= (hi - lo) * b.shape[1]:
+            return (a[lo:hi] @ b)[ks - lo, js]
+        if bt is None:
+            bt = np.ascontiguousarray(b.T)
         vals = np.empty(js.size)
         starts = np.flatnonzero(np.diff(ks, prepend=-1)).tolist()
         for s, e in zip(starts, starts[1:] + [ks.size]):
-            vals[s:e] = bt[js[s:e]] @ A.data[ks[s]]
+            vals[s:e] = bt[js[s:e]] @ a[ks[s]]
         return vals
 
-    return draw_bernoulli_rows(plan.law, np.arange(A.n_rows), dot_products, seed, rng.TAG_PRODUCT)
+    return draw_bernoulli_rows(plan.law, np.arange(a.shape[0]), dot_products, seed, rng.TAG_PRODUCT)

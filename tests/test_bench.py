@@ -71,6 +71,16 @@ def test_gen_powerlaw_large_finite_exponent_does_not_overflow():
     assert np.all(sigma[5:] <= 1e-10)
 
 
+@pytest.mark.parametrize("alpha", [0, 1, 2, 13, 20])
+def test_gen_powerlaw_int_exponent_is_the_float_one(alpha):
+    # 30 ** 13 passes int64's range: the powers are taken in float64
+    M, truth = gen_powerlaw(30, 20, 2, alpha, seed=4)
+    M_f, truth_f = gen_powerlaw(30, 20, 2, float(alpha), seed=4)
+    assert M.data.tobytes() == M_f.data.tobytes()
+    assert truth.u.tobytes() == truth_f.u.tobytes()
+    assert truth.v.tobytes() == truth_f.v.tobytes()
+
+
 def test_add_noise_zero_target_is_identity():
     M, _ = gen_powerlaw(15, 15, 2, 0.0, seed=1)
     assert add_noise(M, 0.0, seed=2) is M

@@ -3,6 +3,8 @@ import pytest
 import tracemalloc
 
 import lela.linalg as lela_linalg
+import lela.rng as lela_rng
+import lela.sampling as lela_sampling
 import lela.waltmin as lela_waltmin
 import oracles
 from lela import (
@@ -210,6 +212,28 @@ def test_product_never_materializes_dense_product():
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
     assert peak < 9_000_000
+
+
+def test_dense_product_budget_fills_by_blocks():
+    # 7% of every cell kept: each 43-row block takes one GEMM over its rows, so
+    # the fill never holds more than one block of the 18 MB dense product; the
+    # peak is the ~157k kept cells, held twice while the sampler joins its blocks
+    g = np.random.default_rng(9)
+    A = DenseMatrix(np.where(g.random((1500, 6)) < 0.5, -1.0, 1.0))
+    B = DenseMatrix(np.where(g.random((6, 1500)) < 0.5, -1.0, 1.0))
+    m = 78_750  # equal row and column norms: every cell has p = 2m / 1500^2 = 0.07
+    task = ProductTask(a=A, b=B, rank=2, m=m, iterations=3, seed=1)
+    S = materialize_product_samples(
+        build_product_plan(A, B, m), seed=lela_rng.derive_seed(task.seed, lela_rng.TAG_PRODUCT)
+    )
+    for start, stop in lela_sampling.row_blocks(1500, 1500):
+        kept = np.count_nonzero((S.rows >= start) & (S.rows < stop))
+        assert lela_sampling.GEMM_FILL_RATIO * kept >= (stop - start) * 1500
+    tracemalloc.start()
+    lowrank_product(task)
+    _, peak = tracemalloc.get_traced_memory()
+    tracemalloc.stop()
+    assert peak < 13_500_000
 
 
 def test_sampled_values_exact_on_product_path():

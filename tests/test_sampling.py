@@ -272,6 +272,20 @@ def test_product_samples_deterministic():
     assert np.array_equal(s1.vals, s2.vals)
 
 
+def test_sparse_product_fill_is_bitwise_the_oracle():
+    # about 4% of each block's cells kept, under the 1/16 rule: every block
+    # takes the per-row path, whose GEMVs sum as the oracle's do
+    g = np.random.default_rng(15)
+    A = DenseMatrix(g.standard_normal((200, 37)))
+    B = DenseMatrix(g.standard_normal((37, 1000)))
+    plan = build_product_plan(A, B, 200 * 1000 // 50)
+    got = materialize_product_samples(plan, seed=3)
+    for start, stop in sampling.row_blocks(200, 1000):
+        ks = got.rows[(got.rows >= start) & (got.rows < stop)]
+        assert sampling.GEMM_FILL_RATIO * ks.size < (ks[-1] + 1 - ks[0]) * 1000
+    assert_bitwise_equal(got, oracles.materialize_product_samples(plan, seed=3))
+
+
 def test_sampleset_rejects_duplicates():
     with pytest.raises(ParameterError):
         SampleSet(3, 3, [0, 0], [1, 1], [1.0, 2.0], [1.0, 1.0])
@@ -373,6 +387,34 @@ def assert_bitwise_equal(a, b):
         assert x.tobytes() == y.tobytes(), field
 
 
+def assert_product_fill_matches(got, want, a, b):
+    """``got``, the product fill, against ``want``, the row-at-a-time oracle.
+
+    Cells and weights are the oracle's bit for bit.  Per sampler block, a
+    block under the density rule has the oracle's values bit for bit; a block
+    at or above it reads one GEMM over its kept rows' span, and each value
+    lies within the dot-product rounding bound 2 gamma_k sum_l |a_il| |b_lj|
+    of the oracle's, gamma_k = k u / (1 - k u).
+    """
+    for field in ("rows", "cols", "weights"):
+        x, y = getattr(got, field), getattr(want, field)
+        assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
+    k, d = b.shape
+    ku = k * np.finfo(float).eps / 2
+    for start, stop in sampling.row_blocks(got.n, d):
+        sel = slice(*np.searchsorted(got.rows, [start, stop]))
+        ks, js, vals, ref = got.rows[sel], got.cols[sel], got.vals[sel], want.vals[sel]
+        if not ks.size:
+            continue
+        lo, hi = ks[0], ks[-1] + 1
+        if sampling.GEMM_FILL_RATIO * ks.size < (hi - lo) * d:
+            assert vals.tobytes() == ref.tobytes()
+            continue
+        assert vals.tobytes() == (a[lo:hi] @ b)[ks - lo, js].tobytes()
+        bound = 2 * ku / (1 - ku) * (np.abs(a[lo:hi]) @ np.abs(b))[ks - lo, js]
+        assert np.all(np.abs(vals - ref) <= bound)
+
+
 def _budgets(n, d):
     # lean (leaves rows without a multinomial draw), medium and saturating
     return (max(1, n * d // 50), max(1, n * d // 4), 2 * n * d)
@@ -422,5 +464,8 @@ def test_blocked_samplers_bitwise_equal_to_rowwise_oracles(monkeypatch, kind, sh
             mid = [X.pass_count for X in audited]
             want = ref(plan, seed=seed)
             after = [X.pass_count for X in audited]
-            assert_bitwise_equal(got, want)
+            if kind == "product":
+                assert_product_fill_matches(got, want, A.data, B.data)
+            else:
+                assert_bitwise_equal(got, want)
             assert [b - a for a, b in zip(before, mid)] == [b - a for a, b in zip(mid, after)]
