@@ -70,6 +70,8 @@ def gen_powerlaw(
     with np.errstate(over="ignore"):  # k ** alpha = inf past float range; 1 / inf is 0
         dn = (1.0 / np.arange(1.0, n + 1) ** alpha)[:, None]
         dd = (1.0 / np.arange(1.0, d + 1) ** alpha)[:, None]
+    if min(np.count_nonzero(dn), np.count_nonzero(dd)) < r:  # the rest would not depend on alpha
+        raise ParameterError(f"power-law exponent {alpha} leaves fewer than r = {r} nonzero weights")
     A = dn * U0
     B = dd * V0
     # SVD of the rank-r product A @ B.T through its factors, then pin the

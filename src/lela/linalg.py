@@ -230,7 +230,8 @@ class Grouping:
     or both are the CSC transposes of such a pair grouped by row over
     samples sorted by row: a CSC product walks the columns, the rows of the
     samples, in order, so it too adds each group's observations in sample
-    order.  ``SampleSet`` builds the one by-row pair of its samples.
+    order.  ``SampleSet`` builds the one by-row pair over its own row pointer
+    and columns, and E(w) over its weights, without a copy.
     """
 
     __slots__ = ("w", "wy")

@@ -90,50 +90,44 @@ def compute_stats(M: DenseMatrix) -> MatrixStats:
 
 
 class SampleSet:
-    """Observed entries (i, j, value, weight).
+    """Observed entries of an n x d matrix, held by row as CSR arrays.
 
-    Entries are kept sorted by (row, col); duplicates are rejected.  Weights
-    are the reciprocal inclusion probabilities and must be positive.  One
-    layout, by row, is built on first use and kept; the by-column layout is
-    its transpose, and the reweighted sampled matrix its E(w y).  The
-    observed columns are kept likewise.
+    Row i's entries sit at indptr[i]:indptr[i + 1] in ``cols``, ``vals`` and
+    ``weights``, their columns strictly rising, so no entry repeats.  Weights
+    are the reciprocal inclusion probabilities and must be positive.  The one
+    layout, by row, wraps the held arrays, ``indptr`` and ``cols`` cast once
+    to scipy's index dtype; it is built on first use and kept, as are the
+    observed columns.  The by-column layout is its transpose, and the
+    reweighted sampled matrix its E(w y).
     """
 
-    def __init__(self, n, d, rows, cols, vals, weights):
-        self.n = int(n)
-        self.d = int(d)
-        rows = np.asarray(rows, dtype=np.int64)
-        cols = np.asarray(cols, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64)
-        weights = np.asarray(weights, dtype=np.float64)
-        if not (rows.shape == cols.shape == vals.shape == weights.shape):
+    def __init__(self, n, d, indptr, cols, vals, weights):
+        self.n, self.d = int(n), int(d)
+        indptr, cols = np.asarray(indptr), np.asarray(cols)
+        vals, weights = np.asarray(vals, dtype=np.float64), np.asarray(weights, dtype=np.float64)
+        if not (cols.shape == vals.shape == weights.shape == (cols.size,)):
             raise ParameterError("entry arrays must have identical lengths")
-        if rows.size:
-            if rows.min() < 0 or rows.max() >= self.n:
-                raise ParameterError("row index out of range")
-            if cols.min() < 0 or cols.max() >= self.d:
-                raise ParameterError("column index out of range")
-            if np.any(weights <= 0):
-                raise ParameterError("weights must be strictly positive")
-            same_row = rows[:-1] == rows[1:]
-            # Strictly increasing (row, col) keys, as every sampler emits
-            # them, are sorted and free of duplicates already.
-            if not np.all((rows[:-1] < rows[1:]) | (same_row & (cols[:-1] < cols[1:]))):
-                order = np.lexsort((cols, rows))
-                rows, cols, vals, weights = rows[order], cols[order], vals[order], weights[order]
-                same_row = rows[:-1] == rows[1:]
-                if np.any(same_row & (cols[:-1] == cols[1:])):
-                    raise ParameterError("duplicate (i, j) entries are not allowed")
-        self.rows = rows
-        self.cols = cols
-        self.vals = vals
-        self.weights = weights
+        if (indptr.shape != (self.n + 1,) or indptr[0] != 0 or indptr[-1] != cols.size
+                or np.any(np.diff(indptr) < 0)):
+            raise ParameterError("row pointer must rise from 0 to the entry count in n + 1 steps")
+        if np.any(cols < 0) or np.any(cols >= self.d):
+            raise ParameterError("column index out of range")
+        if np.any(weights <= 0):
+            raise ParameterError("weights must be strictly positive")
+        # all in range, so the casts wrap nothing; products and transposes keep this dtype
+        idx = scipy.sparse.get_index_dtype(maxval=max(self.n, self.d, cols.size))
+        self.indptr, self.cols = indptr.astype(idx, copy=False), cols.astype(idx, copy=False)
+        # a column that does not rise must start a row
+        starts = np.flatnonzero(self.cols[1:] <= self.cols[:-1]) + 1
+        if np.any(self.indptr[self.indptr.searchsorted(starts)] != starts):
+            raise ParameterError("columns must rise strictly within each row")
+        self.vals, self.weights = vals, weights
         self._by_row = None
         self._observed_cols = None
 
     @property
     def size(self) -> int:
-        return int(self.rows.size)
+        return int(self.cols.size)
 
     def observed_cols(self) -> np.ndarray:
         """The sorted distinct columns of the entries, found on first use and kept."""
@@ -142,16 +136,13 @@ class SampleSet:
         return self._observed_cols
 
     def by_row(self) -> Grouping:
-        """The entries grouped by row: the one layout, built on first use."""
+        """The entries grouped by row: the one layout, over the held arrays, built on first use."""
         if self._by_row is None:
-            # the index dtype scipy keeps, so no product or transpose re-checks it
-            idx = scipy.sparse.get_index_dtype(maxval=max(self.n, self.d, self.size))
-            indptr = np.searchsorted(self.rows, np.arange(self.n + 1)).astype(idx)
-            cols = self.cols.astype(idx)
+            csr = self.cols, self.indptr
             shape = (self.n, self.d)
             self._by_row = Grouping(
-                scipy.sparse.csr_matrix((self.weights, cols, indptr), shape=shape),
-                scipy.sparse.csr_matrix((self.weights * self.vals, cols, indptr), shape=shape),
+                scipy.sparse.csr_matrix((self.weights, *csr), shape=shape),
+                scipy.sparse.csr_matrix((self.weights * self.vals, *csr), shape=shape),
             )
         return self._by_row
 
@@ -259,25 +250,30 @@ def draw_bernoulli_rows(law: ElementLaw, row_ids, value_cells, seed, tag) -> Sam
     draws it.  Row k of ``law`` gives row row_ids[k]'s inclusion
     probabilities, and ``value_cells(ks, js)`` the values of the kept cells
     (row_ids[ks], js), ks ascending.  Only the streams are read row by row.
-    The result has len(row_ids) rows: the entries of row row_ids[k] are
-    stored in row k.  Cells and weights never depend on the block; the
-    product fill's values may, at the rounding level.
+    The result has len(row_ids) rows, row k holding row row_ids[k]'s cells,
+    counted per block into the row pointer.  Cells and weights never depend
+    on the block; the product fill's values may, at the rounding level.
     """
     n, d = len(row_ids), law.col_terms.size
     streams = rng.row_streams(seed, tag, row_ids)
-    parts = []
+    counts, cols, vals, weights = [], [], [], []
     for a, b in row_blocks(n, d):
         P = law.block(a, b)
         U = np.empty((b - a, d))
         for u, g in zip(U, streams):  # U first: zip stops before the next row's stream
             g.random(out=u)
-        ks, js = np.nonzero(U < P)
-        weights = 1.0 / P[ks, js]
+        kept = U < P
+        counts.append(np.count_nonzero(kept, axis=1))
+        ks, js = np.nonzero(kept)
+        weights.append(1.0 / P[ks, js])
         ks += a
-        parts.append((ks, js, value_cells(ks, js), weights))
-    if not parts:
-        return SampleSet(n, d, [], [], [], [])
-    return SampleSet(n, d, *(np.concatenate(arrays) for arrays in zip(*parts)))
+        cols.append(js)
+        vals.append(value_cells(ks, js))
+    cols = np.concatenate(cols)  # one field at a time: rebinding its name drops its parts
+    vals = np.concatenate(vals)
+    weights = np.concatenate(weights)
+    indptr = np.concatenate(([0], np.cumsum(np.concatenate(counts))))
+    return SampleSet(n, d, indptr, cols, vals, weights)
 
 
 def draw_bernoulli(plan: SamplingPlan, seed: int = 0) -> SampleSet:
@@ -356,9 +352,9 @@ def draw_multinomial(plan: SamplingPlan, seed: int = 0) -> SampleSet:
     cells = np.sort(np.concatenate(cells))  # np.unique's hash path is slower
     cells = cells[np.concatenate(([True], cells[1:] != cells[:-1]))]
     rows, cols = np.divmod(cells, d)
-    S = SampleSet(n, d, rows, cols, M.data[rows, cols], 1.0 / plan.law.cells(rows, cols))
+    indptr = cells.searchsorted(np.arange(n + 1) * d)  # the cells are sorted: rows start in order
     M.note_pass()
-    return S
+    return SampleSet(n, d, indptr, cols, M.data[rows, cols], 1.0 / plan.law.cells(rows, cols))
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,11 @@ sample by its own per-row loop, the distributed init by its own stopped
 power loop, the CP's column solve from the packed triangles the ledger
 counts, and the samplers by the row-at-a-time kernels
 the row-blocked ones replaced (the multinomial through ``Generator.choice``),
-whose outputs the blocked kernels reproduce bit for bit.  The last four
-functions are
-helpers the tests share and the library has no use for: the
-weighted training objective, a budget that saturates every cell, a matrix
-writer, and the multinomial sampler's work count.
+whose outputs the blocked kernels reproduce bit for bit.  The last six
+functions are helpers the tests share and the library has no use for: a
+sample set from entries in any order, each entry's row id, the weighted
+training objective, a budget that saturates every cell, a matrix writer, and
+the multinomial sampler's work count.
 """
 import numpy as np
 import scipy.io
@@ -251,7 +251,7 @@ def solve_weighted_row_ls(targets, rank):
 
 def weighted_coo_csr(S):
     """The reweighted sampled matrix w * y, built by scipy from COO triplets."""
-    coo = scipy.sparse.coo_matrix((S.weights * S.vals, (S.rows, S.cols)), shape=(S.n, S.d))
+    coo = scipy.sparse.coo_matrix((S.weights * S.vals, (row_ids(S), S.cols)), shape=(S.n, S.d))
     return coo.tocsr()
 
 
@@ -280,7 +280,7 @@ def centralized_sample(M, m, seed=0):
             cols.append(j)
             vals.append(a[i, j])
             wts.append(1.0 / p[j])
-    return SampleSet(n, d, rows, cols, vals, wts)
+    return coo_sample_set(n, d, rows, cols, vals, wts)
 
 
 def draw_bernoulli_rows(d, row_ids, prob_row, value_row, seed, tag):
@@ -309,8 +309,8 @@ def draw_bernoulli_rows(d, row_ids, prob_row, value_row, seed, tag):
 def _concat_samples(n, d, *blocks):
     """One SampleSet from per-row blocks of rows, cols, vals and weights."""
     if not blocks[0]:
-        return SampleSet(n, d, [], [], [], [])
-    return SampleSet(n, d, *(np.concatenate(b) for b in blocks))
+        return coo_sample_set(n, d, [], [], [], [])
+    return coo_sample_set(n, d, *(np.concatenate(b) for b in blocks))
 
 
 def _row_probabilities(plan):
@@ -480,11 +480,29 @@ def centralized_reference(M, r, m, iterations, init_rounds=10, seed=0):
     return Factorization(U, V_raw)
 
 
+def coo_sample_set(n, d, rows, cols, vals, weights):
+    """A SampleSet from entries (rows[k], cols[k]) in any order, sorted by (row, col).
+
+    The row pointer counts each row's entries; a duplicate entry is left for
+    the constructor to refuse.
+    """
+    rows, cols = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+    order = np.lexsort((cols, rows))
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(rows, minlength=n))))
+    vals, weights = np.asarray(vals, dtype=np.float64), np.asarray(weights, dtype=np.float64)
+    return SampleSet(n, d, indptr, cols[order], vals[order], weights[order])
+
+
+def row_ids(S):
+    """The row of each entry of S, in storage order."""
+    return np.repeat(np.arange(S.n), np.diff(S.indptr))
+
+
 def objective(S, F):
     """Weighted squared error of the factorization over the stored entries."""
     if F.shape != (S.n, S.d):
         raise ParameterError("factorization shape does not match the sample set")
-    residual = S.vals - np.einsum("kr,kr->k", F.u[S.rows], F.v[S.cols])
+    residual = S.vals - np.einsum("kr,kr->k", F.u[row_ids(S)], F.v[S.cols])
     return float(np.sum(S.weights * residual * residual))
 
 
@@ -513,4 +531,4 @@ def multinomial_work(S, m):
     touched row keeps at least one cell, so the touched rows are those of S.
     """
     log_d = max(1, int(np.ceil(np.log2(max(S.d, 2)))))
-    return S.n + m + 2 * S.d * np.unique(S.rows).size + m * log_d
+    return S.n + m + 2 * S.d * np.count_nonzero(np.diff(S.indptr)) + m * log_d

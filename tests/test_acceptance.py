@@ -281,7 +281,7 @@ def test_criterion_08_sampler_fidelity():
     hits = np.zeros((20, 20))
     for t in range(n_draws):
         S = draw_bernoulli(plan, seed=t)
-        hits[S.rows, S.cols] += 1
+        hits[oracles.row_ids(S), S.cols] += 1
     freq = hits / n_draws
     stderr = np.sqrt(np.maximum(probs * (1 - probs), 1e-300) / n_draws)
     mask = probs < 1.0

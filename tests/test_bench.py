@@ -61,6 +61,10 @@ def test_gen_powerlaw_deterministic_and_guarded():
     for alpha in (-0.5, float("nan"), float("inf")):
         with pytest.raises(ParameterError):
             gen_powerlaw(10, 10, 2, alpha, seed=0)
+    # k ** 1e308 is infinite from k = 2 on: one nonzero weight per side, so a
+    # second planted direction would not depend on alpha
+    with pytest.raises(ParameterError, match="fewer than r = 2 nonzero weights"):
+        gen_powerlaw(30, 20, 2, 1e308)
 
 
 def test_gen_powerlaw_large_finite_exponent_does_not_overflow():

@@ -368,6 +368,8 @@ def test_product_requires_second_matrix(tmp_path):
         ["lela", "--n", "50", "--d", "40", "--rank", "2", "--m", "400", "--noise", "inf"],
         ["covariance", "--n", "50", "--d", "40", "--rank", "2", "--m", "400", "--noise", "nan"],
         ["distpca", "--n", "50", "--d", "40", "--rank", "2", "--m", "400", "--noise", "inf"],
+        # k ** 1e308 is infinite from k = 2 on: one nonzero weight cannot plant rank 2
+        ["lela", "--n", "30", "--d", "20", "--rank", "2", "--m", "200", "--alpha", "1e308"],
     ],
 )
 def test_malformed_outside_input_is_parameter_error(tmp_path, capsys, monkeypatch, argv):

@@ -33,7 +33,9 @@ from oracles import (
     centralized_init,
     centralized_reference,
     centralized_sample,
+    coo_sample_set,
     cp_column_solve,
+    row_ids,
     total_samples,
 )
 
@@ -103,7 +105,7 @@ def test_dist_sample_single_server_matches_centralized_law():
     shards, _ = sampled_shards(M, 1, 60, seed=9)
     S = centralized_sample(M, 60, seed=9)
     local = shards[0].local_samples
-    assert np.array_equal(shards[0].row_set[local.rows], S.rows)
+    assert np.array_equal(shards[0].row_set[row_ids(local)], row_ids(S))
     assert np.array_equal(local.cols, S.cols)
     assert np.array_equal(local.vals, S.vals)
     # weights agree to rounding (the shard computes its stats on a row copy)
@@ -114,21 +116,33 @@ def test_dist_sample_identical_omega_across_server_counts():
     # each row's stream is keyed by its global row id, so the partition moves
     # no sample, no value and (up to the fold order of the stats) no weight
     M = make_matrix(24, 10, 6)
-    omegas = []
+    omegas, unions = [], []
     for s in (1, 2, 4):
         shards, _ = sampled_shards(M, s, 80, seed=4)
-        parts = [np.concatenate([sh.row_set[sh.local_samples.rows] for sh in shards])] + [
+        parts = [np.concatenate([sh.row_set[row_ids(sh.local_samples)] for sh in shards])] + [
             np.concatenate([getattr(sh.local_samples, f) for sh in shards])
             for f in ("cols", "vals", "weights")
         ]
         order = np.lexsort((parts[1], parts[0]))
         omegas.append([a[order] for a in parts])
+        # contiguous shards hold consecutive rows, so their sets join with no
+        # sort: each row pointer is offset by the entries before it
+        indptr, before = [shards[0].local_samples.indptr[:1]], 0
+        for sh in shards:
+            indptr.append(sh.local_samples.indptr[1:] + before)
+            before += sh.local_samples.size
+        unions.append([np.concatenate(indptr)] + parts[1:])
     rows0, cols0, vals0, weights0 = omegas[0]
     for rows, cols, vals, weights in omegas[1:]:
         assert np.array_equal(rows, rows0)
         assert np.array_equal(cols, cols0)
         assert np.array_equal(vals, vals0)
         assert np.allclose(weights, weights0, rtol=1e-12, atol=0.0)
+    one = unions[0]
+    for union in unions[1:]:
+        for x, y in zip(union[:3], one[:3]):  # indptr, cols and vals
+            assert x.dtype == y.dtype and x.tobytes() == y.tobytes()
+        assert np.allclose(union[3], one[3], rtol=1e-12, atol=0.0)
 
 
 def test_dist_sample_step1_upload_is_sd_reals():
@@ -156,7 +170,7 @@ def test_dist_sample_disjoint_across_shards():
     for sh in shards:
         local = sh.local_samples
         assert local.n == sh.row_set.size
-        for i, j in zip(sh.row_set[local.rows], local.cols):
+        for i, j in zip(sh.row_set[row_ids(local)], local.cols):
             assert (i, j) not in seen
             seen.add((i, j))
         assert sorted(set(local.cols.tolist())) == local.observed_cols().tolist()
@@ -335,8 +349,8 @@ def test_disjoint_touched_columns_aggregation_is_copy():
     n, d, r = 6, 6, 2
     arr = np.random.default_rng(14).standard_normal((n, d))
     # rows are local: server 0 holds rows 0-2 and server 1 rows 3-5
-    S0 = SampleSet(3, d, [0, 1, 2, 0], [0, 1, 2, 1], arr[[0, 1, 2, 0], [0, 1, 2, 1]], np.ones(4))
-    S1 = SampleSet(3, d, [0, 1, 2, 1], [3, 4, 5, 5], arr[[3, 4, 5, 4], [3, 4, 5, 5]], np.ones(4))
+    S0 = coo_sample_set(3, d, [0, 1, 2, 0], [0, 1, 2, 1], arr[[0, 1, 2, 0], [0, 1, 2, 1]], np.ones(4))
+    S1 = coo_sample_set(3, d, [0, 1, 2, 1], [3, 4, 5, 5], arr[[3, 4, 5, 4], [3, 4, 5, 5]], np.ones(4))
     ledger = CommLedger()
     V0 = orthonormal_columns(np.random.default_rng(1).standard_normal((d, r)))
     _, V_new = dist_waltmin_round([S0, S1], V0, ledger)
@@ -351,8 +365,8 @@ def test_round_gives_a_shard_without_samples_zero_rows():
     arr = np.random.default_rng(15).standard_normal((n, d))
     rows, cols = [0, 0, 1, 1, 2, 2], [0, 1, 2, 3, 4, 0]
     samples = [
-        SampleSet(3, d, [], [], [], []),
-        SampleSet(3, d, rows, cols, arr[[3 + i for i in rows], cols], np.full(6, 2.0)),
+        SampleSet(3, d, [0, 0, 0, 0], [], [], []),
+        coo_sample_set(3, d, rows, cols, arr[[3 + i for i in rows], cols], np.full(6, 2.0)),
     ]
     V0 = orthonormal_columns(np.random.default_rng(2).standard_normal((d, r)))
     ledger = CommLedger()

@@ -13,7 +13,7 @@ from lela.linalg import (
     spectral_error,
     topk_svd,
 )
-from lela.sampling import SampleSet, compute_stats
+from lela.sampling import compute_stats
 
 
 def test_dense_matrix_rejects_nonfinite():
@@ -326,17 +326,18 @@ def test_normal_equations_bitwise_equal_to_loop(r):
     observed[:, 5] = False  # and so does column 5
     observed[4, :3] = observed[:3, 4] = True
     rows, cols = np.nonzero(observed)
-    order = g.permutation(rows.size)  # SampleSet sorts them back
+    order = g.permutation(rows.size)  # coo_sample_set sorts them back
     w = 1.0 / g.uniform(0.05, 1.0, rows.size)
     y = g.standard_normal(rows.size)
-    S = SampleSet(n, d, rows[order], cols[order], y[order], w[order])
+    S = oracles.coo_sample_set(n, d, rows[order], cols[order], y[order], w[order])
+    rows = oracles.row_ids(S)
     u = g.standard_normal((n, r))
     v = g.standard_normal((d, r))
     u[4, 0] = v[4, 0] = -0.0
     # the oracle adds each group's observations in sample order
     for layout, fixed, group, other, out_dim in (
-        (S.by_row(), v, S.rows, S.cols, n),
-        (S.by_col(), u, S.cols, S.rows, d),
+        (S.by_row(), v, rows, S.cols, n),
+        (S.by_col(), u, S.cols, rows, d),
     ):
         B, z = layout.normal_equations(fixed)
         B_ref, z_ref = oracles.normal_equations_loop(

@@ -93,8 +93,9 @@ def test_every_top_level_definition_has_a_caller_in_the_package():
 
 
 def test_grouping_is_constructed_only_in_sampling():
-    # SampleSet builds the one layout of its samples and wraps its transposes
-    callers = set()
+    # SampleSet builds the one layout of its samples and wraps its transposes;
+    # the samplers emit entries in row order, so nothing sorts them back
+    callers, sorters = set(), []
     for path in sorted(SRC.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
@@ -102,7 +103,10 @@ def test_grouping_is_constructed_only_in_sampling():
                 name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
                 if name == "Grouping":
                     callers.add(path.stem)
+                if name == "lexsort":
+                    sorters.append((path.stem, node.lineno))
     assert callers == {"sampling"}
+    assert sorters == []
 
 
 def test_the_subspace_stop_rule_is_read_in_one_function():

@@ -15,7 +15,7 @@ from lela.sampling import (
     draw_multinomial,
     materialize_product_samples,
 )
-from oracles import saturating_sample_count
+from oracles import coo_sample_set, row_ids, saturating_sample_count
 
 
 def test_plan_identity_hand_values():
@@ -63,7 +63,7 @@ def test_bernoulli_saturation_includes_everything():
     S = draw_bernoulli(build_plan(M, m), seed=3)
     assert S.size == 30
     assert np.all(S.weights == 1.0)
-    assert np.allclose(S.vals, arr[S.rows, S.cols])
+    assert np.allclose(S.vals, arr[row_ids(S), S.cols])
 
 
 def test_bernoulli_deterministic():
@@ -71,7 +71,7 @@ def test_bernoulli_deterministic():
     plan = build_plan(M, 25)
     a = draw_bernoulli(plan, seed=11)
     b = draw_bernoulli(plan, seed=11)
-    assert np.array_equal(a.rows, b.rows)
+    assert np.array_equal(a.indptr, b.indptr)
     assert np.array_equal(a.cols, b.cols)
     assert np.array_equal(a.vals, b.vals)
     assert np.array_equal(a.weights, b.weights)
@@ -86,7 +86,7 @@ def test_bernoulli_inclusion_frequencies_within_four_stderr():
     hits = np.zeros((10, 10))
     for t in range(n_draws):
         S = draw_bernoulli(plan, seed=t)
-        hits[S.rows, S.cols] += 1
+        hits[row_ids(S), S.cols] += 1
     freq = hits / n_draws
     stderr = np.sqrt(probs * (1 - probs) / n_draws)
     # saturated cells have zero variance and must always be present
@@ -152,7 +152,7 @@ def test_multinomial_weights_are_reciprocal_bernoulli_probabilities():
     M = DenseMatrix(arr)
     plan = build_plan(M, 20)
     S = draw_multinomial(plan, seed=9)
-    for i, j, w in zip(S.rows, S.cols, S.weights):
+    for i, j, w in zip(row_ids(S), S.cols, S.weights):
         assert abs(w - 1.0 / oracles.inclusion_probability(plan, i, j)) <= 1e-12 * w
 
 
@@ -168,9 +168,10 @@ def test_multinomial_no_duplicates_and_in_range():
     arr = np.random.default_rng(8).standard_normal((20, 15))
     M = DenseMatrix(arr)
     S = draw_multinomial(build_plan(M, 400), seed=2)
-    pairs = set(zip(S.rows.tolist(), S.cols.tolist()))
+    rows = row_ids(S)
+    pairs = set(zip(rows.tolist(), S.cols.tolist()))
     assert len(pairs) == S.size
-    assert S.rows.min() >= 0 and S.rows.max() < 20
+    assert rows.min() >= 0 and rows.max() < 20
     assert S.cols.min() >= 0 and S.cols.max() < 15
 
 
@@ -179,7 +180,7 @@ def test_multinomial_deterministic():
     plan = build_plan(M, 60)
     a = draw_multinomial(plan, seed=21)
     b = draw_multinomial(plan, seed=21)
-    assert np.array_equal(a.rows, b.rows)
+    assert np.array_equal(a.indptr, b.indptr)
     assert np.array_equal(a.cols, b.cols)
     assert np.array_equal(a.weights, b.weights)
 
@@ -194,7 +195,7 @@ def test_weighted_reconstruction_unbiased():
     for t in range(n_draws):
         S = draw_bernoulli(plan, seed=t)
         R = np.zeros((15, 15))
-        R[S.rows, S.cols] = S.vals * S.weights
+        R[row_ids(S), S.cols] = S.vals * S.weights
         acc += R
     mean = acc / n_draws
     var = (1.0 / probs - 1.0) * arr**2  # per-cell variance of the weighted value
@@ -247,7 +248,7 @@ def test_product_samples_saturated_identity():
     assert S.size == 4
     assert np.all(S.weights == 1.0)
     dense = np.zeros((2, 2))
-    dense[S.rows, S.cols] = S.vals
+    dense[row_ids(S), S.cols] = S.vals
     assert np.array_equal(dense, np.eye(2))
 
 
@@ -257,7 +258,7 @@ def test_product_sample_values_match_dense_product():
     B = DenseMatrix(g.standard_normal((4, 8)))
     S = materialize_product_samples(build_product_plan(A, B, 40), seed=5)
     dense = A.data @ B.data
-    truth = dense[S.rows, S.cols]
+    truth = dense[row_ids(S), S.cols]
     assert np.all(np.abs(S.vals - truth) <= 1e-12 * np.maximum(np.abs(truth), 1.0))
 
 
@@ -268,7 +269,7 @@ def test_product_samples_deterministic():
     plan = build_product_plan(A, B, 12)
     s1 = materialize_product_samples(plan, seed=8)
     s2 = materialize_product_samples(plan, seed=8)
-    assert np.array_equal(s1.rows, s2.rows)
+    assert np.array_equal(s1.indptr, s2.indptr)
     assert np.array_equal(s1.vals, s2.vals)
 
 
@@ -281,29 +282,19 @@ def test_sparse_product_fill_is_bitwise_the_oracle():
     plan = build_product_plan(A, B, 200 * 1000 // 50)
     got = materialize_product_samples(plan, seed=3)
     for start, stop in sampling.row_blocks(200, 1000):
-        ks = got.rows[(got.rows >= start) & (got.rows < stop)]
+        ks = row_ids(got)[got.indptr[start]:got.indptr[stop]]
         assert sampling.GEMM_FILL_RATIO * ks.size < (ks[-1] + 1 - ks[0]) * 1000
     assert_bitwise_equal(got, oracles.materialize_product_samples(plan, seed=3))
 
 
 def test_sampleset_rejects_duplicates():
-    with pytest.raises(ParameterError):
-        SampleSet(3, 3, [0, 0], [1, 1], [1.0, 2.0], [1.0, 1.0])
+    with pytest.raises(ParameterError, match="rise strictly"):
+        coo_sample_set(3, 3, [0, 0], [1, 1], [1.0, 2.0], [1.0, 1.0])
 
 
 def test_sampleset_rejects_unsorted_duplicates():
-    with pytest.raises(ParameterError):
-        SampleSet(3, 3, [1, 0, 1], [2, 0, 2], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
-
-
-@pytest.mark.parametrize("rows, cols", [([2, 0, 1, 0], [1, 3, 0, 1]), ([0, 0, 1, 2], [3, 1, 0, 1])])
-def test_sampleset_sorts_unsorted_input(rows, cols):
-    vals = 10.0 * np.array(rows) + np.array(cols)
-    S = SampleSet(3, 4, rows, cols, vals, vals + 1.0)
-    assert S.rows.tolist() == [0, 0, 1, 2]
-    assert S.cols.tolist() == [1, 3, 0, 1]
-    assert S.vals.tolist() == [1.0, 3.0, 10.0, 21.0]
-    assert S.weights.tolist() == [2.0, 4.0, 11.0, 22.0]
+    with pytest.raises(ParameterError, match="rise strictly"):
+        coo_sample_set(3, 3, [1, 0, 1], [2, 0, 2], [1.0, 2.0, 3.0], [1.0, 1.0, 1.0])
 
 
 def test_weighted_csr_bitwise_equal_to_coo_matrix():
@@ -327,6 +318,10 @@ def test_by_col_is_a_view_of_the_by_row_layout():
         assert view.shape == (17, 23)
         for part in ("data", "indices", "indptr"):
             assert np.shares_memory(getattr(built, part), getattr(view, part))
+    # the layout wraps the held arrays: by_row() copies none of them
+    assert np.shares_memory(by_row.w.indptr, S.indptr)
+    assert np.shares_memory(by_row.w.indices, S.cols)
+    assert np.shares_memory(by_row.w.data, S.weights)
 
 
 def test_observed_cols_are_the_distinct_columns():
@@ -334,34 +329,36 @@ def test_observed_cols_are_the_distinct_columns():
     rows = np.repeat(np.arange(30), 4)
     cols = np.concatenate([g.choice(40, 4, replace=False) for _ in range(30)])
     sets = [
-        SampleSet(3, 5, [], [], [], []),
-        SampleSet(3, 5, [0, 2], [4, 4], [1.0, 2.0], [1.0, 1.0]),
-        SampleSet(30, 40, rows, cols, g.standard_normal(120), 1.0 + g.random(120)),
+        SampleSet(3, 5, [0, 0, 0, 0], [], [], []),
+        SampleSet(3, 5, [0, 1, 1, 2], [4, 4], [1.0, 2.0], [1.0, 1.0]),
+        coo_sample_set(30, 40, rows, cols, g.standard_normal(120), 1.0 + g.random(120)),
     ]
     for S in sets:
         got = S.observed_cols()
-        expected = np.unique(S.cols)
-        assert got.dtype == expected.dtype and np.array_equal(got, expected)
+        assert got.dtype == np.intp and np.array_equal(got, np.unique(S.cols))
 
 
 def test_sampleset_rejects_bad_weight():
     with pytest.raises(ParameterError):
-        SampleSet(2, 2, [0], [0], [1.0], [0.0])
+        SampleSet(2, 2, [0, 1, 1], [0], [1.0], [0.0])
 
 
 @pytest.mark.parametrize(
-    "rows, cols, vals, message",
+    "indptr, cols, vals, message",
     [
-        ([0, 1], [0], [1.0, 2.0], "identical lengths"),
-        ([0, 2], [0, 1], [1.0, 2.0], "row index out of range"),
-        ([-1, 0], [0, 1], [1.0, 2.0], "row index out of range"),
-        ([0, 1], [0, 3], [1.0, 2.0], "column index out of range"),
-        ([0, 1], [-1, 0], [1.0, 2.0], "column index out of range"),
+        ([0, 1, 2], [0], [1.0, 2.0], "identical lengths"),
+        ([0, 2], [0, 1], [1.0, 2.0], "row pointer"),  # n entries, not n + 1
+        ([1, 1, 2], [0, 1], [1.0, 2.0], "row pointer"),  # does not start at 0
+        ([0, 2, 1], [0], [1.0], "row pointer"),  # falls, from 0 to the entry count
+        ([0, 1, 1], [0, 1], [1.0, 2.0], "row pointer"),  # ends short of the entry count
+        ([0, 1, 2], [0, 3], [1.0, 2.0], "column index out of range"),
+        ([0, 1, 2], [-1, 0], [1.0, 2.0], "column index out of range"),
+        ([0, 2, 2], [2, 1], [1.0, 2.0], "rise strictly"),  # a column falls within row 0
     ],
 )
-def test_sampleset_rejects_malformed_entries(rows, cols, vals, message):
+def test_sampleset_rejects_malformed_entries(indptr, cols, vals, message):
     with pytest.raises(ParameterError, match=message):
-        SampleSet(2, 3, rows, cols, vals, np.ones(len(vals)))
+        SampleSet(2, 3, indptr, cols, vals, np.ones(len(vals)))
 
 
 def test_inclusion_probabilities_in_unit_interval():
@@ -381,7 +378,7 @@ ORACLE_SHAPES = [(1, 1), (1, 7), (3, 1), (37, 11), (40, 2000), (2, sampling.BLOC
 
 
 def assert_bitwise_equal(a, b):
-    for field in ("rows", "cols", "vals", "weights"):
+    for field in ("indptr", "cols", "vals", "weights"):
         x, y = getattr(a, field), getattr(b, field)
         assert x.dtype == y.dtype and x.shape == y.shape, field
         assert x.tobytes() == y.tobytes(), field
@@ -396,14 +393,15 @@ def assert_product_fill_matches(got, want, a, b):
     lies within the dot-product rounding bound 2 gamma_k sum_l |a_il| |b_lj|
     of the oracle's, gamma_k = k u / (1 - k u).
     """
-    for field in ("rows", "cols", "weights"):
+    for field in ("indptr", "cols", "weights"):
         x, y = getattr(got, field), getattr(want, field)
         assert x.dtype == y.dtype and x.tobytes() == y.tobytes(), field
     k, d = b.shape
     ku = k * np.finfo(float).eps / 2
+    rows = row_ids(got)
     for start, stop in sampling.row_blocks(got.n, d):
-        sel = slice(*np.searchsorted(got.rows, [start, stop]))
-        ks, js, vals, ref = got.rows[sel], got.cols[sel], got.vals[sel], want.vals[sel]
+        sel = slice(got.indptr[start], got.indptr[stop])
+        ks, js, vals, ref = rows[sel], got.cols[sel], got.vals[sel], want.vals[sel]
         if not ks.size:
             continue
         lo, hi = ks[0], ks[-1] + 1

@@ -22,7 +22,7 @@ def full_sample_set(arr, weights=None):
     rows, cols = np.meshgrid(np.arange(n), np.arange(d), indexing="ij")
     rows, cols = rows.ravel(), cols.ravel()
     w = np.ones(rows.size) if weights is None else weights
-    return SampleSet(n, d, rows, cols, arr[rows, cols], w)
+    return oracles.coo_sample_set(n, d, rows, cols, arr[rows, cols], w)
 
 
 def trim_scores(arr):
@@ -109,7 +109,7 @@ def test_initialize_all_rows_trimmed_is_degenerate():
 
 
 def test_initialize_empty_set_is_degenerate():
-    empty = SampleSet(3, 3, [], [], [], [])
+    empty = SampleSet(3, 3, [0, 0, 0, 0], [], [], [])
     with pytest.raises(DegenerateInputError):
         initialize(empty, trim_scores(np.eye(3)), 1, seed=0)
 
@@ -154,16 +154,17 @@ def test_half_step_matches_public_ls_solver():
     S = draw_bernoulli(build_plan(M, 30), seed=1)
     U = g.standard_normal((9, 2))
     V_new = als_half_step(U, S.by_col())
+    rows = oracles.row_ids(S)
     for j in range(6):
         targets = [
-            (S.weights[k], S.vals[k], U[S.rows[k]]) for k in np.flatnonzero(S.cols == j)
+            (S.weights[k], S.vals[k], U[rows[k]]) for k in np.flatnonzero(S.cols == j)
         ]
         assert np.allclose(V_new[j], oracles.solve_weighted_row_ls(targets, 2), atol=1e-10)
 
 
 def test_half_step_reports_unobserved():
     # only column 0 and rows 0 and 1 are observed
-    S = SampleSet(4, 3, [0, 1], [0, 0], [1.0, 2.0], [1.0, 1.0])
+    S = SampleSet(4, 3, [0, 1, 2, 2, 2], [0, 0], [1.0, 2.0], [1.0, 1.0])
     V_new = als_half_step(np.eye(4)[:, :2], S.by_col())
     assert np.flatnonzero(np.any(V_new != 0.0, axis=1)).tolist() == [0]
     U_new = als_half_step(np.eye(3)[:, :2], S.by_row())
@@ -191,7 +192,7 @@ def test_waltmin_scaling_invariance():
     M = DenseMatrix(arr)
     plan = build_plan(M, 140)
     S = draw_bernoulli(plan, seed=2)
-    scaled = SampleSet(S.n, S.d, S.rows, S.cols, 7.5 * S.vals, S.weights)
+    scaled = SampleSet(S.n, S.d, S.indptr, S.cols, 7.5 * S.vals, S.weights)
     F1 = waltmin(S, plan.row_trim_scores(), 3, 4, seed=5)
     F2 = waltmin(scaled, trim_scores(7.5 * arr), 3, 4, seed=5)
     P1, P2 = F1.u @ F1.v.T, F2.u @ F2.v.T
@@ -352,8 +353,9 @@ def test_objective_matches_naive_loop():
     S = draw_bernoulli(build_plan(M, 25), seed=7)
     F = Factorization(g.standard_normal((7, 2)), g.standard_normal((6, 2)))
     naive = 0.0
+    rows = oracles.row_ids(S)
     for k in range(S.size):
-        pred = F.u[S.rows[k]] @ F.v[S.cols[k]]
+        pred = F.u[rows[k]] @ F.v[S.cols[k]]
         naive += S.weights[k] * (S.vals[k] - pred) ** 2
     assert abs(objective(S, F) - naive) <= 1e-10 * naive
 
