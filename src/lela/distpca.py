@@ -28,7 +28,7 @@ from .linalg import (
     DenseMatrix, Factorization, orthonormal_columns, pseudo_solve_spd_batch, subspace_iteration,
 )
 from .sampling import ElementLaw, SampleSet, draw_bernoulli_rows
-from .waltmin import als_half_step
+from .waltmin import LS_EIG_FLOOR, als_half_step
 
 KIND_COL_NORMS = "col-norms"
 KIND_STATS_BROADCAST = "stats-broadcast"
@@ -213,7 +213,8 @@ def dist_waltmin_round(
     receives back its block of the new right factor.  The CP folds the
     servers' symmetric blocks in ascending server id, which adds the uploaded
     triangle entries in the same order as folding the triangles and mirroring
-    the sum once.  Returns the per-server row factors and the new right
+    the sum once.  Both solves floor at ``LS_EIG_FLOOR``, as ``waltmin``'s
+    half steps do.  Returns the per-server row factors and the new right
     factor at the CP.
     """
     d, r = V_current.shape
@@ -223,16 +224,14 @@ def dist_waltmin_round(
     z_total = np.zeros((d, r))
     b_total = np.zeros((d, r, r))
     for S, t in zip(samples, touched):  # fixed ascending server id
-        u_local = als_half_step(V_current, S.by_row())
+        u_local = als_half_step(V_current, S.by_row(), eig_floor=LS_EIG_FLOOR)
         u_blocks.append(u_local)
         b_k, z_k = S.by_col().normal_equations(u_local)
         z_total = z_total + z_k
         b_total = b_total + b_k
         if t:
             ledger.record(DIR_UP, KIND_Z_AND_B, t * (r + r * (r + 1) // 2))
-    # Exact, as the row step: the run must match its centralized reference to 1e-10,
-    # and a floor would let fold-order rounding near it keep a direction on one side only.
-    V_new = pseudo_solve_spd_batch(b_total, z_total, eig_floor=0.0)
+    V_new = pseudo_solve_spd_batch(b_total, z_total, eig_floor=LS_EIG_FLOOR)
     for t in touched:
         if t:
             ledger.record(DIR_DOWN, KIND_V_ROWS_BLOCK, t * r)

@@ -9,15 +9,15 @@ The exact Bernoulli sampler visits every cell (O(n d), reference behavior).
 The multinomial sampler draws m entries by first drawing per-row counts from
 the row marginal and then drawing columns within each touched row, with
 replacement and duplicates collapsed.  Both run over blocks of at most
-``BLOCK_CELLS`` cells: only each row's random stream is read row by row, from
-``rng.row_streams`` (all keys hashed up front, one generator reset per row);
-laws, CDFs, searches, masks, values and weights are computed for the block at
-once, with the same bits as a row-at-a-time loop.  On dense input both sweep
-the n d cells: the multinomial sampler builds the within-row CDF of every
-touched row and searches it once per draw.  On a dense 2000 x 2000 instance
-with m = 40,000 (one BLAS thread, 2-vCPU Xeon VM, best of 5, two runs) the
-multinomial draw takes 0.055-0.056 s and the Bernoulli draw 0.062-0.063 s;
-the 2,000 row streams are 0.005 s of either.  Both read M's rows, contiguous
+``BLOCK_CELLS`` cells: laws, CDFs, masks, values and weights are computed
+for the block at once, with the same bits as a row-at-a-time loop, and only
+each row's random stream is read row by row, from ``rng.row_streams`` (all
+keys hashed up front, one generator reset per row), along with the
+multinomial sampler's search of that row's CDF for its draws.  On dense input
+both sweep the n d cells: the multinomial sampler builds the within-row CDF
+of every touched row.  On a dense 2000 x 2000 instance with m = 40,000 (one
+BLAS thread, 2-vCPU Xeon VM, best of 5, two runs) the multinomial draw takes
+0.062-0.071 s and the Bernoulli draw 0.075 s.  Both read M's rows, contiguous
 in its row-major layout.  The intensity that sets a kept cell's weight is
 evaluated at the kept cells only.
 
@@ -255,6 +255,7 @@ def draw_bernoulli_rows(law: ElementLaw, row_ids, value_cells, seed, tag) -> Sam
     on the block; the product fill's values may, at the rounding level.
     """
     n, d = len(row_ids), law.col_terms.size
+    idx = scipy.sparse.get_index_dtype(maxval=max(n, d))  # SampleSet's cast then copies nothing
     streams = rng.row_streams(seed, tag, row_ids)
     counts, cols, vals, weights = [], [], [], []
     for a, b in row_blocks(n, d):
@@ -267,6 +268,7 @@ def draw_bernoulli_rows(law: ElementLaw, row_ids, value_cells, seed, tag) -> Sam
         ks, js = np.nonzero(kept)
         weights.append(1.0 / P[ks, js])
         ks += a
+        js = js.astype(idx)
         cols.append(js)
         vals.append(value_cells(ks, js))
     cols = np.concatenate(cols)  # one field at a time: rebinding its name drops its parts
@@ -290,24 +292,6 @@ def draw_bernoulli(plan: SamplingPlan, seed: int = 0) -> SampleSet:
     )
     M.note_pass()
     return S
-
-
-def _search_rows(cdf: np.ndarray, t: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """``cdf[t[k]].searchsorted(u[k], side="right")`` for every k, as one search.
-
-    Complex numbers order lexicographically, so the pairs (t, cdf[t, j]) of
-    the flattened block are sorted, and the pair (t[k], u[k]) lands as many
-    places past row t[k]'s start as that row has entries <= u[k].  No value
-    is rounded.
-    """
-    b, d = cdf.shape
-    keys = np.empty((b, d), dtype=complex)
-    keys.real = np.arange(b)[:, None]
-    keys.imag = cdf
-    draws = np.empty(u.size, dtype=complex)
-    draws.real = t
-    draws.imag = u
-    return keys.ravel().searchsorted(draws, side="right") - t * d
 
 
 def draw_multinomial(plan: SamplingPlan, seed: int = 0) -> SampleSet:
@@ -346,9 +330,9 @@ def draw_multinomial(plan: SamplingPlan, seed: int = 0) -> SampleSet:
         law /= law.sum(axis=1, keepdims=True)
         cdf = np.cumsum(law, axis=1)
         cdf /= cdf[:, -1:].copy()
-        u = np.concatenate([g.random(c) for c, g in zip(counts[rows].tolist(), streams)])
-        t = np.repeat(np.arange(b - a), counts[rows])
-        cells.append(rows[t] * d + _search_rows(cdf, t, u))
+        # the stream last: zip stops before the next block's first stream
+        for i, c, row_cdf, g in zip(rows.tolist(), counts[rows].tolist(), cdf, streams):
+            cells.append(i * d + row_cdf.searchsorted(g.random(c), side="right"))
     cells = np.sort(np.concatenate(cells))  # np.unique's hash path is slower
     cells = cells[np.concatenate(([True], cells[1:] != cells[:-1]))]
     rows, cols = np.divmod(cells, d)

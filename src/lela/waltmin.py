@@ -4,11 +4,11 @@ The solver minimizes  sum_{(i,j) in Omega} w_ij (M_ij - (U V^T)_ij)^2  by
 block coordinate descent: initialize U from a top-r SVD of the reweighted
 sampled matrix (with heavy rows trimmed), whose subspace iteration stops once
 its basis stops moving (``linalg.SVD_STEP_TOL``) because the alternating
-rounds contract what error is left, then alternate exact weighted
-least-squares updates of V and U until a round leaves U in place by the same
-rule.  Updated factors are QR-orthonormalized between half steps for
-numerical stability; the fixed points are unchanged because the dropped
-triangular scale is re-fit by the next solve.
+rounds contract what error is left, then alternate weighted least-squares
+updates of V and U until a round leaves U in place by the same rule.
+Updated factors are QR-orthonormalized between half steps for numerical
+stability; the fixed points are unchanged because the dropped triangular
+scale is re-fit by the next solve.
 
 With orthonormalized factors and reciprocal-probability weights, each row or
 column normal matrix concentrates near the identity once the row/column has
@@ -37,7 +37,8 @@ from .sampling import SampleSet
 # zeroed before orthonormalization so heavy rows cannot dominate the basis.
 TRIM_FACTOR = 4.0
 
-# Absolute eigenvalue floor of the normal matrices in waltmin's half steps.
+# Absolute eigenvalue floor of every least-squares solve: waltmin's half steps
+# and distpca's server row and CP column solves.
 LS_EIG_FLOOR = 0.07
 
 

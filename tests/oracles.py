@@ -34,6 +34,7 @@ from lela.distpca import (
 )
 from lela.linalg import orthonormal_columns, pseudo_solve_spd_batch
 from lela.sampling import ProductSamplingPlan, SampleSet, compute_stats
+from lela.waltmin import LS_EIG_FLOOR
 
 
 def naive_stats(arr):
@@ -440,7 +441,7 @@ def cp_column_solve(samples, u_blocks):
 
     Per touched column each server sends z_k and the packed upper triangle of
     B_k, in ``np.triu_indices(r)`` order.  The CP adds both in ascending
-    server id, mirrors the summed triangle once and solves at floor 0.
+    server id, mirrors the summed triangle once and solves at ``LS_EIG_FLOOR``.
     """
     d, r = samples[0].d, u_blocks[0].shape[1]
     ia, ib = np.triu_indices(r)
@@ -453,15 +454,15 @@ def cp_column_solve(samples, u_blocks):
     B = np.empty((d, r, r))
     B[:, ia, ib] = packed
     B[:, ib, ia] = packed
-    return pseudo_solve_spd_batch(B, z_total, eig_floor=0.0)
+    return pseudo_solve_spd_batch(B, z_total, eig_floor=LS_EIG_FLOOR)
 
 
 def centralized_reference(M, r, m, iterations, init_rounds=10, seed=0):
-    """Single-process run of the exact protocol the simulator distributes.
+    """Single-process run of the protocol the simulator distributes.
 
     Same sampling law and streams, same seeded init with the same stop and
-    cap, same update order (rows first, then columns), the same exact solves
-    (eigenvalue floor 0) and the same rounds: the row solves take the
+    cap, same update order (rows first, then columns), the same solves
+    (floored at ``LS_EIG_FLOOR``) and the same rounds: the row solves take the
     orthonormalized V, and a round that moves it by
     ||V' - V V^T V'||_F <= ``linalg.SVD_STEP_TOL`` is the last of at most
     ``iterations``.  Returns the last round's U and raw V, so the distributed
@@ -470,8 +471,8 @@ def centralized_reference(M, r, m, iterations, init_rounds=10, seed=0):
     samples = centralized_sample(M, m, seed=seed)
     V, _ = centralized_init(samples, r, init_rounds, seed=seed)
     for _ in range(iterations):
-        U = pseudo_solve_spd_batch(*samples.by_row().normal_equations(V), eig_floor=0.0)
-        V_raw = pseudo_solve_spd_batch(*samples.by_col().normal_equations(U), eig_floor=0.0)
+        U = pseudo_solve_spd_batch(*samples.by_row().normal_equations(V), eig_floor=LS_EIG_FLOOR)
+        V_raw = pseudo_solve_spd_batch(*samples.by_col().normal_equations(U), eig_floor=LS_EIG_FLOOR)
         V_next = orthonormal_columns(V_raw)
         moved = np.linalg.norm(V_next - V @ (V.T @ V_next))
         V = V_next

@@ -7,7 +7,9 @@ from lela import (
     DegenerateInputError,
     DenseMatrix,
     ParameterError,
+    add_noise,
     communication_bound,
+    gen_powerlaw,
     run_distpca,
 )
 from lela.distpca import (
@@ -26,7 +28,7 @@ from lela.distpca import (
     dist_waltmin_round,
     partition_rows,
 )
-from lela.linalg import Grouping, orthonormal_columns
+from lela.linalg import Grouping, low_rank_diff_spectral_norm, orthonormal_columns
 from lela.sampling import SampleSet
 from lela import rng as lrng
 from oracles import (
@@ -389,7 +391,7 @@ def test_run_distpca_matches_centralized_multi_server():
 
 
 def test_run_distpca_rounds_stop_before_a_large_cap():
-    # the exact rounds contract fast on a gapped instance: the CP stops once V
+    # the rounds contract fast on a gapped instance: the CP stops once V
     # settles, with no further z-and-B round, and still matches the reference
     g = np.random.default_rng(33)
     P = np.linalg.qr(g.standard_normal((60, 2)))[0]
@@ -405,6 +407,15 @@ def test_run_distpca_rounds_stop_before_a_large_cap():
             assert np.abs(F.u - C.u).max() <= 1e-10
             assert np.abs(F.v - C.v).max() <= 1e-10
             assert ledger.verify()
+
+
+def test_run_distpca_at_a_lean_budget_beats_the_zero_approximation():
+    # at m = 2nr a barely observed row or column gives a near-singular system;
+    # the floored solves drop its weak directions instead of fitting the noise
+    for seed in range(5):
+        M, truth = gen_powerlaw(200, 200, 5, 1.0, seed)
+        F, _ = run_distpca(add_noise(M, 0.05, seed), 4, 5, 2000, 10, seed=seed)
+        assert low_rank_diff_spectral_norm(truth, F) < 1.0, seed  # |truth|_2 = 1
 
 
 @pytest.mark.parametrize(

@@ -217,8 +217,10 @@ def test_product_never_materializes_dense_product():
 def test_dense_product_budget_fills_by_blocks():
     # 7% of every cell kept: each 43-row block takes one GEMM over its rows, so
     # the fill never holds more than one block of the 18 MB dense product; the
-    # peak, about 7.4 MB, is the ~157k kept cells while the sampler joins its
-    # blocks one field at a time (11.7 MB when it joined all fields at once)
+    # peak, about 5.6 MB, is the ~157k kept cells while the sampler joins its
+    # blocks one field at a time, their column ids already in the set's index
+    # dtype (7.4 MB when it joined int64 ids, 11.7 MB when it joined all
+    # fields at once)
     g = np.random.default_rng(9)
     A = DenseMatrix(np.where(g.random((1500, 6)) < 0.5, -1.0, 1.0))
     B = DenseMatrix(np.where(g.random((6, 1500)) < 0.5, -1.0, 1.0))
@@ -234,7 +236,7 @@ def test_dense_product_budget_fills_by_blocks():
     lowrank_product(task)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
-    assert peak < 9_000_000
+    assert peak < 7_000_000
 
 
 def test_sampled_values_exact_on_product_path():

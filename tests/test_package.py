@@ -229,6 +229,29 @@ def test_the_package_creates_no_fortran_ordered_array():
     assert makers == []
 
 
+def test_every_least_squares_solve_names_the_floor():
+    # one LS rule: every solve passes LS_EIG_FLOOR, or als_half_step its own
+    # eig_floor, so none relies on the exact default or a literal floor
+    solves, unfloored = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for stmt in ast.parse(path.read_text()).body:
+            owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
+            for node in ast.walk(stmt):
+                if not isinstance(node, ast.Call):
+                    continue
+                fn = node.func
+                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+                if name not in ("als_half_step", "pseudo_solve_spd_batch"):
+                    continue
+                solves.append((path.stem, owner, node.lineno))
+                floor = [kw.value for kw in node.keywords if kw.arg == "eig_floor"]
+                allowed = {"LS_EIG_FLOOR"} | ({"eig_floor"} if owner == "als_half_step" else set())
+                if not (floor and isinstance(floor[0], ast.Name) and floor[0].id in allowed):
+                    unfloored.append((path.stem, owner, node.lineno))
+    assert solves
+    assert unfloored == []
+
+
 def _tracing():
     """perfbench/tracing.py, loaded from its file (perfbench is not a package)."""
     spec = importlib.util.spec_from_file_location("tracing", ROOT / "perfbench" / "tracing.py")
