@@ -213,9 +213,9 @@ def dist_waltmin_round(
     receives back its block of the new right factor.  The CP folds the
     servers' symmetric blocks in ascending server id, which adds the uploaded
     triangle entries in the same order as folding the triangles and mirroring
-    the sum once.  Both solves floor at ``LS_EIG_FLOOR``, as ``waltmin``'s
-    half steps do.  Returns the per-server row factors and the new right
-    factor at the CP.
+    the sum once.  The CP scales the row solves' floor to the left factor,
+    which is never orthonormalized.  Returns the per-server row factors and
+    the new right factor at the CP.
     """
     d, r = V_current.shape
     touched = [S.observed_cols().size for S in samples]
@@ -224,14 +224,17 @@ def dist_waltmin_round(
     z_total = np.zeros((d, r))
     b_total = np.zeros((d, r, r))
     for S, t in zip(samples, touched):  # fixed ascending server id
-        u_local = als_half_step(V_current, S.by_row(), eig_floor=LS_EIG_FLOOR)
+        u_local = als_half_step(V_current, S.by_row())
         u_blocks.append(u_local)
         b_k, z_k = S.by_col().normal_equations(u_local)
         z_total = z_total + z_k
         b_total = b_total + b_k
         if t:
             ledger.record(DIR_UP, KIND_Z_AND_B, t * (r + r * (r + 1) // 2))
-    V_new = pseudo_solve_spd_batch(b_total, z_total, eig_floor=LS_EIG_FLOOR)
+    # each B_j is near U^T U, which the stack's mean estimates: a floor scaled by
+    # its least eigenvalue is the rule of an orthonormal U, and V scales with M
+    gram_floor = np.linalg.eigvalsh(b_total.mean(axis=0))[0]
+    V_new = pseudo_solve_spd_batch(b_total, z_total, eig_floor=LS_EIG_FLOOR * gram_floor)
     for t in touched:
         if t:
             ledger.record(DIR_DOWN, KIND_V_ROWS_BLOCK, t * r)

@@ -290,6 +290,7 @@ def pseudo_solve_spd_batch(B: np.ndarray, z: np.ndarray, eig_floor: float) -> np
     orthonormalized and weights equal to reciprocal inclusion probabilities,
     where each B concentrates near the identity; directions carrying far less
     than unit information are then too noisy to invert and are zeroed instead.
+    A caller whose fixed factor is not orthonormal scales the floor to it.
 
     The rule is applied in three tiers.  A system whose shifted matrix
     B_k - (tau_k + 1e-8 * trace(B_k)/r) I has a Cholesky factor has every

@@ -115,7 +115,7 @@ class SampleSet:
         if np.any(weights <= 0):
             raise ParameterError("weights must be strictly positive")
         # all in range, so the casts wrap nothing; products and transposes keep this dtype
-        idx = scipy.sparse.get_index_dtype(maxval=max(self.n, self.d, cols.size))
+        idx = self.index_dtype(self.n, self.d, cols.size)
         self.indptr, self.cols = indptr.astype(idx, copy=False), cols.astype(idx, copy=False)
         # a column that does not rise must start a row
         starts = np.flatnonzero(self.cols[1:] <= self.cols[:-1]) + 1
@@ -124,6 +124,11 @@ class SampleSet:
         self.vals, self.weights = vals, weights
         self._by_row = None
         self._observed_cols = None
+
+    @staticmethod
+    def index_dtype(n: int, d: int, size: int) -> np.dtype:
+        """The dtype of ``indptr`` and ``cols``: scipy's index dtype for the shape and entry count."""
+        return scipy.sparse.get_index_dtype(maxval=max(n, d, size))
 
     @property
     def size(self) -> int:
@@ -255,9 +260,8 @@ def draw_bernoulli_rows(law: ElementLaw, row_ids, value_cells, seed, tag) -> Sam
     on the block; the product fill's values may, at the rounding level.
     """
     n, d = len(row_ids), law.col_terms.size
-    idx = scipy.sparse.get_index_dtype(maxval=max(n, d))  # SampleSet's cast then copies nothing
     streams = rng.row_streams(seed, tag, row_ids)
-    counts, cols, vals, weights = [], [], [], []
+    counts, cols, vals, weights, size = [], [], [], [], 0
     for a, b in row_blocks(n, d):
         P = law.block(a, b)
         U = np.empty((b - a, d))
@@ -268,7 +272,8 @@ def draw_bernoulli_rows(law: ElementLaw, row_ids, value_cells, seed, tag) -> Sam
         ks, js = np.nonzero(kept)
         weights.append(1.0 / P[ks, js])
         ks += a
-        js = js.astype(idx)
+        size += js.size  # the join takes the final count's dtype: SampleSet's cast copies nothing
+        js = js.astype(SampleSet.index_dtype(n, d, size))
         cols.append(js)
         vals.append(value_cells(ks, js))
     cols = np.concatenate(cols)  # one field at a time: rebinding its name drops its parts

@@ -15,7 +15,7 @@ column normal matrix concentrates near the identity once the row/column has
 enough samples.  Rows and columns that are barely observed instead produce
 near-singular systems whose inversion amplifies noise without bound, so the
 solver drops eigendirections below an absolute information floor
-(``LS_EIG_FLOOR``); ``als_half_step`` on its own keeps the solves exact.
+(``LS_EIG_FLOOR``), ``als_half_step``'s default.
 """
 from __future__ import annotations
 
@@ -37,8 +37,8 @@ from .sampling import SampleSet
 # zeroed before orthonormalization so heavy rows cannot dominate the basis.
 TRIM_FACTOR = 4.0
 
-# Absolute eigenvalue floor of every least-squares solve: waltmin's half steps
-# and distpca's server row and CP column solves.
+# Absolute eigenvalue floor of every least-squares solve whose fixed factor is
+# orthonormal; distpca's CP scales it to a left factor that is not.
 LS_EIG_FLOOR = 0.07
 
 
@@ -66,15 +66,15 @@ def initialize(
     return qr_orthonormalize(u0)
 
 
-def als_half_step(fixed: np.ndarray, layout: Grouping, eig_floor: float = 0.0) -> np.ndarray:
-    """One exact weighted least-squares half step over one layout of the samples.
+def als_half_step(fixed: np.ndarray, layout: Grouping, eig_floor: float = LS_EIG_FLOOR) -> np.ndarray:
+    """One weighted least-squares half step over one layout of the samples.
 
     Every group of ``layout`` (a column of ``S.by_col()`` with the left factor
     fixed, a row of ``S.by_row()`` with the right one fixed) solves its r x r
     normal system over its samples.  Returns the new factor; a group with no
     samples, as every group of an empty set, gets a zero row.  ``eig_floor``
-    > 0 drops under-informed directions of the normal matrices (see
-    pseudo_solve_spd_batch); the default keeps the solves exact.
+    drops under-informed directions of the normal matrices (see
+    pseudo_solve_spd_batch); at 0 the solves are exact.
     """
     return pseudo_solve_spd_batch(*layout.normal_equations(fixed), eig_floor=eig_floor)
 
@@ -103,8 +103,8 @@ def waltmin(
 
     def alternate(u_hat):
         nonlocal u_raw, v_hat
-        v_hat = orthonormal_columns(als_half_step(u_hat, S.by_col(), eig_floor=LS_EIG_FLOOR))
-        u_raw = als_half_step(v_hat, S.by_row(), eig_floor=LS_EIG_FLOOR)
+        v_hat = orthonormal_columns(als_half_step(u_hat, S.by_col()))
+        u_raw = als_half_step(v_hat, S.by_row())
         return orthonormal_columns(u_raw)
 
     subspace_iteration(alternate, initialize(S, trim_scores, rank, seed=seed), rank, iterations)

@@ -436,12 +436,19 @@ def centralized_init(samples, r, rounds, seed=0):
     return Y, rounds
 
 
+def column_solve(B, z):
+    """The CP's column solve: floored at ``LS_EIG_FLOOR`` times the least
+    eigenvalue of the stack's mean, the estimate of U^T U each B_j is near."""
+    floor = LS_EIG_FLOOR * np.linalg.eigvalsh(B.mean(axis=0))[0]
+    return pseudo_solve_spd_batch(B, z, eig_floor=floor)
+
+
 def cp_column_solve(samples, u_blocks):
     """The CP's new V from exactly what the servers upload.
 
     Per touched column each server sends z_k and the packed upper triangle of
     B_k, in ``np.triu_indices(r)`` order.  The CP adds both in ascending
-    server id, mirrors the summed triangle once and solves at ``LS_EIG_FLOOR``.
+    server id, mirrors the summed triangle once and solves by ``column_solve``.
     """
     d, r = samples[0].d, u_blocks[0].shape[1]
     ia, ib = np.triu_indices(r)
@@ -454,16 +461,16 @@ def cp_column_solve(samples, u_blocks):
     B = np.empty((d, r, r))
     B[:, ia, ib] = packed
     B[:, ib, ia] = packed
-    return pseudo_solve_spd_batch(B, z_total, eig_floor=LS_EIG_FLOOR)
+    return column_solve(B, z_total)
 
 
 def centralized_reference(M, r, m, iterations, init_rounds=10, seed=0):
     """Single-process run of the protocol the simulator distributes.
 
     Same sampling law and streams, same seeded init with the same stop and
-    cap, same update order (rows first, then columns), the same solves
-    (floored at ``LS_EIG_FLOOR``) and the same rounds: the row solves take the
-    orthonormalized V, and a round that moves it by
+    cap, same update order (rows first, then columns), the same solves (rows
+    floored at ``LS_EIG_FLOOR``, columns by ``column_solve``) and the same
+    rounds: the row solves take the orthonormalized V, and a round that moves it by
     ||V' - V V^T V'||_F <= ``linalg.SVD_STEP_TOL`` is the last of at most
     ``iterations``.  Returns the last round's U and raw V, so the distributed
     output must match entrywise up to floating-point fold order.
@@ -472,7 +479,7 @@ def centralized_reference(M, r, m, iterations, init_rounds=10, seed=0):
     V, _ = centralized_init(samples, r, init_rounds, seed=seed)
     for _ in range(iterations):
         U = pseudo_solve_spd_batch(*samples.by_row().normal_equations(V), eig_floor=LS_EIG_FLOOR)
-        V_raw = pseudo_solve_spd_batch(*samples.by_col().normal_equations(U), eig_floor=LS_EIG_FLOOR)
+        V_raw = column_solve(*samples.by_col().normal_equations(U))
         V_next = orthonormal_columns(V_raw)
         moved = np.linalg.norm(V_next - V @ (V.T @ V_next))
         V = V_next

@@ -418,6 +418,21 @@ def test_run_distpca_at_a_lean_budget_beats_the_zero_approximation():
         assert low_rank_diff_spectral_norm(truth, F) < 1.0, seed  # |truth|_2 = 1
 
 
+def test_run_distpca_scales_with_its_input():
+    # at the lean budget the floors drop directions of about 27 of the CP's 200
+    # systems a round; they follow the factors' scale, so 0.1 M gives 0.1 times
+    # the left factor and the same right one, and still matches the reference
+    M = add_noise(gen_powerlaw(200, 200, 5, 1.0, 0)[0], 0.05, 0)
+    small = DenseMatrix(0.1 * M.data)
+    F, _ = run_distpca(M, 4, 5, 2000, 10, seed=0)
+    G, _ = run_distpca(small, 4, 5, 2000, 10, seed=0)
+    assert np.abs(G.u - 0.1 * F.u).max() <= 1e-12
+    assert np.abs(G.v - F.v).max() <= 1e-12
+    C = centralized_reference(small, 5, 2000, 10, seed=0)
+    assert np.abs(G.u - C.u).max() <= 1e-10
+    assert np.abs(G.v - C.v).max() <= 1e-10
+
+
 @pytest.mark.parametrize(
     "kwargs, message",
     [

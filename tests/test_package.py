@@ -10,6 +10,7 @@ import sys
 import types
 
 import lela
+from lela.waltmin import LS_EIG_FLOOR, als_half_step
 
 # The entry points the README documents and the CLI and the benchmark call;
 # everything else is reached through its submodule.
@@ -229,27 +230,19 @@ def test_the_package_creates_no_fortran_ordered_array():
     assert makers == []
 
 
-def test_every_least_squares_solve_names_the_floor():
-    # one LS rule: every solve passes LS_EIG_FLOOR, or als_half_step its own
-    # eig_floor, so none relies on the exact default or a literal floor
-    solves, unfloored = [], []
-    for path in sorted(SRC.glob("*.py")):
-        for stmt in ast.parse(path.read_text()).body:
-            owner = stmt.name if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) else None
-            for node in ast.walk(stmt):
-                if not isinstance(node, ast.Call):
-                    continue
-                fn = node.func
-                name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
-                if name not in ("als_half_step", "pseudo_solve_spd_batch"):
-                    continue
-                solves.append((path.stem, owner, node.lineno))
-                floor = [kw.value for kw in node.keywords if kw.arg == "eig_floor"]
-                allowed = {"LS_EIG_FLOOR"} | ({"eig_floor"} if owner == "als_half_step" else set())
-                if not (floor and isinstance(floor[0], ast.Name) and floor[0].id in allowed):
-                    unfloored.append((path.stem, owner, node.lineno))
-    assert solves
-    assert unfloored == []
+def test_every_least_squares_floor_is_built_from_ls_eig_floor():
+    # one LS rule: als_half_step floors at LS_EIG_FLOOR by default, and every
+    # floor passed in src/lela is built from it or forwards als_half_step's own
+    assert inspect.signature(als_half_step).parameters["eig_floor"].default == LS_EIG_FLOOR
+    floors = [
+        {name.id for name in ast.walk(kw.value) if isinstance(name, ast.Name)}
+        for path in SRC.glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call)
+        for kw in node.keywords
+        if kw.arg == "eig_floor"
+    ]
+    assert floors and all(names & {"LS_EIG_FLOOR", "eig_floor"} for names in floors)
 
 
 def _tracing():
